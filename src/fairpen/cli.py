@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-import os
-
-# Cap numpy's internal threading before it is imported anywhere below.
-if os.environ.get("FAIRPEN_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["FAIRPEN_THREADS"])
-
 import argparse
 import configparser
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +14,8 @@ import numpy as np
 from . import metrics, oracles, penalties, training
 from .data import ColumnSchema, load_csv, split_train_val
 from .errors import ConfigError, FairpenError
-from .nn import Mlp, clamp_prob, mlp
+from .nn import Mlp, mlp
 from .training import TrainConfig, rng_streams
-
-
-@dataclass
-class RunManifest:
-    data_path: Path
-    schema: list[ColumnSchema]
-    criterion: str  # gsp | geo
-    lambda_grid: list[float]
-    out_dir: Path
-    run_id: str
-    config: dict
 
 
 def load_schema(path) -> list[ColumnSchema]:
@@ -101,35 +82,43 @@ def cmd_train(args) -> int:
             raise ConfigError(f"lambda {lam} outside [0, 1]")
     out_dir = Path(args.out or cfg.get("output.dir", "runs"))
     run_id = args.run_id or cfg.get("output.run_id", "run")
-    manifest = RunManifest(data_path, schema, args.criterion, lambdas, out_dir, run_id, cfg)
 
-    dataset = load_csv(manifest.data_path, manifest.schema)
+    dataset = load_csv(data_path, schema)
     task = (
         "regression"
         if dataset.outcome_column.kind == "continuous"
         else "binary_classification"
     )
-    run_root = manifest.out_dir / manifest.run_id
+    run_root = out_dir / run_id
     if run_root.exists() and not args.force:
         raise ConfigError(f"run directory {run_root} exists (use --force to overwrite)")
+    configs = [_train_config(cfg, lam, args, task) for lam in lambdas]
+    if not configs:
+        return 0
 
-    for lam in manifest.lambda_grid:
-        config = _train_config(cfg, lam, args, task)
-        lam_dir = run_root / f"lambda={lam:g}"
+    # The split and the density ratio depend on the seed and the data, not
+    # on lambda: compute them once and share them across the grid.
+    base = configs[0]
+    train_set, val_set = split_train_val(dataset, fraction=0.8, seed=base.seed)
+    beta = None
+    if args.criterion == "geo":
+        beta = penalties.pretrain_density_ratio(
+            train_set,
+            L=base.L,
+            n_b=base.n_b,
+            learning_rate=base.learning_rate,
+            seed=base.seed + 1,
+            sampler=base.sampler,
+        )
+    attr_names = [c.name for c in dataset.sensitive_columns]
+    for config in configs:
+        lam_dir = run_root / f"lambda={config.lam:g}"
         lam_dir.mkdir(parents=True, exist_ok=True)
-        train_set, val_set = split_train_val(dataset, fraction=0.8, seed=config.seed)
         init_rng = rng_streams(config.seed)["init"]
-        h, d_net = default_networks(train_set.p, train_set.l, manifest.criterion, task, init_rng)
-        if manifest.criterion == "gsp":
-            result = training.train_gsp(
-                train_set, val_set, h, penalties.GspDiscriminator(d_net), config
-            )
-        else:
-            result = training.train_geo(
-                train_set, val_set, h, penalties.GeoDiscriminator(d_net), config
-            )
-            _maybe_write_beta_table(result.beta, train_set, lam_dir / "beta_table.csv")
-        attr_names = [c.name for c in dataset.sensitive_columns]
+        h, D = default_networks(train_set.p, train_set.l, args.criterion, task, init_rng)
+        result = training.train(train_set, val_set, h, D, config, beta=beta)
+        if beta is not None:
+            _maybe_write_beta_table(beta, train_set, lam_dir / "beta_table.csv")
         training.write_snapshot_csv(result.snapshots, attr_names, lam_dir / "snapshots.csv")
         result.h.save(lam_dir / "h_final.ckpt")
         result.discriminator.save(lam_dir / "d_final.ckpt")
@@ -194,7 +183,7 @@ def cmd_pareto(args) -> int:
     points, meta = [], []
     for run_id, rec in rows:
         fval = rec.get(args.fairness_column, "")
-        if fval in ("", "nan"):
+        if fval in ("", "nan") or rec["utility_value"] == "nan":
             continue
         utility = float(rec["utility_value"])
         signed = -utility if rec["utility_name"] == "mae" else utility

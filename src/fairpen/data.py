@@ -264,18 +264,3 @@ def minibatch_construct(
         idx2 = sampler_rng.choice(rest, size=n_b, replace=False)
         a_prime = dataset.A[idx2]
     return Minibatch(dataset.X[idx], dataset.A[idx], dataset.Y[idx], a_prime)
-
-
-class EmpiricalMarginal:
-    """I.i.d. row draws from the observed sensitive-attribute rows."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, len(self.rows), size=k)
-        return self.rows[idx]
-
-
-def marginal_of_A(dataset: TabularDataset) -> EmpiricalMarginal:
-    return EmpiricalMarginal(dataset.A)

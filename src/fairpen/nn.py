@@ -267,9 +267,6 @@ class Mlp:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for _, g in layer.params_and_grads()]
 
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
     def save(self, path) -> None:
         spec = {"layers": [layer.to_spec() for layer in self.layers]}
         with open(path, "w", encoding="utf-8") as f:
@@ -289,7 +286,16 @@ class Mlp:
             raise CheckpointError(f"{path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{path}: corrupted checkpoint body") from exc
-        layers = [_LAYER_KINDS[s["kind"]].from_spec(s) for s in spec["layers"]]
+        if not isinstance(spec, dict) or not isinstance(spec.get("layers"), list):
+            raise CheckpointError(f"{path}: checkpoint body has no layer list")
+        layers = []
+        for i, layer_spec in enumerate(spec["layers"]):
+            try:
+                layers.append(_LAYER_KINDS[layer_spec["kind"]].from_spec(layer_spec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{path}: layer {i}: malformed spec ({exc!r})") from exc
+        if not any(isinstance(layer, DenseLayer) for layer in layers):
+            raise CheckpointError(f"{path}: checkpoint has no dense layer")
         return cls(layers)
 
 

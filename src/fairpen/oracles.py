@@ -16,21 +16,6 @@ from .errors import DegenerateMetricError
 from .nn import sigmoid
 
 
-@dataclass(frozen=True)
-class DiscreteJoint:
-    """Finite joint pmf with named supports per variable."""
-
-    supports: tuple[tuple[float, ...], ...]
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.shape != tuple(len(s) for s in self.supports):
-            raise ValueError("table shape does not match supports")
-        if (t < 0).any() or abs(t.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-
-
 def table5_toy(n: int, seed: int = 0) -> TabularDataset:
     """i.i.d. samples of (A, Y) with A ~ Bern(0.5) and P(Y=1|A=a) = sigma(a).
 

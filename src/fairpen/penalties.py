@@ -1,9 +1,11 @@
-"""Adversarial fairness penalties and the density-ratio weight estimator.
+"""The contrast penalty and the density-ratio weight estimator.
 
-The independence penalty feeds a discriminator real (score, attribute)
-pairs and pairs whose attribute was resampled from its marginal; the
-separation penalty additionally conditions on the outcome and reweights
-the resampled term by an odds-based density-ratio estimate.
+One objective serves all three uses: a network learns to tell real rows
+from rows whose attribute was resampled from its marginal. The independence
+penalty contrasts (score, attribute) pairs; the separation penalty
+contrasts (score, attribute, outcome) and reweights the resampled term by
+an odds-based density-ratio estimate, which is itself pre-trained by
+contrasting (attribute, outcome) pairs.
 """
 
 from __future__ import annotations
@@ -13,36 +15,6 @@ import numpy as np
 from .data import TabularDataset, minibatch_construct
 from .errors import DimensionError, StateError
 from .nn import Mlp, clamp_prob, mlp
-
-# Discriminator inputs concatenate (score, attributes, outcome) in that order.
-
-
-class GspDiscriminator:
-    """D(s, a) -> (0,1); input width 1 + l."""
-
-    def __init__(self, net: Mlp):
-        self.net = net
-
-    @classmethod
-    def default(cls, l: int, rng: np.random.Generator, hidden: tuple[int, ...] = (64, 64)):
-        return cls(mlp(1 + l, list(hidden), rng=rng, batch_norm=True))
-
-    def probability(self, s: np.ndarray, a: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.net.forward(np.column_stack([s, a]), train=train)[:, 0]
-
-
-class GeoDiscriminator:
-    """D(s, a, y) -> (0,1); input width 1 + l + 1."""
-
-    def __init__(self, net: Mlp):
-        self.net = net
-
-    @classmethod
-    def default(cls, l: int, rng: np.random.Generator, hidden: tuple[int, ...] = (64, 64)):
-        return cls(mlp(1 + l + 1, list(hidden), rng=rng, batch_norm=True))
-
-    def probability(self, s, a, y, train: bool = False) -> np.ndarray:
-        return self.net.forward(np.column_stack([s, a, y]), train=train)[:, 0]
 
 
 class DensityRatioEstimator:
@@ -75,81 +47,38 @@ class DensityRatioEstimator:
         return d / (1.0 - d)
 
 
-def beta_value(estimator: DensityRatioEstimator, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Odds transform of the estimator's output at (a, y)."""
-    return estimator.values(a, y)
-
-
-def gsp_penalty(
-    D: GspDiscriminator,
-    s: np.ndarray,
-    a: np.ndarray,
-    a_prime: np.ndarray,
+def contrast(
+    net: Mlp,
+    real: np.ndarray,
+    fake: np.ndarray,
+    w=1.0,
     train: bool = True,
 ) -> tuple[float, np.ndarray]:
-    """mean[log D(s,a) + log(1 - D(s,a'))].
+    """mean[log D(real) + w log(1 - D(fake))], the real-vs-resampled objective.
 
-    Returns (value, gradient w.r.t. s); the gradient w.r.t. D's parameters
-    is accumulated into D's grad buffers (clear them if only the s-gradient
-    is wanted). The s-gradient flows through both log terms.
+    ``real`` and ``fake`` are row-aligned blocks of D's input columns; ``w``
+    is a scalar or one weight per row and receives no gradient. Returns
+    (value, gradient w.r.t. the columns the two blocks share, summed over
+    both halves); the gradient w.r.t. D's parameters is accumulated into
+    D's grad buffers (clear them if only the input gradient is wanted).
     """
-    s = np.asarray(s, dtype=np.float64).reshape(-1, 1)
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    a_prime = np.atleast_2d(np.asarray(a_prime, dtype=np.float64))
-    if not (len(s) == len(a) == len(a_prime)):
-        raise DimensionError("s, a, a_prime must have equal row counts")
-    n = len(s)
+    real = np.asarray(real, dtype=np.float64)
+    fake = np.asarray(fake, dtype=np.float64)
+    if real.shape != fake.shape:
+        raise DimensionError(f"real and fake blocks differ: {real.shape} vs {fake.shape}")
+    n = len(real)
+    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
 
     # One combined forward so batch-norm statistics are shared between the
     # real and resampled halves (separate passes let D discriminate on
     # batch statistics alone and collapse the penalty).
-    both = np.vstack([np.column_stack([s, a]), np.column_stack([s, a_prime])])
-    p = clamp_prob(D.net.forward(both, train=train))
-    p_real, p_fake = p[:n], p[n:]
-    upstream = np.vstack([1.0 / (n * p_real), -1.0 / (n * (1.0 - p_fake))])
-    grad_in = D.net.backward(upstream)
-
-    value = float(np.mean(np.log(p_real) + np.log(1.0 - p_fake)))
-    grad_s = grad_in[:n, :1] + grad_in[n:, :1]
-    return value, grad_s
-
-
-def geo_penalty(
-    D: GeoDiscriminator,
-    beta: DensityRatioEstimator,
-    s: np.ndarray,
-    a: np.ndarray,
-    y: np.ndarray,
-    a_prime: np.ndarray,
-    train: bool = True,
-) -> tuple[float, np.ndarray]:
-    """mean[log D(s,a,y) + beta(a,y) log(1 - D(s,a',y))].
-
-    The weight is evaluated at the batch's real (a, y) pairs and does not
-    receive gradients. Same gradient contract as ``gsp_penalty``.
-    """
-    if not beta.frozen:
-        raise StateError("beta estimator must be frozen before penalty evaluation")
-    s = np.asarray(s, dtype=np.float64).reshape(-1, 1)
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    a_prime = np.atleast_2d(np.asarray(a_prime, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    if not (len(s) == len(a) == len(a_prime) == len(y)):
-        raise DimensionError("s, a, y, a_prime must have equal row counts")
-    n = len(s)
-    w = beta.values(a, y).reshape(-1, 1)
-
-    both = np.vstack(
-        [np.column_stack([s, a, y]), np.column_stack([s, a_prime, y])]
-    )
-    p = clamp_prob(D.net.forward(both, train=train))
+    p = clamp_prob(net.forward(np.vstack([real, fake]), train=train))
     p_real, p_fake = p[:n], p[n:]
     upstream = np.vstack([1.0 / (n * p_real), -w / (n * (1.0 - p_fake))])
-    grad_in = D.net.backward(upstream)
+    grad_in = net.backward(upstream)
 
     value = float(np.mean(np.log(p_real) + w * np.log(1.0 - p_fake)))
-    grad_s = grad_in[:n, :1] + grad_in[n:, :1]
-    return value, grad_s
+    return value, grad_in[:n] + grad_in[n:]
 
 
 def pretrain_density_ratio(
@@ -172,13 +101,7 @@ def pretrain_density_ratio(
     sampler_rng = np.random.default_rng(sampler_ss)
     for _ in range(L):
         mb = minibatch_construct(dataset, n_b, sampler, batch_rng, sampler_rng)
-        n = len(mb.y)
-        both = np.vstack(
-            [np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y])]
-        )
-        p = clamp_prob(net.forward(both, train=True))
-        upstream = np.vstack([1.0 / (n * p[:n]), -1.0 / (n * (1.0 - p[n:]))])
-        net.backward(upstream)
+        contrast(net, np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y]))
         net.sgd_step(learning_rate, maximize=True)
     return DensityRatioEstimator(net=net, frozen=True)
 

@@ -1,11 +1,10 @@
-"""Alternating min-max trainers for the independence and separation
+"""The alternating min-max trainer for the independence and separation
 penalties, with periodic metric snapshots for Pareto analysis."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,14 +12,7 @@ from . import metrics
 from .data import TabularDataset, minibatch_construct
 from .errors import ConfigError, DegenerateMetricError, UndefinedMetricError
 from .nn import Mlp, bce_loss, mae_loss
-from .penalties import (
-    DensityRatioEstimator,
-    GeoDiscriminator,
-    GspDiscriminator,
-    geo_penalty,
-    gsp_penalty,
-    pretrain_density_ratio,
-)
+from .penalties import DensityRatioEstimator, contrast
 
 
 @dataclass
@@ -71,7 +63,6 @@ class TrainResult:
     snapshots: list[Snapshot]
     h: Mlp
     discriminator: Mlp
-    beta: DensityRatioEstimator | None = None
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -168,17 +159,22 @@ def _record_snapshots(
         snapshots.append(Snapshot(t, split, evaluate_snapshot(h, data, task), ckpt_id))
 
 
-def train_gsp(
+def train(
     train_set: TabularDataset,
     val_set: TabularDataset,
     h: Mlp,
-    D: GspDiscriminator,
+    D: Mlp,
     config: TrainConfig,
-    update_hook: Callable[[str, int], None] | None = None,
+    beta: DensityRatioEstimator | None = None,
     checkpoint_dir=None,
 ) -> TrainResult:
     """Alternating ascent on the discriminator and descent on the scorer
-    under (1-lam)*utility + lam*penalty (convex scaling)."""
+    under (1-lam)*utility + lam*penalty (convex scaling).
+
+    Without ``beta`` D contrasts (s, a) with (s, a') (independence); with a
+    frozen ``beta`` it contrasts (s, a, y) with (s, a', y) and weights the
+    resampled term by beta(a, y) (separation).
+    """
     streams = rng_streams(config.seed)
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
     loss_fn = _utility_loss(config.task)
@@ -189,84 +185,30 @@ def train_gsp(
     for t in range(1, config.T + 1):
         mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
         s = h.forward(mb.x, train=True)
+        if beta is None:
+            real, fake, w = np.column_stack([s, mb.a]), np.column_stack([s, mb.a_prime]), 1.0
+        else:
+            real = np.column_stack([s, mb.a, mb.y])
+            fake = np.column_stack([s, mb.a_prime, mb.y])
+            w = beta.values(mb.a, mb.y)
 
         for _ in range(config.T_prime):
-            gsp_penalty(D, s, mb.a, mb.a_prime, train=True)
-            D.net.sgd_step(config.learning_rate, maximize=True)
-            if update_hook:
-                update_hook("D", t)
+            contrast(D, real, fake, w)
+            D.sgd_step(config.learning_rate, maximize=True)
 
         _, grad_p = loss_fn(s[:, 0], mb.y)
         grad_s = lam_m * grad_p.reshape(-1, 1)
         if lam_f > 0.0:
-            _, pen_grad_s = gsp_penalty(D, s, mb.a, mb.a_prime, train=True)
-            D.net.zero_grads()
-            grad_s = grad_s + lam_f * pen_grad_s
+            _, pen_grad = contrast(D, real, fake, w)
+            D.zero_grads()
+            grad_s = grad_s + lam_f * pen_grad[:, :1]
         h.backward(grad_s)
         h.sgd_step(config.learning_rate)
-        if update_hook:
-            update_hook("h", t)
 
         if t in eval_at:
             _record_snapshots(snapshots, h, t, train_set, val_set, config.task, checkpoint_dir)
 
-    return TrainResult(snapshots, h, D.net)
-
-
-def train_geo(
-    train_set: TabularDataset,
-    val_set: TabularDataset,
-    h: Mlp,
-    D: GeoDiscriminator,
-    config: TrainConfig,
-    beta: DensityRatioEstimator | None = None,
-    update_hook: Callable[[str, int], None] | None = None,
-    checkpoint_dir=None,
-) -> TrainResult:
-    """Two-phase trainer: density-ratio pre-training, then the alternating
-    loop with the outcome-conditioned penalty. Pass ``beta`` to skip the
-    pre-training phase (e.g. the constant-1 no-weight ablation)."""
-    if beta is None:
-        beta = pretrain_density_ratio(
-            train_set,
-            L=config.L,
-            n_b=config.n_b,
-            learning_rate=config.learning_rate,
-            seed=config.seed + 1,
-            sampler=config.sampler,
-        )
-    streams = rng_streams(config.seed)
-    batch_rng, sampler_rng = streams["batch"], streams["sampler"]
-    loss_fn = _utility_loss(config.task)
-    lam_m, lam_f = config.weights()
-    eval_at = set(_snapshot_iterations(config.T, config.eval_interval))
-    snapshots: list[Snapshot] = []
-
-    for t in range(1, config.T + 1):
-        mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
-        s = h.forward(mb.x, train=True)
-
-        for _ in range(config.T_prime):
-            geo_penalty(D, beta, s, mb.a, mb.y, mb.a_prime, train=True)
-            D.net.sgd_step(config.learning_rate, maximize=True)
-            if update_hook:
-                update_hook("D", t)
-
-        _, grad_p = loss_fn(s[:, 0], mb.y)
-        grad_s = lam_m * grad_p.reshape(-1, 1)
-        if lam_f > 0.0:
-            _, pen_grad_s = geo_penalty(D, beta, s, mb.a, mb.y, mb.a_prime, train=True)
-            D.net.zero_grads()
-            grad_s = grad_s + lam_f * pen_grad_s
-        h.backward(grad_s)
-        h.sgd_step(config.learning_rate)
-        if update_hook:
-            update_hook("h", t)
-
-        if t in eval_at:
-            _record_snapshots(snapshots, h, t, train_set, val_set, config.task, checkpoint_dir)
-
-    return TrainResult(snapshots, h, D.net, beta=beta)
+    return TrainResult(snapshots, h, D)
 
 
 def snapshot_csv_rows(snapshots: list[Snapshot], attr_names: list[str]):

@@ -36,15 +36,12 @@ from fairpen.oracles import (
 )
 from fairpen.penalties import (
     DensityRatioEstimator,
-    GeoDiscriminator,
-    GspDiscriminator,
+    contrast,
     empirical_pmf_ratio,
-    geo_penalty,
-    gsp_penalty,
     optimal_gsp_discriminator_oracle,
     pretrain_density_ratio,
 )
-from fairpen.training import TrainConfig, rng_streams, train_geo, train_gsp
+from fairpen.training import TrainConfig, rng_streams, train
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -73,15 +70,15 @@ def test_criterion_02_gsp_discriminator_matches_oracle():
     flat = rng.choice(4, size=n, p=pmf.ravel())
     s = (flat // 2).astype(np.float64)
     a = (flat % 2).astype(np.float64).reshape(-1, 1)
-    D = GspDiscriminator.default(1, np.random.default_rng(1))
+    D = mlp(1 + 1, [64, 64], rng=np.random.default_rng(1), batch_norm=True)
     loop_rng = np.random.default_rng(2)
     for _ in range(10_000):
         idx = loop_rng.choice(n, 100, replace=False)
         a_prime = a[idx][loop_rng.permutation(100)]
-        gsp_penalty(D, s[idx], a[idx], a_prime, train=True)
-        D.net.sgd_step(0.005, maximize=True)
+        contrast(D, np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime]), train=True)
+        D.sgd_step(0.005, maximize=True)
     worst = max(
-        abs(float(D.probability(np.array([float(sv)]), np.array([[float(av)]]))[0]) - target[sv, av])
+        abs(float(D.forward(np.array([[float(sv), float(av)]]))[0, 0]) - target[sv, av])
         for sv in (0, 1)
         for av in (0, 1)
     )
@@ -115,23 +112,18 @@ def test_criterion_03_geo_discriminator_matches_oracle():
         ]
     )
     target = exact_geo_discriminator_oracle(pmf, beta_table)
-    D = GeoDiscriminator.default(1, np.random.default_rng(1))
+    D = mlp(1 + 1 + 1, [64, 64], rng=np.random.default_rng(1), batch_norm=True)
     loop_rng = np.random.default_rng(2)
     for _ in range(10_000):
         idx = loop_rng.choice(n, 100, replace=False)
         a_b = a[idx].reshape(-1, 1)
         a_prime = a_b[loop_rng.permutation(100)]
-        geo_penalty(D, beta, s[idx], a_b, y[idx], a_prime, train=True)
-        D.net.sgd_step(0.005, maximize=True)
+        real = np.column_stack([s[idx], a_b, y[idx]])
+        fake = np.column_stack([s[idx], a_prime, y[idx]])
+        contrast(D, real, fake, beta.values(a_b, y[idx]), train=True)
+        D.sgd_step(0.005, maximize=True)
     worst = max(
-        abs(
-            float(
-                D.probability(
-                    np.array([float(sv)]), np.array([[float(av)]]), np.array([float(yv)])
-                )[0]
-            )
-            - target[sv, av, yv]
-        )
+        abs(float(D.forward(np.array([[float(sv), float(av), float(yv)]]))[0, 0]) - target[sv, av, yv])
         for sv in (0, 1)
         for av in (0, 1)
         for yv in (0, 1)
@@ -154,12 +146,12 @@ def test_criterion_05_lambda_zero_erm_equivalence():
 
     streams = rng_streams(config.seed)
     h = mlp(train_set.p, [16, 16], rng=streams["init"], batch_norm=True)
-    D = GspDiscriminator.default(train_set.l, streams["init"], hidden=(16, 16))
-    result = train_gsp(train_set, val_set, h, D, config)
+    D = mlp(1 + train_set.l, [16, 16], rng=streams["init"], batch_norm=True)
+    result = train(train_set, val_set, h, D, config)
 
     streams = rng_streams(config.seed)
     h_erm = mlp(train_set.p, [16, 16], rng=streams["init"], batch_norm=True)
-    GspDiscriminator.default(train_set.l, streams["init"], hidden=(16, 16))
+    mlp(1 + train_set.l, [16, 16], rng=streams["init"], batch_norm=True)
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
     for _ in range(config.T):
         mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
@@ -180,9 +172,9 @@ def test_criterion_06_fairness_utility_tradeoff():
         train_set, val_set = split_train_val(dataset, 0.75, seed=seed)
         streams = rng_streams(seed)
         h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)
-        D = GspDiscriminator.default(train_set.l, streams["init"])
+        D = mlp(1 + train_set.l, [64, 64], rng=streams["init"], batch_norm=True)
         config = TrainConfig(lam=lam, T=2000, seed=seed, eval_interval=2000)
-        result = train_gsp(train_set, val_set, h, D, config)
+        result = train(train_set, val_set, h, D, config)
         report = [s for s in result.snapshots if s.split == "validation"][-1].report
         return report.utility_value, report.attributes["a"].ks_gsp
 
@@ -300,9 +292,9 @@ def test_criterion_09_beta_robustness_ablation():
         train_set, val_set = split_train_val(dataset, 0.75, seed=0)
         streams = rng_streams(0)
         h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)
-        D = GeoDiscriminator.default(train_set.l, streams["init"])
+        D = mlp(1 + train_set.l + 1, [64, 64], rng=streams["init"], batch_norm=True)
         config = TrainConfig(lam=0.5, T=300, seed=0, eval_interval=300)
-        result = train_geo(train_set, val_set, h, D, config, beta=beta)
+        result = train(train_set, val_set, h, D, config, beta=beta)
         report = [s for s in result.snapshots if s.split == "validation"][-1].report
         return report.attributes["a"].ks_geo
 

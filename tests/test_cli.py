@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairpen
 from conftest import binary_toy_dataset
-from fairpen.cli import load_schema, main
+from fairpen import penalties
+from fairpen.cli import default_networks, load_schema, main
 from fairpen.nn import mlp
 
 
@@ -101,6 +107,44 @@ def test_train_geo_writes_beta_table(tmp_path):
     assert all(float(r[2]) > 0 for r in rows[1:])
 
 
+def test_train_geo_pretrains_once_per_grid(tmp_path, monkeypatch):
+    csv_path, schema_path = _write_dataset(tmp_path)
+    calls = []
+    pretrain = penalties.pretrain_density_ratio
+
+    def counting_pretrain(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return pretrain(*args, **kwargs)
+
+    monkeypatch.setattr(penalties, "pretrain_density_ratio", counting_pretrain)
+    args = _train_args(tmp_path, csv_path, schema_path, "--criterion", "geo", "--lambda", "0.9")
+    assert main(args) == 0
+    assert calls == [1]  # seed + 1, as for a single lambda
+    run = tmp_path / "runs" / "r1"
+    tables = [(run / d / "beta_table.csv").read_bytes() for d in ("lambda=0.5", "lambda=0.9")]
+    assert tables[0] == tables[1]
+
+
+def test_train_empty_lambda_grid_writes_nothing(tmp_path):
+    csv_path, schema_path = _write_dataset(tmp_path)
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("[train]\nt = 10\nlambda =\n")
+    args = ["train", "--config", str(cfg), "--data", str(csv_path), "--schema", str(schema_path),
+            "--out", str(tmp_path / "runs"), "--criterion", "geo"]
+    assert main(args) == 0
+    assert not (tmp_path / "runs").exists()
+
+
+def test_default_networks_discriminator_width():
+    rng = np.random.default_rng(14)
+    rows = np.array([[0.2, 0.0, 1.0, 1.0], [0.8, 1.0, 0.0, 0.0]])
+    for criterion, d_in in (("gsp", 1 + 2), ("geo", 2 + 2)):
+        h, D = default_networks(3, 2, criterion, "binary_classification", rng)
+        assert h.in_dim == 3 and D.in_dim == d_in
+        p = D.forward(rows[:, :d_in])[:, 0]
+        assert p.shape == (2,) and ((0 < p) & (p < 1)).all()
+
+
 def test_train_rerun_byte_identical(tmp_path):
     csv_path, schema_path = _write_dataset(tmp_path)
     assert main(_train_args(tmp_path, csv_path, schema_path)) == 0
@@ -138,14 +182,21 @@ def test_evaluate_roundtrip_and_width_mismatch(tmp_path, capsys):
 def test_evaluate_corrupt_checkpoint(tmp_path, capsys):
     csv_path, schema_path = _write_dataset(tmp_path)
     bad = tmp_path / "bad.ckpt"
-    bad.write_text("WRONG-MAGIC\n{}\n")
     out = tmp_path / "eval.csv"
-    rc = main(
-        ["evaluate", "--checkpoint", str(bad), "--data", str(csv_path),
-         "--schema", str(schema_path), "--out", str(out)]
-    )
-    assert rc == 1
-    assert "magic" in capsys.readouterr().err
+    for body, expected in (
+        ("WRONG-MAGIC\n{}\n", "magic"),
+        ('FAIRPEN-CKPT-v1\n{"layers": [{"kind": "conv"}]}\n', "layer 0"),
+        ('FAIRPEN-CKPT-v1\n{"layers": [{"kind": "dense"}]}\n', "layer 0"),
+        ('FAIRPEN-CKPT-v1\n{"layers": []}\n', "no dense layer"),
+    ):
+        bad.write_text(body)
+        rc = main(
+            ["evaluate", "--checkpoint", str(bad), "--data", str(csv_path),
+             "--schema", str(schema_path), "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert expected in err and "Traceback" not in err
 
 
 def _snapshot_csv(path, rows):
@@ -173,6 +224,25 @@ def test_pareto_flags_dominance_example(tmp_path, capsys):
         recs = list(csv.DictReader(f))
     flags = {r["iteration"]: r["on_frontier"] for r in recs}
     assert flags == {"100": "0", "200": "0", "300": "1"}
+
+
+def test_pareto_skips_nan_utility(tmp_path, capsys):
+    # a single-class snapshot has no AUC; it must not reach the frontier
+    snap = tmp_path / "s1.csv"
+    _snapshot_csv(
+        snap,
+        [
+            ["100", "validation", "auc", "nan", "0.0"],
+            ["200", "validation", "auc", "0.9", "0.1"],
+            ["300", "validation", "auc", "0.8", "0.5"],
+        ],
+    )
+    out = tmp_path / "pareto.csv"
+    rc = main(["pareto", str(snap), "--fairness-column", "a_ks_gsp", "--out", str(out)])
+    assert rc == 0
+    with open(out) as f:
+        flags = {r["iteration"]: r["on_frontier"] for r in csv.DictReader(f)}
+    assert flags == {"200": "1", "300": "0"}
 
 
 def test_pareto_schema_mismatch(tmp_path, capsys):
@@ -234,3 +304,37 @@ def test_ratio_toy_rerun_byte_identical(tmp_path):
 def test_train_missing_inputs_error(capsys):
     assert main(["train"]) == 1
     assert "requires" in capsys.readouterr().err
+
+
+_THREADS_CHILD = """
+import ctypes, glob, os
+import fairpen.cli
+import numpy
+root = os.path.dirname(numpy.__file__)
+libs = glob.glob(os.path.join(root, "..", "numpy.libs", "*openblas*"))
+libs += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+fns = [getattr(ctypes.CDLL(lib), name, None) for lib in libs for name in names]
+fns = [fn for fn in fns if fn is not None]
+for fn in fns:
+    fn.argtypes, fn.restype = [], ctypes.c_int
+print(fns[0]() if fns else "missing")
+"""
+
+
+def test_fairpen_threads_caps_openblas():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one core: a cap of 1 cannot be told from the default")
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["FAIRPEN_THREADS"] = "1"
+    src = str(Path(fairpen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_CHILD], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    if out == "missing":
+        pytest.skip("numpy's bundled OpenBLAS does not export a thread-count getter")
+    assert out == "1"

@@ -6,7 +6,6 @@ from fairpen.data import (
     ColumnSchema,
     TabularDataset,
     load_csv,
-    marginal_of_A,
     minibatch_construct,
     split_train_val,
     validate_schema,
@@ -198,13 +197,6 @@ def test_a_prime_follows_marginal_of_A(sampler):
     marginal = ds.A[:, 0].mean()
     # binomial std at 20000 draws is well under 0.01
     assert abs(draws.mean() - marginal) < 0.02
-
-
-def test_empirical_marginal_draws_observed_rows(toy_dataset):
-    marg = marginal_of_A(toy_dataset)
-    rows = marg.draw(500, np.random.default_rng(0))
-    assert rows.shape == (500, 1)
-    assert set(np.unique(rows)) <= set(np.unique(toy_dataset.A))
 
 
 def test_take_preserves_schema(toy_dataset):

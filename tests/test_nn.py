@@ -89,7 +89,7 @@ def test_sgd_step_direction_and_grad_clearing():
     x = rng.standard_normal((6, 2))
     y = rng.integers(0, 2, 6).astype(np.float64)
 
-    before = net.copy_parameters()
+    before = [p.copy() for p in net.parameters()]
     out = net.forward(x, train=True)
     loss0, grad = bce_loss(out[:, 0], y)
     net.backward(grad.reshape(-1, 1))
@@ -106,7 +106,7 @@ def test_sgd_step_maximize_flips_direction():
     rng = np.random.default_rng(3)
     net = mlp(2, [4], rng=rng, batch_norm=False)
     x = rng.standard_normal((6, 2))
-    before = net.copy_parameters()
+    before = [p.copy() for p in net.parameters()]
     net.forward(x, train=True)
     net.backward(np.ones((6, 1)))
     grads = [g.copy() for g in net.gradients()]
@@ -160,6 +160,12 @@ def test_checkpoint_corrupt_body(tmp_path):
     path.write_text("FAIRPEN-CKPT-v1\n{this is not json\n")
     with pytest.raises(CheckpointError):
         Mlp.load(path)
+    # an unknown layer kind and a missing key name the file and the layer
+    for body in ('{"layers": [{"kind": "conv"}]}', '{"layers": [{"kind": "dense"}]}'):
+        path.write_text("FAIRPEN-CKPT-v1\n" + body + "\n")
+        with pytest.raises(CheckpointError, match="layer 0") as err:
+            Mlp.load(path)
+        assert str(path) in str(err.value)
 
 
 def test_bce_loss_value_and_gradient():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fairpen.oracles import (
-    DiscreteJoint,
     SyntheticBiasSpec,
     brute_force_ks,
     exact_geo_discriminator_oracle,
@@ -47,14 +46,6 @@ def test_synth_bias_shapes_and_rho_effect():
         synth_bias(SyntheticBiasSpec(n=5000, rho=0.0, seed=0)).destandardized_features()[:, 0],
     )[0, 1]
     assert strong > 0.5 and abs(weak) < 0.05
-
-
-def test_discrete_joint_validation():
-    with pytest.raises(ValueError):
-        DiscreteJoint(((0.0, 1.0),), np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        DiscreteJoint(((0.0, 1.0),), np.array([0.5, 0.5, 0.0]))
-    DiscreteJoint(((0.0, 1.0),), np.array([0.4, 0.6]))
 
 
 def test_brute_force_ks_hand_example():

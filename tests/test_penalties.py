@@ -3,20 +3,18 @@ import pytest
 
 from conftest import binary_toy_dataset
 from gradcheck import relative_error
-from fairpen.data import ColumnSchema, TabularDataset
+from fairpen.data import ColumnSchema, TabularDataset, split_train_val
 from fairpen.errors import DimensionError, StateError
 from fairpen.oracles import table5_toy, table5_true_ratios
 from fairpen.penalties import (
     DensityRatioEstimator,
-    GeoDiscriminator,
-    GspDiscriminator,
+    contrast,
     empirical_pmf_ratio,
-    geo_penalty,
-    gsp_penalty,
     optimal_gsp_discriminator_oracle,
     pretrain_density_ratio,
 )
 from fairpen.nn import mlp
+from fairpen.training import TrainConfig, train
 
 
 def _half_net(in_dim):
@@ -29,32 +27,32 @@ def _half_net(in_dim):
 
 def test_gsp_penalty_value_at_half():
     # [DERIVED] log(.5) + log(.5) = -2 log 2
-    D = GspDiscriminator(_half_net(2))
+    D = _half_net(2)
     s = np.array([0.3, 0.7, 0.5])
     a = np.array([[0.0], [1.0], [1.0]])
-    value, grad_s = gsp_penalty(D, s, a, a[::-1].copy())
+    value, grad_in = contrast(D, np.column_stack([s, a]), np.column_stack([s, a[::-1]]))
     assert value == pytest.approx(-2.0 * np.log(2.0), abs=1e-12)
-    assert grad_s.shape == (3, 1)
+    assert grad_in[:, :1].shape == (3, 1)
 
 
 def test_gsp_penalty_length_mismatch():
-    D = GspDiscriminator(_half_net(2))
+    D = _half_net(2)
     with pytest.raises(DimensionError):
-        gsp_penalty(D, np.array([0.5]), np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]))
+        contrast(D, np.array([[0.5, 0.0]]), np.array([[0.5, 1.0], [0.5, 0.0]]))
 
 
-@pytest.mark.parametrize("batch_norm", [False, True])
-def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
-    rng = np.random.default_rng(11)
-    net = mlp(2, [6, 6], rng=rng, batch_norm=batch_norm)
-    D = GspDiscriminator(net)
-    n = 12
-    s = rng.random(n)
-    a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
-    a_prime = a[rng.permutation(n)]
-    _, grad_s = gsp_penalty(D, s, a, a_prime)
+def _worst_fd_error(net, penalty, s):
+    """Worst relative error of contrast's parameter and score gradients
+    against central differences; ``penalty(s)`` calls contrast on ``net``."""
+    _, grad_in = penalty(s)
     analytic = [g.copy() for g in net.gradients()]
     net.zero_grads()
+
+    def value(s_):
+        v, _ = penalty(s_)
+        net.zero_grads()
+        return v
+
     eps = 1e-6
     worst = 0.0
     for param, grad in zip(net.parameters(), analytic):
@@ -63,30 +61,38 @@ def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            plus, _ = gsp_penalty(D, s, a, a_prime)
-            net.zero_grads()
+            plus = value(s)
             param[idx] = orig - eps
-            minus, _ = gsp_penalty(D, s, a, a_prime)
-            net.zero_grads()
+            minus = value(s)
             param[idx] = orig
             worst = max(worst, relative_error(grad[idx], (plus - minus) / (2 * eps)))
-    for i in range(n):
+    for i in range(len(s)):
         sp, sm = s.copy(), s.copy()
         sp[i] += eps
         sm[i] -= eps
-        plus, _ = gsp_penalty(D, sp, a, a_prime)
-        net.zero_grads()
-        minus, _ = gsp_penalty(D, sm, a, a_prime)
-        net.zero_grads()
-        worst = max(worst, relative_error(grad_s[i, 0], (plus - minus) / (2 * eps)))
-    assert worst < 1e-4
+        worst = max(worst, relative_error(grad_in[i, 0], (value(sp) - value(sm)) / (2 * eps)))
+    return worst
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
+    rng = np.random.default_rng(11)
+    net = mlp(2, [6, 6], rng=rng, batch_norm=batch_norm)
+    n = 12
+    s = rng.random(n)
+    a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
+    a_prime = a[rng.permutation(n)]
+
+    def penalty(s_):
+        return contrast(net, np.column_stack([s_, a]), np.column_stack([s_, a_prime]))
+
+    assert _worst_fd_error(net, penalty, s) < 1e-4
 
 
 def test_geo_penalty_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     net = mlp(3, [6, 6], rng=rng, batch_norm=True)
-    D = GeoDiscriminator(net)
-    beta = DensityRatioEstimator(
+    table = DensityRatioEstimator(
         table={(0.0, 0.0): 1.3, (0.0, 1.0): 0.8, (1.0, 0.0): 0.7, (1.0, 1.0): 1.2},
         frozen=True,
     )
@@ -95,40 +101,19 @@ def test_geo_penalty_gradients_match_finite_differences():
     a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
     y = rng.integers(0, 2, n).astype(float)
     a_prime = a[rng.permutation(n)]
-    _, grad_s = geo_penalty(D, beta, s, a, y, a_prime)
-    analytic = [g.copy() for g in net.gradients()]
-    net.zero_grads()
-    eps = 1e-6
-    worst = 0.0
-    for param, grad in zip(net.parameters(), analytic):
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + eps
-            plus, _ = geo_penalty(D, beta, s, a, y, a_prime)
-            net.zero_grads()
-            param[idx] = orig - eps
-            minus, _ = geo_penalty(D, beta, s, a, y, a_prime)
-            net.zero_grads()
-            param[idx] = orig
-            worst = max(worst, relative_error(grad[idx], (plus - minus) / (2 * eps)))
-    for i in range(n):
-        sp, sm = s.copy(), s.copy()
-        sp[i] += eps
-        sm[i] -= eps
-        plus, _ = geo_penalty(D, beta, sp, a, y, a_prime)
-        net.zero_grads()
-        minus, _ = geo_penalty(D, beta, sm, a, y, a_prime)
-        net.zero_grads()
-        worst = max(worst, relative_error(grad_s[i, 0], (plus - minus) / (2 * eps)))
-    assert worst < 1e-4
+    for beta in (table, DensityRatioEstimator(constant=0.7, frozen=True)):
+        w = beta.values(a, y)
+
+        def penalty(s_):
+            real = np.column_stack([s_, a, y])
+            return contrast(net, real, np.column_stack([s_, a_prime, y]), w)
+
+        assert _worst_fd_error(net, penalty, s) < 1e-4
 
 
 def test_geo_penalty_constant_beta_matches_weighted_value():
     rng = np.random.default_rng(13)
     net = mlp(3, [6], rng=rng, batch_norm=False)
-    D = GeoDiscriminator(net)
     n = 8
     s = rng.random(n)
     a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
@@ -138,18 +123,22 @@ def test_geo_penalty_constant_beta_matches_weighted_value():
     table = DensityRatioEstimator(
         table={(av, yv): 1.0 for av in (0.0, 1.0) for yv in (0.0, 1.0)}, frozen=True
     )
-    v1, _ = geo_penalty(D, one, s, a, y, a_prime)
+    real, fake = np.column_stack([s, a, y]), np.column_stack([s, a_prime, y])
+    v1, _ = contrast(net, real, fake, one.values(a, y))
     net.zero_grads()
-    v2, _ = geo_penalty(D, table, s, a, y, a_prime)
+    v2, _ = contrast(net, real, fake, table.values(a, y))
     net.zero_grads()
     assert v1 == pytest.approx(v2, abs=1e-15)
 
 
 def test_geo_penalty_requires_frozen_beta():
-    D = GeoDiscriminator(_half_net(3))
+    train_set, val_set = split_train_val(binary_toy_dataset(60, seed=0), seed=0)
+    rng = np.random.default_rng(0)
+    h = mlp(train_set.p, [4], rng=rng)
+    D = mlp(1 + train_set.l + 1, [4], rng=rng)
     beta = DensityRatioEstimator(constant=1.0)
     with pytest.raises(StateError):
-        geo_penalty(D, beta, np.array([0.5]), np.array([[1.0]]), np.array([1.0]), np.array([[0.0]]))
+        train(train_set, val_set, h, D, TrainConfig(lam=0.5, T=1, n_b=10), beta=beta)
 
 
 def test_density_ratio_estimator_source_validation():
@@ -243,16 +232,3 @@ def test_optimal_gsp_discriminator_oracle_table():
 def test_optimal_gsp_discriminator_oracle_validation():
     with pytest.raises(ValueError):
         optimal_gsp_discriminator_oracle(np.array([[0.5, 0.6]]))
-
-
-def test_discriminator_probability_shapes():
-    rng = np.random.default_rng(14)
-    gsp = GspDiscriminator.default(1, rng)
-    geo = GeoDiscriminator.default(1, rng)
-    s = np.array([0.2, 0.8])
-    a = np.array([[0.0], [1.0]])
-    y = np.array([1.0, 0.0])
-    p1 = gsp.probability(s, a)
-    p2 = geo.probability(s, a, y)
-    assert p1.shape == (2,) and ((0 < p1) & (p1 < 1)).all()
-    assert p2.shape == (2,) and ((0 < p2) & (p2 < 1)).all()

@@ -4,30 +4,27 @@ import pytest
 from conftest import binary_toy_dataset, conditional_independent_toy
 from fairpen.data import minibatch_construct, split_train_val
 from fairpen.errors import ConfigError
-from fairpen.nn import bce_loss, mlp
-from fairpen.penalties import DensityRatioEstimator, GeoDiscriminator, GspDiscriminator
+from fairpen.nn import Mlp, bce_loss, mlp
+from fairpen.penalties import DensityRatioEstimator, pretrain_density_ratio
 from fairpen.training import (
     Snapshot,
     TrainConfig,
     evaluate_snapshot,
     rng_streams,
     snapshot_csv_rows,
-    train_geo,
-    train_gsp,
+    train,
 )
 
 
 def _setup(seed=0, n=300, lam=0.5, T=30, criterion="gsp", **kw):
     ds = binary_toy_dataset(n, seed=seed)
-    train, val = split_train_val(ds, seed=seed)
+    train_set, val = split_train_val(ds, seed=seed)
     streams = rng_streams(seed)
-    h = mlp(train.p, [8, 8], rng=streams["init"], batch_norm=True)
+    h = mlp(train_set.p, [8, 8], rng=streams["init"], batch_norm=True)
     config = TrainConfig(lam=lam, T=T, n_b=50, eval_interval=10, seed=seed, **kw)
-    if criterion == "gsp":
-        D = GspDiscriminator.default(train.l, streams["init"], hidden=(8, 8))
-    else:
-        D = GeoDiscriminator.default(train.l, streams["init"], hidden=(8, 8))
-    return train, val, h, D, config
+    d_in = 1 + train_set.l if criterion == "gsp" else 1 + train_set.l + 1
+    D = mlp(d_in, [8, 8], rng=streams["init"], batch_norm=True)
+    return train_set, val, h, D, config
 
 
 # --------------------------------------------------------------------- config
@@ -55,16 +52,16 @@ def test_config_weights_conventions():
 # ------------------------------------------------------------- lambda extremes
 
 def test_lambda_zero_bit_identical_to_erm():
-    train, val, h, D, config = _setup(lam=0.0, T=25)
-    result = train_gsp(train, val, h, D, config)
+    train_set, val, h, D, config = _setup(lam=0.0, T=25)
+    result = train(train_set, val, h, D, config)
 
     # independent penalty-free loop consuming the same rng discipline
     streams = rng_streams(config.seed)
-    h2 = mlp(train.p, [8, 8], rng=streams["init"], batch_norm=True)
-    GspDiscriminator.default(train.l, streams["init"], hidden=(8, 8))  # same init draws
+    h2 = mlp(train_set.p, [8, 8], rng=streams["init"], batch_norm=True)
+    mlp(1 + train_set.l, [8, 8], rng=streams["init"], batch_norm=True)  # same init draws
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
     for _ in range(config.T):
-        mb = minibatch_construct(train, config.n_b, config.sampler, batch_rng, sampler_rng)
+        mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
         out = h2.forward(mb.x, train=True)
         _, grad = bce_loss(out[:, 0], mb.y)
         h2.backward(grad.reshape(-1, 1))
@@ -76,44 +73,49 @@ def test_lambda_zero_bit_identical_to_erm():
 
 def test_lambda_one_ignores_utility():
     # at lam=1 the labels never touch h's update
-    train, val, h, D, config = _setup(lam=1.0, T=15)
-    r1 = train_gsp(train, val, h, D, config)
+    train_set, val, h, D, config = _setup(lam=1.0, T=15)
+    r1 = train(train_set, val, h, D, config)
 
-    flipped = train.take(np.arange(train.n))
+    flipped = train_set.take(np.arange(train_set.n))
     flipped.Y.setflags(write=True)
-    flipped.Y[...] = 1.0 - train.Y
+    flipped.Y[...] = 1.0 - train_set.Y
     flipped.Y.setflags(write=False)
     train2, val2, h2, D2, config2 = _setup(lam=1.0, T=15)
-    r2 = train_gsp(flipped, val, h2, D2, config2)
+    r2 = train(flipped, val, h2, D2, config2)
     for pa, pb in zip(r1.h.parameters(), r2.h.parameters()):
         assert np.array_equal(pa, pb)
 
 
 def test_geo_lambda_zero_matches_gsp_lambda_zero():
-    train, val, h, D, config = _setup(lam=0.0, T=20, criterion="gsp")
-    r_gsp = train_gsp(train, val, h, D, config)
+    train_set, val, h, D, config = _setup(lam=0.0, T=20, criterion="gsp")
+    r_gsp = train(train_set, val, h, D, config)
     train2, val2, h2, _, config2 = _setup(lam=0.0, T=20, criterion="geo")
-    D2 = GeoDiscriminator.default(train2.l, np.random.default_rng(99), hidden=(8, 8))
+    D2 = mlp(1 + train2.l + 1, [8, 8], rng=np.random.default_rng(99), batch_norm=True)
     beta = DensityRatioEstimator(constant=1.0, frozen=True)
-    r_geo = train_geo(train2, val2, h2, D2, config2, beta=beta)
+    r_geo = train(train2, val2, h2, D2, config2, beta=beta)
     for pa, pb in zip(r_gsp.h.parameters(), r_geo.h.parameters()):
         assert np.array_equal(pa, pb)
 
 
 # ------------------------------------------------------------------ mechanics
 
-def test_alternation_order_and_t_prime():
-    train, val, h, D, config = _setup(T=6, T_prime=3)
+def test_alternation_order_and_t_prime(monkeypatch):
+    train_set, val, h, D, config = _setup(T=6, T_prime=3)
     log = []
-    train_gsp(train, val, h, D, config, update_hook=lambda kind, t: log.append((kind, t)))
-    per_iter = 3 * ["D"] + ["h"]
-    expected = [(kind, t) for t in range(1, 7) for kind in per_iter]
-    assert log == expected
+    sgd_step = Mlp.sgd_step
+
+    def recording_step(net, *args, **kwargs):
+        log.append("h" if net is h else "D" if net is D else "other")
+        return sgd_step(net, *args, **kwargs)
+
+    monkeypatch.setattr(Mlp, "sgd_step", recording_step)
+    train(train_set, val, h, D, config)
+    assert log == 6 * (3 * ["D"] + ["h"])
 
 
 def test_snapshot_cadence_and_order():
-    train, val, h, D, config = _setup(T=25)  # eval_interval=10
-    result = train_gsp(train, val, h, D, config)
+    train_set, val, h, D, config = _setup(T=25)  # eval_interval=10
+    result = train(train_set, val, h, D, config)
     iters = [s.iteration for s in result.snapshots if s.split == "train"]
     assert iters == [10, 20, 25]
     assert [s.iteration for s in result.snapshots] == sorted(
@@ -125,22 +127,23 @@ def test_snapshot_cadence_and_order():
 def test_seed_determinism():
     rows = []
     for _ in range(2):
-        train, val, h, D, config = _setup(seed=7, T=20)
-        result = train_gsp(train, val, h, D, config)
+        train_set, val, h, D, config = _setup(seed=7, T=20)
+        result = train(train_set, val, h, D, config)
         rows.append(list(snapshot_csv_rows(result.snapshots, ["a"])))
     assert rows[0] == rows[1]
 
 
 def test_geo_runs_with_pretrained_beta():
-    train, val, h, D, config = _setup(T=10, criterion="geo", L=30)
-    result = train_geo(train, val, h, D, config)
-    assert result.beta is not None and result.beta.frozen
+    train_set, val, h, D, config = _setup(T=10, criterion="geo", L=30)
+    beta = pretrain_density_ratio(train_set, L=config.L, n_b=config.n_b, seed=config.seed + 1)
+    assert beta.frozen
+    result = train(train_set, val, h, D, config, beta=beta)
     assert len(result.snapshots) == 2  # one iteration recorded, two splits
 
 
 def test_checkpoint_per_snapshot(tmp_path):
-    train, val, h, D, config = _setup(T=10)
-    result = train_gsp(train, val, h, D, config, checkpoint_dir=tmp_path)
+    train_set, val, h, D, config = _setup(T=10)
+    result = train(train_set, val, h, D, config, checkpoint_dir=tmp_path)
     for snap in result.snapshots:
         assert (tmp_path / f"h_{snap.checkpoint_id}.ckpt").exists()
 
