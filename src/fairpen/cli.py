@@ -138,7 +138,7 @@ def _maybe_write_beta_table(beta, dataset, path) -> None:
         for cell in cells:
             a_row = np.array(cell[:-1]).reshape(1, -1)
             ratio = float(beta.values(a_row, np.array([cell[-1]]))[0])
-            writer.writerow([repr(v) for v in cell] + [repr(ratio)])
+            writer.writerow([repr(float(v)) for v in cell] + [repr(ratio)])
 
 
 def cmd_evaluate(args) -> int:

@@ -9,6 +9,7 @@ column is encoded {0, 1} in declared category order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,10 @@ def _parse_cell(raw: str, col: ColumnSchema, row_no: int) -> float | None:
         raise IngestionError(
             f"row {row_no}, column {col.name!r}: unparseable cell {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise IngestionError(
+            f"row {row_no}, column {col.name!r}: non-finite cell {text!r}"
+        )
     if col.kind == "binary" and value not in (0.0, 1.0):
         raise IngestionError(
             f"row {row_no}, column {col.name!r}: binary cell must be 0 or 1, got {text!r}"
@@ -215,8 +220,14 @@ def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
         y = (y - lo) / span
 
     features, feature_names = _encode_block(feat_vals, feat_cols, one_hot=True, minmax_continuous=False)
-    A, _ = _encode_block(sens_vals, sens_cols, one_hot=True, minmax_continuous=True)
-    return TabularDataset(features, A, sens_vals.copy(), y, schema, feature_names)
+    A, a_names = _encode_block(sens_vals, sens_cols, one_hot=True, minmax_continuous=True)
+    dataset = TabularDataset(features, A, sens_vals.copy(), y, schema, feature_names)
+    # finite cells can still overflow in the z-score or min-max scaling
+    for names, block in ((feature_names, dataset.X), (a_names, A), ([out_col.name], y[:, None])):
+        bad = ~np.isfinite(block).all(axis=0)
+        if bad.any():
+            raise IngestionError(f"{path}: column {names[bad.argmax()]!r} overflows when scaled")
+    return dataset
 
 
 def split_train_val(dataset: TabularDataset, fraction: float = 0.8, seed: int = 0):
@@ -260,7 +271,11 @@ def minibatch_construct(
     if sampler == "within_batch":
         a_prime = dataset.A[idx][sampler_rng.permutation(n_b)]
     else:
-        rest = np.setdiff1d(np.arange(dataset.n), idx)
-        idx2 = sampler_rng.choice(rest, size=n_b, replace=False)
+        # Draw positions k in the complement of idx and map each to the k-th
+        # row not in idx with one search over the sorted batch, without
+        # building the complement: the same draws as
+        # sampler_rng.choice(np.setdiff1d(np.arange(n), idx), n_b, replace=False).
+        k = sampler_rng.choice(dataset.n - n_b, size=n_b, replace=False)
+        idx2 = k + np.searchsorted(np.sort(idx) - np.arange(n_b), k, side="right")
         a_prime = dataset.A[idx2]
     return Minibatch(dataset.X[idx], dataset.A[idx], dataset.Y[idx], a_prime)

@@ -31,3 +31,8 @@ class UndefinedMetricError(FairpenError):
 
 class CheckpointError(FairpenError):
     """Checkpoint file is missing, corrupted, or incompatible."""
+
+
+class DivergenceError(FairpenError, FloatingPointError):
+    """Training produced a non-finite parameter; message names the layer
+    (and, from the trainer, the iteration and lambda)."""

@@ -3,6 +3,9 @@
 Discrete-group metrics are emitted as sums over groups (the group count is
 reported alongside so consumers can average). Continuous-attribute variants
 average over a nine-point nearest-rank quantile grid of the attribute.
+
+The rank, threshold, KS and Pareto kernels sort once and then sweep or
+binary-search: O(n log n) in their rows or points.
 """
 
 from __future__ import annotations
@@ -60,7 +63,10 @@ def _check_lengths(*arrays):
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC; ties between a positive and a negative count 1/2."""
+    """Rank-based AUC; ties between a positive and a negative count 1/2.
+
+    O(n log n): one sort inside ``_average_ranks``.
+    """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     _check_lengths(s, y)
@@ -74,24 +80,27 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # 1-based average rank
-        i = j + 1
-    return ranks
+    """1-based ranks, tied values sharing their average rank; O(n log n).
+
+    A run of ``count`` equal values starting at 0-based sorted position
+    ``start`` holds ranks start+1 .. start+count, whose mean is
+    (2*start + count + 1) / 2.
+    """
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    return ((2 * starts + counts + 1) / 2.0)[inverse]
 
 
 def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """tau maximizing Youden's J = TPR - FPR for yhat = 1(score > tau).
 
     Candidates are midpoints of consecutive distinct sorted scores plus
-    +/-inf sentinels; ties break toward the smallest tau.
+    +/-inf sentinels; ties break toward the smallest tau. O(n log n): the
+    positive and the negative scores are sorted once, and a binary search
+    per candidate counts the scores above it in each class (a ROC sweep).
+    Counting against each candidate itself, not against its rank among the
+    distinct scores, keeps the count exact when a midpoint rounds onto one
+    of its two neighbours.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
@@ -102,13 +111,10 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
         raise UndefinedMetricError("threshold undefined with a single class")
     distinct = np.unique(s)
     candidates = np.concatenate(([-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]))
-    best_tau, best_j = None, -np.inf
-    for tau in candidates:
-        yhat = s > tau
-        j = (yhat[y == 1].sum() / n1) - (yhat[y == 0].sum() / n0)
-        if j > best_j:
-            best_tau, best_j = float(tau), j
-    return best_tau
+    tp = n1 - np.searchsorted(np.sort(s[y == 1]), candidates, side="right")
+    fp = n0 - np.searchsorted(np.sort(s[y == 0]), candidates, side="right")
+    # argmax returns the first maximum, i.e. the smallest tau
+    return float(candidates[np.argmax(tp / n1 - fp / n0)])
 
 
 def _rate(values: np.ndarray, where: np.ndarray, what: str) -> float:
@@ -192,7 +198,10 @@ def eo_continuous(
 
 
 def _ks_distance(sample: np.ndarray, reference: np.ndarray) -> float:
-    """Max empirical-CDF gap; checking the observed values is sufficient."""
+    """Max empirical-CDF gap; checking the observed values is sufficient.
+
+    O((m + n) log(m + n)) for samples of sizes m and n.
+    """
     if len(sample) == 0 or len(reference) == 0:
         raise DegenerateMetricError("empty group in KS distance")
     ts = np.unique(np.concatenate([sample, reference]))
@@ -272,22 +281,46 @@ def mae(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(np.abs(s - y)))
 
 
-def _dominates(q: tuple, p: tuple) -> bool:
-    """Utility maximized, fairness minimized, at least one strict."""
-    return q[0] >= p[0] and q[1] <= p[1] and (q[0] > p[0] or q[1] < p[1])
+def _frontier_mask(points) -> np.ndarray:
+    """Non-domination flag per (utility, fairness) point; O(n log n).
+
+    Utility is maximized and fairness minimized; q dominates p when it is
+    no worse in both and better in one (maxima of a point set, Kung,
+    Luccio & Preparata 1975). After sorting by utility descending, then
+    fairness ascending, a point is on the frontier iff it has the lowest
+    fairness of its utility level and that fairness is strictly below the
+    running minimum over all higher utility levels. Equal points share a
+    flag. A point with a NaN coordinate never dominates and is never
+    dominated, as under the pairwise definition.
+    """
+    pts = np.array(points, dtype=np.float64).reshape(-1, 2)
+    u, f = pts[:, 0], pts[:, 1]
+    on = np.isnan(u) | np.isnan(f)
+    rows = np.flatnonzero(~on)
+    if len(rows) == 0:
+        return on
+    order = rows[np.lexsort((f[rows], -u[rows]))]
+    us, fs = u[order], f[order]
+    starts = np.concatenate(([True], us[1:] != us[:-1]))
+    level = np.cumsum(starts) - 1
+    best = fs[starts]  # lowest fairness of each level, by descending utility
+    beats_higher = np.concatenate(([True], best[1:] < np.minimum.accumulate(best)[:-1]))
+    on[order] = (fs == best[level]) & beats_higher[level]
+    return on
 
 
 def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Non-dominated (utility, fairness) pairs, deduplicated, utility-ascending."""
+    """Non-dominated (utility, fairness) pairs, deduplicated, utility-ascending.
+
+    O(n log n).
+    """
     unique = sorted(set((float(u), float(f)) for u, f in points))
-    return [p for p in unique if not any(_dominates(q, p) for q in unique if q != p)]
+    return [p for p, on in zip(unique, _frontier_mask(unique)) if on]
 
 
 def frontier_flags(points: list[tuple[float, float]]) -> list[bool]:
-    """Per-input-point frontier membership (duplicates share a flag)."""
-    pts = [(float(u), float(f)) for u, f in points]
-    unique = set(pts)
-    return [not any(_dominates(q, p) for q in unique if q != p) for p in pts]
+    """Per-input-point frontier membership (duplicates share a flag); O(n log n)."""
+    return _frontier_mask([(float(u), float(f)) for u, f in points]).tolist()
 
 
 @dataclass(frozen=True)

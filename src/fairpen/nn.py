@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import CheckpointError, DimensionError, StateError
+from .errors import CheckpointError, DimensionError, DivergenceError, StateError
 
 PROB_EPS = 1e-7
 CKPT_MAGIC = "FAIRPEN-CKPT-v1"
@@ -38,6 +38,8 @@ def _arr_to_spec(a: np.ndarray) -> dict:
 
 def _arr_from_spec(d: dict) -> np.ndarray:
     vals = np.array([float.fromhex(h) for h in d["hex"]], dtype=np.float64)
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite value")
     return vals.reshape(d["shape"])
 
 
@@ -87,6 +89,8 @@ class DenseLayer:
         layer = cls.__new__(cls)
         layer.weights = w
         layer.bias = _arr_from_spec(spec["bias"])
+        if w.ndim != 2 or layer.bias.shape != (w.shape[1],):
+            raise ValueError(f"dense weights {w.shape} and bias {layer.bias.shape} do not fit")
         layer.grad_weights = np.zeros_like(layer.weights)
         layer.grad_bias = np.zeros_like(layer.bias)
         layer._cached_input = None
@@ -152,6 +156,9 @@ class BatchNormLayer:
         layer.beta_shift = _arr_from_spec(spec["beta_shift"])
         layer.running_mean = _arr_from_spec(spec["running_mean"])
         layer.running_var = _arr_from_spec(spec["running_var"])
+        arrays = (layer.gamma, layer.beta_shift, layer.running_mean, layer.running_var)
+        if any(a.shape != (len(layer.gamma),) for a in arrays):
+            raise ValueError(f"batch-norm arrays of shapes {[a.shape for a in arrays]} differ")
         layer.grad_gamma = np.zeros_like(layer.gamma)
         layer.grad_beta_shift = np.zeros_like(layer.beta_shift)
         return layer
@@ -212,12 +219,19 @@ class Mlp:
     def __init__(self, layers: list):
         self.layers = layers
         self._train_cache_ready = False
-        widths = [l for l in layers if isinstance(l, DenseLayer)]
-        for prev, nxt in zip(widths, widths[1:]):
-            if prev.out_dim != nxt.in_dim:
+        width = None  # output width of the last dense or batch-norm layer so far
+        for i, layer in enumerate(layers):
+            if isinstance(layer, DenseLayer):
+                needs, width_out = layer.in_dim, layer.out_dim
+            elif isinstance(layer, BatchNormLayer):
+                needs = width_out = len(layer.gamma)
+            else:
+                continue
+            if width is not None and needs != width:
                 raise DimensionError(
-                    f"dense widths incompatible: {prev.out_dim} -> {nxt.in_dim}"
+                    f"layer {i}: widths incompatible: {width} -> {needs}"
                 )
+            width = width_out
 
     @property
     def in_dim(self) -> int:
@@ -249,11 +263,11 @@ class Mlp:
 
     def sgd_step(self, learning_rate: float, maximize: bool = False) -> None:
         sign = 1.0 if maximize else -1.0
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             for param, grad in layer.params_and_grads():
                 param += sign * learning_rate * grad
                 if not np.isfinite(param).all():
-                    raise FloatingPointError("non-finite parameter after SGD step")
+                    raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
         self.zero_grads()
 
     def zero_grads(self) -> None:
@@ -296,7 +310,10 @@ class Mlp:
                 raise CheckpointError(f"{path}: layer {i}: malformed spec ({exc!r})") from exc
         if not any(isinstance(layer, DenseLayer) for layer in layers):
             raise CheckpointError(f"{path}: checkpoint has no dense layer")
-        return cls(layers)
+        try:
+            return cls(layers)
+        except DimensionError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def mlp(

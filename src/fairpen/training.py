@@ -10,7 +10,7 @@ import numpy as np
 
 from . import metrics
 from .data import TabularDataset, minibatch_construct
-from .errors import ConfigError, DegenerateMetricError, UndefinedMetricError
+from .errors import ConfigError, DegenerateMetricError, DivergenceError, UndefinedMetricError
 from .nn import Mlp, bce_loss, mae_loss
 from .penalties import DensityRatioEstimator, contrast
 
@@ -182,6 +182,12 @@ def train(
     eval_at = set(_snapshot_iterations(config.T, config.eval_interval))
     snapshots: list[Snapshot] = []
 
+    def sgd_step(net: Mlp, name: str, maximize: bool = False) -> None:
+        try:
+            net.sgd_step(config.learning_rate, maximize=maximize)
+        except DivergenceError as exc:
+            raise DivergenceError(f"lambda={config.lam:g}, iteration {t}, {name} {exc}") from exc
+
     for t in range(1, config.T + 1):
         mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
         s = h.forward(mb.x, train=True)
@@ -194,7 +200,7 @@ def train(
 
         for _ in range(config.T_prime):
             contrast(D, real, fake, w)
-            D.sgd_step(config.learning_rate, maximize=True)
+            sgd_step(D, "D", maximize=True)
 
         _, grad_p = loss_fn(s[:, 0], mb.y)
         grad_s = lam_m * grad_p.reshape(-1, 1)
@@ -203,7 +209,7 @@ def train(
             D.zero_grads()
             grad_s = grad_s + lam_f * pen_grad[:, :1]
         h.backward(grad_s)
-        h.sgd_step(config.learning_rate)
+        sgd_step(h, "h")
 
         if t in eval_at:
             _record_snapshots(snapshots, h, t, train_set, val_set, config.task, checkpoint_dir)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ def conditional_independent_toy(n: int, seed: int = 0) -> TabularDataset:
         ColumnSchema("y", "outcome", "binary"),
     ]
     return TabularDataset(x.reshape(-1, 1), a.reshape(-1, 1), a.reshape(-1, 1), y, schema, ["x"])
+
+
+def rewrite_checkpoint_layer(path, index, **arrays):
+    """Replace named 1-D arrays of one layer in a saved checkpoint file."""
+    magic, body = path.read_text().split("\n", 1)
+    spec = json.loads(body)
+    for name, values in arrays.items():
+        spec["layers"][index][name] = {"shape": [len(values)], "hex": [float(v).hex() for v in values]}
+    path.write_text(magic + "\n" + json.dumps(spec) + "\n")
 
 
 @pytest.fixture

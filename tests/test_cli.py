@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fairpen
-from conftest import binary_toy_dataset
+from conftest import binary_toy_dataset, rewrite_checkpoint_layer
 from fairpen import penalties
 from fairpen.cli import default_networks, load_schema, main
 from fairpen.nn import mlp
@@ -105,6 +105,8 @@ def test_train_geo_writes_beta_table(tmp_path):
     assert rows[0] == ["a0", "y", "ratio"]
     assert len(rows) == 5  # header + 4 cells
     assert all(float(r[2]) > 0 for r in rows[1:])
+    # every cell is a plain float literal, not a numpy scalar repr such as np.float64(0.0)
+    assert all(repr(float(v)) == v for r in rows[1:] for v in r)
 
 
 def test_train_geo_pretrains_once_per_grid(tmp_path, monkeypatch):
@@ -197,6 +199,34 @@ def test_evaluate_corrupt_checkpoint(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert expected in err and "Traceback" not in err
+
+
+def test_evaluate_batch_norm_width_mismatch(tmp_path, capsys):
+    csv_path, schema_path = _write_dataset(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    mlp(2, [4], rng=np.random.default_rng(0), batch_norm=True).save(bad)
+    # layer 1 is the batch norm after the 2 -> 4 dense layer; make all its arrays width 3
+    width3 = {k: np.ones(3) for k in ("gamma", "beta_shift", "running_mean", "running_var")}
+    rewrite_checkpoint_layer(bad, 1, **width3)
+    rc = main(
+        ["evaluate", "--checkpoint", str(bad), "--data", str(csv_path),
+         "--schema", str(schema_path), "--out", str(tmp_path / "eval.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "layer 1" in err and str(bad) in err and "Traceback" not in err
+
+
+def test_train_divergence_exits_cleanly(tmp_path, capsys):
+    csv_path, schema_path = _write_dataset(tmp_path)
+    (tmp_path / "train.ini").write_text(
+        "[train]\nt = 40\neval_interval = 20\nn_b = 50\nl = 30\nlearning_rate = 1e300\n"
+    )
+    with np.errstate(all="ignore"):
+        rc = main(_train_args(tmp_path, csv_path, schema_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "lambda=0.5, iteration 1, " in err and " layer " in err and "Traceback" not in err
 
 
 def _snapshot_csv(path, rows):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import binary_toy_dataset
 from fairpen.data import (
@@ -71,6 +76,58 @@ def test_load_csv_bad_cells(tmp_path):
     path.write_text("x1,a,y\n1.0,,1\n")
     with pytest.raises(IngestionError, match="missing value"):
         load_csv(path, _schema())
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("column", ["x1", "a"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):
+    path = tmp_path / "d.csv"
+    row = {"x1": "1.0", "a": "0", "y": "1"}
+    row[column] = cell
+    path.write_text("x1,a,y\n3.0,1,0\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(IngestionError, match=f"row 3, column '{column}': non-finite"):
+        load_csv(path, _schema())
+
+
+def test_load_csv_rejects_scaling_overflow(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,a,y\n1e308,0,1\n1.5e308,1,0\n")
+    with np.errstate(all="ignore"), pytest.raises(IngestionError, match="column 'x1' overflows"):
+        load_csv(path, _schema())
+
+
+# floats() also draws nan and +/-inf; the large literals make the scaling overflow
+_continuous_cells = st.one_of(
+    st.floats(width=64).map(repr), st.sampled_from(["1e308", "-1e308", "1.5e308"])
+)
+_binary_cells = st.sampled_from(["0", "1", "1.0", "nan"])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(_continuous_cells, _continuous_cells, _binary_cells, _continuous_cells),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_load_csv_never_returns_non_finite(rows):
+    schema = [
+        ColumnSchema("x1", "feature", "continuous"),
+        ColumnSchema("s", "sensitive", "continuous"),
+        ColumnSchema("a", "sensitive", "binary"),
+        ColumnSchema("y", "outcome", "continuous"),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("x1,s,a,y\n" + "".join(",".join(r) + "\n" for r in rows))
+        try:
+            with np.errstate(all="ignore"):
+                ds = load_csv(path, schema)
+        except IngestionError:
+            return
+    for arr in (ds.X, ds.A, ds.A_raw, ds.Y):
+        assert np.isfinite(arr).all()
 
 
 def test_load_csv_empty_inputs(tmp_path):

@@ -1,0 +1,163 @@
+"""The sort-and-sweep metric kernels and the disjoint sampler against the
+original implementations in ``reference_kernels``: results must be equal
+bit for bit, not approximately."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairpen import metrics
+from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct
+from reference_kernels import (
+    average_ranks_loop,
+    choose_threshold_loop,
+    disjoint_draw_setdiff,
+    frontier_flags_pairwise,
+    pareto_frontier_pairwise,
+)
+
+
+def _score_sets(seed):
+    """Scores with many ties, adjacent doubles, +/-inf and overflowing midpoints."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        yield np.round(rng.random(n), int(rng.integers(0, 3)))
+    for _ in range(40):
+        base = rng.random(int(rng.integers(1, 20)))
+        nxt = np.nextafter(base, np.inf)
+        ladder = np.concatenate([base, nxt, np.nextafter(nxt, np.inf), np.nextafter(base, -np.inf)])
+        yield rng.choice(ladder, size=int(rng.integers(2, 200)))
+    extremes = np.array([-np.inf, np.inf, -1.7e308, 1.7e308, -0.0, 0.0, 0.5, np.nextafter(0.5, 1)])
+    for _ in range(40):
+        yield rng.choice(extremes, size=int(rng.integers(2, 60)))
+
+
+def _labels(rng, n):
+    y = rng.integers(0, 2, n)
+    y[0], y[-1] = 0, 1  # both classes present
+    return y
+
+
+def test_choose_threshold_equals_loop():
+    rng = np.random.default_rng(100)
+    for s in _score_sets(0):
+        y = _labels(rng, len(s))
+        assert metrics.choose_threshold(s, y) == choose_threshold_loop(s, y)
+
+
+def test_average_ranks_equal_loop():
+    for s in _score_sets(1):
+        assert np.array_equal(metrics._average_ranks(s), average_ranks_loop(s))
+
+
+def test_auc_equals_loop_ranks():
+    rng = np.random.default_rng(101)
+    for s in _score_sets(2):
+        y = _labels(rng, len(s))
+        pos = y == 1
+        n1, n0 = int(pos.sum()), int((~pos).sum())
+        expected = float((average_ranks_loop(s)[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+        assert metrics.auc(s, y) == expected
+
+
+def _point_sets(seed):
+    rng = np.random.default_rng(seed)
+    yield []
+    yield [(0.5, 0.5)]
+    for _ in range(60):
+        n = int(rng.integers(1, 120))
+        yield [tuple(p) for p in np.round(rng.random((n, 2)), int(rng.integers(0, 3)))]
+    extremes = [-np.inf, np.inf, -0.0, 0.0, 0.25, 0.5]
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        yield [(float(rng.choice(extremes)), float(rng.choice(extremes))) for _ in range(n)]
+
+
+def test_frontier_flags_equal_pairwise():
+    for pts in _point_sets(3):
+        assert metrics.frontier_flags(pts) == frontier_flags_pairwise(pts)
+
+
+def test_pareto_frontier_equals_pairwise():
+    for pts in _point_sets(4):
+        assert metrics.pareto_frontier(pts) == pareto_frontier_pairwise(pts)
+
+
+def test_frontier_flags_nan_points_equal_pairwise():
+    # a NaN coordinate never dominates and is never dominated
+    pts = [(np.nan, 0.0), (0.9, 0.1), (0.8, 0.5), (0.95, np.nan), (0.9, 0.1)]
+    assert metrics.frontier_flags(pts) == frontier_flags_pairwise(pts) == [True, True, False, True, True]
+
+
+def _index_dataset(n):
+    """One continuous sensitive column holding the row index, so a' shows the rows drawn."""
+    rows = np.arange(n, dtype=np.float64).reshape(-1, 1)
+    schema = [
+        ColumnSchema("x", "feature", "continuous"),
+        ColumnSchema("a", "sensitive", "continuous"),
+        ColumnSchema("y", "outcome", "binary"),
+    ]
+    return TabularDataset(rows, rows, rows, np.zeros(n), schema, ["x"])
+
+
+@pytest.mark.parametrize("n, n_b, batches", [(200, 100, 50), (6400, 100, 200), (200_000, 100, 5)])
+def test_disjoint_sampler_equals_setdiff(n, n_b, batches):
+    ds = _index_dataset(n)
+    rng, srng = np.random.default_rng(n), np.random.default_rng(n + 1)
+    ref_rng, ref_srng = np.random.default_rng(n), np.random.default_rng(n + 1)
+    for _ in range(batches):
+        mb = minibatch_construct(ds, n_b, "disjoint", rng, srng)
+        idx, idx2 = disjoint_draw_setdiff(n, n_b, ref_rng, ref_srng)
+        assert np.array_equal(mb.a[:, 0], idx)
+        assert np.array_equal(mb.a_prime[:, 0], idx2)
+
+
+# ------------------------------------------------------------------ properties
+
+_finite_or_inf = st.floats(allow_nan=False, allow_infinity=True, width=64)
+_tied = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _scored_rows(draw):
+    scores = draw(st.lists(st.one_of(_finite_or_inf, _tied), min_size=2, max_size=60))
+    n = len(scores)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[0], labels[-1] = 0, 1
+    perm = draw(st.permutations(range(n)))
+    return np.array(scores), np.array(labels), np.array(perm, dtype=np.intp)
+
+
+@settings(deadline=None)
+@given(_scored_rows())
+def test_auc_row_permutation_invariant(rows):
+    s, y, perm = rows
+    assert metrics.auc(s[perm], y[perm]) == metrics.auc(s, y)
+
+
+@settings(deadline=None)
+@given(_scored_rows())
+def test_choose_threshold_row_permutation_invariant(rows):
+    s, y, perm = rows
+    assert metrics.choose_threshold(s[perm], y[perm]) == metrics.choose_threshold(s, y)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_frontier_flags_row_permutation_invariant(data):
+    coord = st.one_of(_finite_or_inf, _tied)
+    pts = data.draw(st.lists(st.tuples(coord, coord), max_size=60))
+    perm = data.draw(st.permutations(range(len(pts))))
+    flags = metrics.frontier_flags(pts)
+    assert metrics.frontier_flags([pts[i] for i in perm]) == [flags[i] for i in perm]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ks_gap_of_every_group_in_unit_interval(data):
+    scores = np.array(data.draw(st.lists(st.one_of(_finite_or_inf, _tied), min_size=1, max_size=60)))
+    groups = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(scores), max_size=len(scores))))
+    for v in np.unique(groups):
+        assert 0.0 <= metrics._ks_distance(scores[groups == v], scores) <= 1.0

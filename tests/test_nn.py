@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import rewrite_checkpoint_layer
 from gradcheck import check_network_gradients, random_config
-from fairpen.errors import CheckpointError, DimensionError, StateError
+from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
     ActivationLayer,
     BatchNormLayer,
@@ -83,6 +84,14 @@ def test_incompatible_dense_stack_raises():
         Mlp([DenseLayer(2, 3, rng), DenseLayer(4, 1, rng)])
 
 
+def test_batch_norm_width_must_match_preceding_dense():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError, match="layer 1"):
+        Mlp([DenseLayer(2, 4, rng), BatchNormLayer(3), DenseLayer(4, 1, rng)])
+    with pytest.raises(DimensionError, match="layer 2"):
+        Mlp([DenseLayer(2, 4, rng), BatchNormLayer(4), DenseLayer(3, 1, rng)])
+
+
 def test_sgd_step_direction_and_grad_clearing():
     rng = np.random.default_rng(2)
     net = mlp(2, [4], rng=rng, batch_norm=False)
@@ -120,8 +129,9 @@ def test_sgd_step_rejects_non_finite():
     net.forward(np.zeros((2, 2)), train=True)
     net.backward(np.ones((2, 1)))
     net.gradients()[0][0, 0] = np.inf
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="layer 0") as err:
         net.sgd_step(0.1)
+    assert isinstance(err.value, DivergenceError) and isinstance(err.value, FairpenError)
 
 
 def test_init_determinism():
@@ -201,3 +211,27 @@ def test_gradients_match_finite_differences(seed):
 def test_activation_unknown_kind():
     with pytest.raises(ValueError):
         ActivationLayer("tanh")
+
+
+def test_checkpoint_batch_norm_width_mismatch(tmp_path):
+    path = tmp_path / "net.ckpt"
+    mlp(7, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    # layer 1 is the batch norm after the 7 -> 4 dense layer; make all its arrays width 3
+    width3 = {k: np.ones(3) for k in ("gamma", "beta_shift", "running_mean", "running_var")}
+    rewrite_checkpoint_layer(path, 1, **width3)
+    with pytest.raises(CheckpointError, match="layer 1") as err:
+        Mlp.load(path)
+    assert str(path) in str(err.value)
+    # arrays of one batch-norm layer that disagree with each other
+    mlp(7, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    rewrite_checkpoint_layer(path, 1, running_var=np.ones(3))
+    with pytest.raises(CheckpointError, match="layer 1"):
+        Mlp.load(path)
+
+
+def test_checkpoint_non_finite_value(tmp_path):
+    path = tmp_path / "net.ckpt"
+    mlp(3, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    rewrite_checkpoint_layer(path, 1, running_mean=[0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(CheckpointError, match="layer 1.*non-finite"):
+        Mlp.load(path)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import binary_toy_dataset, conditional_independent_toy
 from fairpen.data import minibatch_construct, split_train_val
-from fairpen.errors import ConfigError
+from fairpen.errors import ConfigError, DivergenceError
 from fairpen.nn import Mlp, bce_loss, mlp
 from fairpen.penalties import DensityRatioEstimator, pretrain_density_ratio
 from fairpen.training import (
@@ -192,3 +192,10 @@ def test_snapshot_csv_rows_blank_for_missing():
         "a_sp", "a_ks_gsp", "a_eo", "a_ks_geo",
     ]
     assert rows[1] == ["5", "train", "auc", repr(0.9), repr(0.1), "", "", repr(0.2)]
+
+
+def test_divergence_names_iteration_and_lambda():
+    train_set, val, h, D, config = _setup(lam=0.5, learning_rate=1e300)
+    expected = r"lambda=0.5, iteration 1, [hD] layer \d+: non-finite"
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=expected):
+        train(train_set, val, h, D, config)
