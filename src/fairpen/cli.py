@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -12,50 +13,71 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracles, penalties, training
-from .data import ColumnSchema, load_csv, split_train_val
-from .errors import ConfigError, FairpenError
+from .data import ColumnSchema, load_csv, open_input, split_train_val
+from .errors import ConfigError, FairpenError, IngestionError
 from .nn import Mlp, mlp
 from .training import TrainConfig, rng_streams
 
 
 def load_schema(path) -> list[ColumnSchema]:
-    with open(path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
+    with open_input(path) as f:
+        try:
+            entries = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise IngestionError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise IngestionError(f"{path}: schema must be a JSON list of column objects")
     schema = []
-    for e in entries:
-        cats = tuple(e["categories"]) if e.get("categories") else None
-        schema.append(ColumnSchema(e["name"], e["role"], e["kind"], cats))
+    for i, e in enumerate(entries):
+        try:
+            cats = tuple(e["categories"]) if e.get("categories") else None
+            schema.append(ColumnSchema(e["name"], e["role"], e["kind"], cats))
+        except KeyError as exc:
+            raise IngestionError(f"{path}: schema entry {i} has no {exc.args[0]!r}") from None
     return schema
+
+
+# Each [train] key with the TrainConfig field it sets and that field's type.
+TRAIN_KEYS = {
+    "t": ("T", int), "learning_rate": ("learning_rate", float), "t_prime": ("T_prime", int),
+    "l": ("L", int), "n_b": ("n_b", int), "eval_interval": ("eval_interval", int),
+    "seed": ("seed", int), "sampler": ("sampler", str), "scaling": ("scaling", str),
+}
+# Every key cmd_train reads, by config section; any other key is an error.
+CONFIG_KEYS = {"data": ("csv", "schema"), "train": (*TRAIN_KEYS, "lambda"), "output": ("dir", "run_id")}
 
 
 def _read_config(path) -> dict:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    out = {}
-    for section in ("data", "model", "train", "output"):
-        if parser.has_section(section):
-            out.update({f"{section}.{k}": v for k, v in parser.items(section)})
-    return out
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        items = {(section, key): value for section in parser.sections()
+                 for key, value in parser.items(section)}
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for section, key in items:
+        if key not in CONFIG_KEYS.get(section, ()):
+            raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+    return {f"{section}.{key}": value for (section, key), value in items.items()}
+
+
+def _parse(value, cast, where: str):
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(f"{where}: {value!r} is not a valid {cast.__name__}") from None
 
 
 def _train_config(cfg: dict, lam: float, overrides: argparse.Namespace, task: str) -> TrainConfig:
-    def get(key, default, cast):
-        return cast(cfg.get(f"train.{key}", default))
-
-    return TrainConfig(
-        lam=lam,
-        T=get("t", 1000, int),
-        learning_rate=get("learning_rate", 0.005, float),
-        T_prime=get("t_prime", 1, int),
-        L=get("l", 1000, int),
-        n_b=get("n_b", 100, int),
-        eval_interval=get("eval_interval", 100, int),
-        seed=overrides.seed if overrides.seed is not None else get("seed", 0, int),
-        sampler=overrides.sampler or get("sampler", "within_batch", str),
-        task=task,
-        scaling=overrides.scaling or get("scaling", "convex", str),
-    )
+    fields = {"T": 1000}  # TrainConfig's own defaults hold for every other field
+    for key, (name, cast) in TRAIN_KEYS.items():
+        if f"train.{key}" in cfg:
+            fields[name] = _parse(cfg[f"train.{key}"], cast, f"{overrides.config}: [train] {key}")
+    for name in ("seed", "sampler", "scaling"):  # command-line flags win over the config
+        if getattr(overrides, name) is not None:
+            fields[name] = getattr(overrides, name)
+    return TrainConfig(lam=lam, task=task, **fields)
 
 
 def default_networks(p: int, l: int, criterion: str, task: str, rng: np.random.Generator):
@@ -69,6 +91,19 @@ def default_networks(p: int, l: int, criterion: str, task: str, rng: np.random.G
     return h, d_net
 
 
+def _write_csv(path, rows) -> None:
+    """Write CSV rows, or raise ConfigError naming a path that cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+def _task(dataset) -> str:
+    return "regression" if dataset.outcome_column.kind == "continuous" else "binary_classification"
+
+
 def cmd_train(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
     data_path = Path(args.data or cfg.get("data.csv", ""))
@@ -76,7 +111,8 @@ def cmd_train(args) -> int:
     if not data_path.name or not schema_path:
         raise ConfigError("train requires --data and --schema (or a [data] config section)")
     schema = load_schema(schema_path)
-    lambdas = [float(v) for v in (args.lam or str(cfg.get("train.lambda", "0.5")).split())]
+    where = "--lambda" if args.lam else f"{args.config}: [train] lambda"
+    lambdas = [_parse(v, float, where) for v in (args.lam or cfg.get("train.lambda", "0.5").split())]
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda {lam} outside [0, 1]")
@@ -84,11 +120,7 @@ def cmd_train(args) -> int:
     run_id = args.run_id or cfg.get("output.run_id", "run")
 
     dataset = load_csv(data_path, schema)
-    task = (
-        "regression"
-        if dataset.outcome_column.kind == "continuous"
-        else "binary_classification"
-    )
+    task = _task(dataset)
     run_root = out_dir / run_id
     if run_root.exists() and not args.force:
         raise ConfigError(f"run directory {run_root} exists (use --force to overwrite)")
@@ -112,14 +144,14 @@ def cmd_train(args) -> int:
         )
     attr_names = [c.name for c in dataset.sensitive_columns]
     for config in configs:
-        lam_dir = run_root / f"lambda={config.lam:g}"
-        lam_dir.mkdir(parents=True, exist_ok=True)
         init_rng = rng_streams(config.seed)["init"]
         h, D = default_networks(train_set.p, train_set.l, args.criterion, task, init_rng)
         result = training.train(train_set, val_set, h, D, config, beta=beta)
+        lam_dir = run_root / f"lambda={config.lam:g}"
+        lam_dir.mkdir(parents=True, exist_ok=True)
         if beta is not None:
             _maybe_write_beta_table(beta, train_set, lam_dir / "beta_table.csv")
-        training.write_snapshot_csv(result.snapshots, attr_names, lam_dir / "snapshots.csv")
+        _write_csv(lam_dir / "snapshots.csv", training.snapshot_csv_rows(result.snapshots, attr_names))
         result.h.save(lam_dir / "h_final.ckpt")
         result.discriminator.save(lam_dir / "d_final.ckpt")
         print(f"wrote {lam_dir}/snapshots.csv ({len(result.snapshots)} snapshots)")
@@ -127,18 +159,14 @@ def cmd_train(args) -> int:
 
 
 def _maybe_write_beta_table(beta, dataset, path) -> None:
-    if any(c.kind == "continuous" for c in dataset.sensitive_columns):
+    if any(c.kind == "continuous" for c in dataset.schema if c.role in ("sensitive", "outcome")):
         return
-    if dataset.outcome_column.kind == "continuous":
-        return
-    cells = sorted({tuple(row) + (yv,) for row, yv in zip(dataset.A, dataset.Y)})
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"a{i}" for i in range(dataset.l)] + ["y", "ratio"])
-        for cell in cells:
-            a_row = np.array(cell[:-1]).reshape(1, -1)
-            ratio = float(beta.values(a_row, np.array([cell[-1]]))[0])
-            writer.writerow([repr(float(v)) for v in cell] + [repr(ratio)])
+    rows = [[f"a{i}" for i in range(dataset.l)] + ["y", "ratio"]]
+    for cell in sorted({tuple(row) + (yv,) for row, yv in zip(dataset.A, dataset.Y)}):
+        a_row = np.array(cell[:-1]).reshape(1, -1)
+        ratio = float(beta.values(a_row, np.array([cell[-1]]))[0])
+        rows.append([repr(float(v)) for v in cell] + [repr(ratio)])
+    _write_csv(path, rows)
 
 
 def cmd_evaluate(args) -> int:
@@ -149,16 +177,11 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"checkpoint expects {h.in_dim} features but dataset has {dataset.p}"
         )
-    task = (
-        "regression"
-        if dataset.outcome_column.kind == "continuous"
-        else "binary_classification"
-    )
+    task = _task(dataset)
     report = training.evaluate_snapshot(h, dataset, task)
     attr_names = [c.name for c in dataset.sensitive_columns]
     snap = training.Snapshot(0, "evaluate", report, Path(args.checkpoint).name)
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f).writerows(training.snapshot_csv_rows([snap], attr_names))
+    _write_csv(args.out, training.snapshot_csv_rows([snap], attr_names))
     print(f"wrote {args.out}")
     return 0
 
@@ -167,7 +190,7 @@ def cmd_pareto(args) -> int:
     rows = []
     header_cols = None
     for path in args.snapshots:
-        with open(path, "r", encoding="utf-8", newline="") as f:
+        with open_input(path) as f:
             reader = csv.DictReader(f)
             cols = tuple(reader.fieldnames or ())
             if header_cols is None:
@@ -190,15 +213,12 @@ def cmd_pareto(args) -> int:
         points.append((signed, float(fval)))
         meta.append((run_id, rec["iteration"], utility, float(fval)))
     flags = metrics.frontier_flags(points)
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
-        )
-        for (run_id, it, utility, fval), flag in zip(meta, flags):
-            writer.writerow(
-                [run_id, it, repr(utility), args.fairness_column, repr(fval), int(flag)]
-            )
+    header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
+    # Rows stream to the file: a list of one row per pooled point read slower.
+    _write_csv(args.out, itertools.chain([header], (
+        [run_id, it, repr(utility), args.fairness_column, repr(fval), int(flag)]
+        for (run_id, it, utility, fval), flag in zip(meta, flags)
+    )))
     print(f"wrote {args.out}")
     if args.utility_threshold is not None:
         frontier = metrics.pareto_frontier(points)
@@ -220,14 +240,13 @@ def cmd_ratio_toy(args) -> int:
     )
     true = oracles.table5_true_ratios()
     cells = [(1, 1), (0, 1), (1, 0), (0, 0)]  # matches the published ordering
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cell", "true_ratio", "estimated_ratio", "abs_error"])
-        for a, y in cells:
-            est = float(estimator.values(np.array([[a]]), np.array([y]))[0])
-            writer.writerow(
-                [f"p({y}|{a})/p({y})", repr(true[(a, y)]), repr(est), repr(abs(est - true[(a, y)]))]
-            )
+    rows = [["cell", "true_ratio", "estimated_ratio", "abs_error"]]
+    for a, y in cells:
+        est = float(estimator.values(np.array([[a]]), np.array([y]))[0])
+        rows.append(
+            [f"p({y}|{a})/p({y})", repr(true[(a, y)]), repr(est), repr(abs(est - true[(a, y)]))]
+        )
+    _write_csv(args.out, rows)
     print(f"wrote {args.out}")
     return 0
 

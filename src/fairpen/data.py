@@ -180,10 +180,18 @@ def _encode_block(values: np.ndarray, cols: list[ColumnSchema], one_hot: bool, m
     return block, names
 
 
+def open_input(path):
+    """Open a UTF-8 text input for reading, or raise IngestionError naming it."""
+    try:
+        return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot open ({exc.strerror or exc})") from None
+
+
 def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
     validate_schema(schema)
     by_name = {c.name: c for c in schema}
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_input(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -1,8 +1,16 @@
 """Utility and fairness measurement.
 
-Discrete-group metrics are emitted as sums over groups (the group count is
-reported alongside so consumers can average). Continuous-attribute variants
-average over a nine-point nearest-rank quantile grid of the attribute.
+Every fairness gap follows one grouping and one reduction rule. A discrete
+column conditions on each observed level (A = v); a continuous column on
+each value q of its nine-point nearest-rank quantile grid (A <= q). Each
+(outcome condition, attribute condition) cell is compared with a reference,
+the rows of its outcome condition (narrowed to A = 0 for the binary rate
+ratio), by |rate(cell)/rate(reference) - 1| (SP, EO) or by the KS distance
+between their score distributions. Cell gaps are summed in (outcome,
+attribute) order and divided by the grid size of each continuous column:
+summed over levels, averaged over grid values. The unconditional forms (SP,
+GSP) are the conditional ones (EO, GEO) with one outcome condition holding
+every row.
 
 The rank, threshold, KS and Pareto kernels sort once and then sweep or
 binary-search: O(n log n) in their rows or points.
@@ -45,7 +53,6 @@ class AttributeReport:
     ks_gsp: float | None = None
     eo: float | None = None
     ks_geo: float | None = None
-    group_count: int = 0
 
 
 @dataclass
@@ -56,10 +63,13 @@ class FairnessReport:
     attributes: dict[str, AttributeReport] = field(default_factory=dict)
 
 
-def _check_lengths(*arrays):
-    lengths = {len(np.asarray(a).ravel()) for a in arrays}
+def _columns(*arrays) -> list[np.ndarray]:
+    """Each input as a flat float64 array; all must have one length."""
+    columns = [np.asarray(x, dtype=np.float64).ravel() for x in arrays]
+    lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise DimensionError(f"length mismatch: {sorted(lengths)}")
+    return columns
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -67,14 +77,14 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
     O(n log n): one sort inside ``_average_ranks``.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel()
-    _check_lengths(s, y)
+    s, y = _columns(scores, labels)
     pos = y == 1
     n1 = int(pos.sum())
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise UndefinedMetricError("AUC undefined with a single class")
+    if np.isnan(s).any():
+        raise UndefinedMetricError("AUC undefined with NaN scores")
     ranks = _average_ranks(s)
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
@@ -102,13 +112,13 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     distinct scores, keeps the count exact when a midpoint rounds onto one
     of its two neighbours.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel()
-    _check_lengths(s, y)
+    s, y = _columns(scores, labels)
     n1 = int((y == 1).sum())
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise UndefinedMetricError("threshold undefined with a single class")
+    if np.isnan(s).any():
+        raise UndefinedMetricError("threshold undefined with NaN scores")
     distinct = np.unique(s)
     candidates = np.concatenate(([-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]))
     tp = n1 - np.searchsorted(np.sort(s[y == 1]), candidates, side="right")
@@ -117,50 +127,79 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(candidates[np.argmax(tp / n1 - fp / n0)])
 
 
-def _rate(values: np.ndarray, where: np.ndarray, what: str) -> float:
-    if not where.any():
-        raise DegenerateMetricError(f"empty group: {what}")
-    return float(values[where].mean())
+def _conditions(column: np.ndarray, kind: str, grid: QuantileGrid | None = None):
+    """Row masks that condition on one column, and the divisor of their gap sum.
+
+    Discrete: one ``column == v`` mask per observed level, gaps summed.
+    Continuous: one ``column <= q`` mask per nearest-rank grid value (the
+    column's own grid when ``grid`` is None), gaps averaged.
+    """
+    if kind == "discrete":
+        return [(f"={v:g}", column == v) for v in np.unique(column)], 1
+    if kind != "continuous":
+        raise ValueError(f"unknown kind {kind!r}")
+    grid = grid if grid is not None else quantile_grid(column)
+    return [(f"<={q:g}", column <= q) for q in grid.values], len(grid.values)
+
+
+def _sweep(gap, values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
+    """Sum gap(cell, reference) over the (outcome condition x attribute
+    condition) cells in that order, then divide by both divisors.
+
+    Without ``y`` one outcome condition holds every row (the SP and GSP
+    forms). The reference is built once per outcome condition: its rows,
+    narrowed to ``ref_where`` if given (A=0 for the binary rate ratio), or
+    ``values`` itself for the all-rows condition.
+    """
+    a_masks, a_div = a_conds
+    y_masks, y_div = ([(" any", None)], 1) if y is None else _conditions(
+        y, "discrete" if y_grid is None else "continuous", y_grid
+    )
+    total = 0.0
+    for y_name, y_mask in y_masks:
+        ref_mask = _and(ref_where, y_mask)
+        ref = values if ref_mask is None else _rows(values, ref_mask, f"reference, Y{y_name}")
+        for a_name, a_mask in a_masks:
+            total += gap(_rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}"), ref)
+    return float(total / a_div / y_div)
+
+
+def _and(mask, other):
+    """mask & other, where None stands for every row."""
+    return other if mask is None else mask if other is None else mask & other
+
+
+def _rows(values: np.ndarray, where: np.ndarray, what: str) -> np.ndarray:
+    chosen = values[where]
+    if len(chosen) == 0:
+        raise DegenerateMetricError(f"empty group ({what})")
+    return chosen
+
+
+def _rate_gap(cell: np.ndarray, reference: np.ndarray) -> float:
+    """|rate(cell)/rate(reference) - 1|."""
+    ref_rate = reference.mean()
+    if ref_rate == 0.0:
+        raise DegenerateMetricError("zero positive rate in the reference group")
+    return abs(cell.mean() / ref_rate - 1.0)
 
 
 def sp_discrete(yhat: np.ndarray, a: np.ndarray) -> float:
     """|rate(A=1)/rate(A=0) - 1| for binary A."""
-    yhat = np.asarray(yhat, dtype=np.float64).ravel()
-    a = np.asarray(a).ravel()
-    _check_lengths(yhat, a)
-    r1 = _rate(yhat, a == 1, "A=1")
-    r0 = _rate(yhat, a == 0, "A=0")
-    if r0 == 0.0:
-        raise DegenerateMetricError("zero positive rate in denominator group A=0")
-    return abs(r1 / r0 - 1.0)
+    yhat, a = _columns(yhat, a)
+    return _sweep(_rate_gap, yhat, ([("=1", a == 1)], 1), ref_where=a == 0)
 
 
 def sp_continuous(yhat: np.ndarray, a: np.ndarray, grid: QuantileGrid) -> float:
     """Mean over the quantile grid of |rate(A<=a*)/rate(overall) - 1|."""
-    yhat = np.asarray(yhat, dtype=np.float64).ravel()
-    a = np.asarray(a, dtype=np.float64).ravel()
-    _check_lengths(yhat, a)
-    overall = float(yhat.mean())
-    if overall == 0.0:
-        raise DegenerateMetricError("zero overall positive rate")
-    terms = [abs(_rate(yhat, a <= q, f"A<={q}") / overall - 1.0) for q in grid.values]
-    return float(np.mean(terms))
+    yhat, a = _columns(yhat, a)
+    return _sweep(_rate_gap, yhat, _conditions(a, "continuous", grid))
 
 
 def eo_discrete(yhat: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
     """Sum over y of |rate(A=1, Y=y)/rate(A=0, Y=y) - 1| for binary A, Y."""
-    yhat = np.asarray(yhat, dtype=np.float64).ravel()
-    a = np.asarray(a).ravel()
-    y = np.asarray(y).ravel()
-    _check_lengths(yhat, a, y)
-    total = 0.0
-    for yv in np.unique(y):
-        r1 = _rate(yhat, (a == 1) & (y == yv), f"(A=1, Y={yv})")
-        r0 = _rate(yhat, (a == 0) & (y == yv), f"(A=0, Y={yv})")
-        if r0 == 0.0:
-            raise DegenerateMetricError(f"zero positive rate in cell (A=0, Y={yv})")
-        total += abs(r1 / r0 - 1.0)
-    return total
+    yhat, a, y = _columns(yhat, a, y)
+    return _sweep(_rate_gap, yhat, ([("=1", a == 1)], 1), y, ref_where=a == 0)
 
 
 def eo_continuous(
@@ -175,26 +214,8 @@ def eo_continuous(
     With discrete Y the outer sum runs over the observed y values; with a
     y_grid the conditioning becomes Y<=y and the outer sum is averaged too.
     """
-    yhat = np.asarray(yhat, dtype=np.float64).ravel()
-    a = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(y).ravel()
-    _check_lengths(yhat, a, y)
-    y_conds = (
-        [(y == yv, f"Y={yv}") for yv in np.unique(y)]
-        if y_grid is None
-        else [(y <= q, f"Y<={q}") for q in y_grid.values]
-    )
-    total = 0.0
-    for y_mask, y_name in y_conds:
-        ref = _rate(yhat, y_mask, y_name)
-        if ref == 0.0:
-            raise DegenerateMetricError(f"zero reference rate in {y_name}")
-        for q in a_grid.values:
-            total += abs(_rate(yhat, (a <= q) & y_mask, f"(A<={q}, {y_name})") / ref - 1.0)
-    total /= len(a_grid.values)
-    if y_grid is not None:
-        total /= len(y_grid.values)
-    return total
+    yhat, a, y = _columns(yhat, a, y)
+    return _sweep(_rate_gap, yhat, _conditions(a, "continuous", a_grid), y, y_grid)
 
 
 def _ks_distance(sample: np.ndarray, reference: np.ndarray) -> float:
@@ -205,6 +226,8 @@ def _ks_distance(sample: np.ndarray, reference: np.ndarray) -> float:
     if len(sample) == 0 or len(reference) == 0:
         raise DegenerateMetricError("empty group in KS distance")
     ts = np.unique(np.concatenate([sample, reference]))
+    if np.isnan(ts[-1]):  # NaN sorts last
+        raise DegenerateMetricError("NaN score in KS distance")
     fs = np.searchsorted(np.sort(sample), ts, side="right") / len(sample)
     fr = np.searchsorted(np.sort(reference), ts, side="right") / len(reference)
     return float(np.abs(fs - fr).max())
@@ -221,16 +244,8 @@ def ks_gsp(
     Discrete A: sum over groups. Continuous A: average over the quantile
     grid with A<=a conditioning.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    a = np.asarray(a, dtype=np.float64).ravel()
-    _check_lengths(s, a)
-    if kind == "discrete":
-        return float(sum(_ks_distance(s[a == v], s) for v in np.unique(a)))
-    if kind != "continuous":
-        raise ValueError(f"unknown kind {kind!r}")
-    grid = grid if grid is not None else quantile_grid(a)
-    gaps = [_ks_distance(s[a <= q], s) for q in grid.values]
-    return float(np.mean(gaps))
+    s, a = _columns(scores, a)
+    return _sweep(_ks_distance, s, _conditions(a, kind, grid))
 
 
 def ks_geo(
@@ -242,42 +257,12 @@ def ks_geo(
     y_grid: QuantileGrid | None = None,
 ) -> float:
     """KS gaps between score CDFs given (A, Y) and given Y alone."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    a = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(y).ravel()
-    _check_lengths(s, a, y)
-    y_conds = (
-        [y == yv for yv in np.unique(y)]
-        if y_grid is None
-        else [y <= q for q in y_grid.values]
-    )
-    total = 0.0
-    for y_mask in y_conds:
-        if not y_mask.any():
-            raise DegenerateMetricError("empty outcome group")
-        ref = s[y_mask]
-        if a_kind == "discrete":
-            for v in np.unique(a):
-                cell = y_mask & (a == v)
-                if not cell.any():
-                    raise DegenerateMetricError(f"empty cell (A={v})")
-                total += _ks_distance(s[cell], ref)
-        elif a_kind == "continuous":
-            grid = a_grid if a_grid is not None else quantile_grid(a)
-            total += sum(_ks_distance(s[y_mask & (a <= q)], ref) for q in grid.values) / len(
-                grid.values
-            )
-        else:
-            raise ValueError(f"unknown kind {a_kind!r}")
-    if y_grid is not None:
-        total /= len(y_grid.values)
-    return float(total)
+    s, a, y = _columns(scores, a, y)
+    return _sweep(_ks_distance, s, _conditions(a, a_kind, a_grid), y, y_grid)
 
 
 def mae(predictions: np.ndarray, targets: np.ndarray) -> float:
-    s = np.asarray(predictions, dtype=np.float64).ravel()
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    _check_lengths(s, y)
+    s, y = _columns(predictions, targets)
     return float(np.mean(np.abs(s - y)))
 
 

@@ -95,6 +95,17 @@ def brute_force_ks(scores: np.ndarray, group_mask: np.ndarray) -> float:
     return float(best)
 
 
+def optimal_gsp_discriminator_oracle(joint_pmf: np.ndarray) -> np.ndarray:
+    """Exact optimal discriminator on a finite (s, a) joint:
+    D*(s,a) = p(s,a) / (p(s,a) + p(s)p(a))."""
+    pmf = np.asarray(joint_pmf, dtype=np.float64)
+    if pmf.ndim != 2 or (pmf < 0).any() or abs(pmf.sum() - 1.0) > 1e-12:
+        raise ValueError("joint pmf must be a nonnegative 2-D table summing to 1")
+    p_s = pmf.sum(axis=1, keepdims=True)
+    p_a = pmf.sum(axis=0, keepdims=True)
+    return pmf / (pmf + p_s * p_a)
+
+
 def exact_geo_discriminator_oracle(joint_pmf: np.ndarray, beta_table: np.ndarray) -> np.ndarray:
     """Exact optimal outcome-conditioned discriminator on a finite
     (s, a, y) joint with resampled attributes:

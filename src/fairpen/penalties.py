@@ -127,13 +127,3 @@ def empirical_pmf_ratio(dataset: TabularDataset) -> DensityRatioEstimator:
     }
     return DensityRatioEstimator(table=table, frozen=True)
 
-
-def optimal_gsp_discriminator_oracle(joint_pmf: np.ndarray) -> np.ndarray:
-    """Exact optimal discriminator on a finite (s, a) joint:
-    D*(s,a) = p(s,a) / (p(s,a) + p(s)p(a)). Test oracle, not used in training."""
-    pmf = np.asarray(joint_pmf, dtype=np.float64)
-    if pmf.ndim != 2 or (pmf < 0).any() or abs(pmf.sum() - 1.0) > 1e-12:
-        raise ValueError("joint pmf must be a nonnegative 2-D table summing to 1")
-    p_s = pmf.sum(axis=1, keepdims=True)
-    p_a = pmf.sum(axis=0, keepdims=True)
-    return pmf / (pmf + p_s * p_a)

@@ -3,7 +3,6 @@ penalties, with periodic metric snapshots for Pareto analysis."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +86,7 @@ def evaluate_snapshot(h: Mlp, dataset: TabularDataset, task: str) -> metrics.Fai
     """
     scores = h.forward(dataset.X, train=False)[:, 0]
     y = dataset.Y
-    continuous_y = dataset.outcome_column.kind == "continuous"
-    y_grid = metrics.quantile_grid(y) if continuous_y else None
+    y_grid = metrics.quantile_grid(y) if dataset.outcome_column.kind == "continuous" else None
 
     if task == "binary_classification":
         try:
@@ -105,26 +103,18 @@ def evaluate_snapshot(h: Mlp, dataset: TabularDataset, task: str) -> metrics.Fai
 
     for col in dataset.sensitive_columns:
         a = dataset.sensitive_raw(col.name)
+        kind = "continuous" if col.kind == "continuous" else "discrete"
+        grid = metrics.quantile_grid(a) if kind == "continuous" else None
         attr = metrics.AttributeReport(name=col.name)
-        if col.kind == "continuous":
-            grid = metrics.quantile_grid(a)
-            attr.group_count = len(grid.values)
+        attr.ks_gsp = _safe(metrics.ks_gsp, scores, a, kind, grid)
+        attr.ks_geo = _safe(metrics.ks_geo, scores, a, y, kind, grid, y_grid)
+        if grid is not None:
             attr.sp = _safe(metrics.sp_continuous, values, a, grid)
-            attr.ks_gsp = _safe(metrics.ks_gsp, scores, a, "continuous", grid)
             attr.eo = _safe(metrics.eo_continuous, values, a, y, grid, y_grid)
-            attr.ks_geo = _safe(metrics.ks_geo, scores, a, y, "continuous", grid, y_grid)
-        else:
-            groups = np.unique(a)
-            attr.group_count = len(groups)
-            attr.ks_gsp = _safe(metrics.ks_gsp, scores, a, "discrete")
-            attr.ks_geo = _safe(
-                metrics.ks_geo, scores, a, y, "discrete", None, y_grid
-            )
-            binary_a = set(groups) <= {0.0, 1.0}
-            if binary_a:
-                attr.sp = _safe(metrics.sp_discrete, values, a)
-                if not continuous_y:
-                    attr.eo = _safe(metrics.eo_discrete, values, a, y)
+        elif set(np.unique(a)) <= {0.0, 1.0}:  # the rate ratios need binary A
+            attr.sp = _safe(metrics.sp_discrete, values, a)
+            if y_grid is None:
+                attr.eo = _safe(metrics.eo_discrete, values, a, y)
         report.attributes[col.name] = attr
     return report
 
@@ -235,8 +225,3 @@ def snapshot_csv_rows(snapshots: list[Snapshot], attr_names: list[str]):
                 row.append("" if value is None else repr(value))
         yield row
 
-
-def write_snapshot_csv(snapshots: list[Snapshot], attr_names: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerows(snapshot_csv_rows(snapshots, attr_names))

@@ -30,6 +30,7 @@ from fairpen.oracles import (
     SyntheticBiasSpec,
     brute_force_ks,
     exact_geo_discriminator_oracle,
+    optimal_gsp_discriminator_oracle,
     synth_bias,
     table5_toy,
     table5_true_ratios,
@@ -38,7 +39,6 @@ from fairpen.penalties import (
     DensityRatioEstimator,
     contrast,
     empirical_pmf_ratio,
-    optimal_gsp_discriminator_oracle,
     pretrain_density_ratio,
 )
 from fairpen.training import TrainConfig, rng_streams, train

@@ -227,6 +227,7 @@ def test_train_divergence_exits_cleanly(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "lambda=0.5, iteration 1, " in err and " layer " in err and "Traceback" not in err
+    assert not (tmp_path / "runs" / "r1" / "lambda=0.5").exists()
 
 
 def _snapshot_csv(path, rows):
@@ -329,6 +330,53 @@ def test_ratio_toy_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _bad_input(tmp_path, case):
+    """CLI arguments for one user error, and the text its message must name."""
+    csv_path, schema_path = _write_dataset(tmp_path, n=40)
+    config = tmp_path / "train.ini"
+    train = _train_args(tmp_path, csv_path, schema_path)
+    if case == "config_value":
+        config.write_text("[train]\nt = abc\n")
+        return train, [str(config), "t", "'abc'"]
+    if case == "lambda_value":
+        return train + ["--lambda", "abc"], ["--lambda", "'abc'"]
+    if case == "config_key_typo":
+        config.write_text("[train]\nt = 5\nlearnig_rate = 5\n")
+        return train, [str(config), "learnig_rate"]
+    if case == "model_section":
+        config.write_text("[model]\nwidth = 32\n")
+        return train, [str(config), "width", "[model]"]
+    if case == "missing_data":
+        missing = tmp_path / "absent.csv"
+        return _train_args(tmp_path, missing, schema_path), [str(missing)]
+    if case == "missing_schema":
+        missing = tmp_path / "absent.json"
+        return _train_args(tmp_path, csv_path, missing), [str(missing)]
+    if case == "schema_without_role":
+        schema_path.write_text(json.dumps([{"name": "x1", "kind": "continuous"}]))
+        return train, [str(schema_path), "entry 0", "'role'"]
+    pareto = ["pareto", str(tmp_path / "s1.csv"), "--fairness-column", "a_ks_gsp"]
+    if case == "missing_pareto_input":
+        return pareto + ["--out", str(tmp_path / "p.csv")], [str(tmp_path / "s1.csv")]
+    _snapshot_csv(tmp_path / "s1.csv", [["1", "validation", "auc", "0.9", "0.1"]])
+    unwritable = tmp_path / "absent_dir" / "p.csv"  # case == "unwritable_output"
+    return pareto + ["--out", str(unwritable)], [str(unwritable)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["config_value", "lambda_value", "config_key_typo", "model_section", "missing_data",
+     "missing_schema", "schema_without_role", "missing_pareto_input", "unwritable_output"],
+)
+def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
+    args, named = _bad_input(tmp_path, case)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(text in err for text in named), err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_train_missing_inputs_error(capsys):

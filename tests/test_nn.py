@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_checkpoint_layer
 from gradcheck import check_network_gradients, random_config
@@ -156,6 +161,41 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "net2.ckpt"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _layer_arrays(net):
+    """Every array a checkpoint stores, batch-norm running statistics included."""
+    return [
+        getattr(layer, name)
+        for layer in net.layers
+        for name in ("weights", "bias", "gamma", "beta_shift", "running_mean", "running_var")
+        if hasattr(layer, name)
+    ]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_checkpoint_round_trip_bit_exact_property(data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals, -0.0, +/-1.7e308
+    net = mlp(
+        data.draw(st.integers(1, 4)),
+        data.draw(st.lists(st.integers(1, 5), max_size=3)),
+        out_dim=data.draw(st.integers(1, 3)),
+        rng=np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+        batch_norm=data.draw(st.booleans()),
+        output_activation=data.draw(st.sampled_from(["sigmoid", "identity", "relu"])),
+    )
+    for arr in _layer_arrays(net):
+        arr[...] = np.reshape(data.draw(st.lists(finite, min_size=arr.size, max_size=arr.size)), arr.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, path2 = Path(tmp) / "net.ckpt", Path(tmp) / "net2.ckpt"
+        net.save(path)
+        loaded = Mlp.load(path)
+        loaded.save(path2)
+        assert path.read_bytes() == path2.read_bytes()
+    assert [type(layer) for layer in loaded.layers] == [type(layer) for layer in net.layers]
+    for a, b in zip(_layer_arrays(net), _layer_arrays(loaded)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # bit for bit, -0.0 included
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -5,12 +5,11 @@ from conftest import binary_toy_dataset
 from gradcheck import relative_error
 from fairpen.data import ColumnSchema, TabularDataset, split_train_val
 from fairpen.errors import DimensionError, StateError
-from fairpen.oracles import table5_toy, table5_true_ratios
+from fairpen.oracles import optimal_gsp_discriminator_oracle, table5_toy, table5_true_ratios
 from fairpen.penalties import (
     DensityRatioEstimator,
     contrast,
     empirical_pmf_ratio,
-    optimal_gsp_discriminator_oracle,
     pretrain_density_ratio,
 )
 from fairpen.nn import mlp
