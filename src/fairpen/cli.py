@@ -122,6 +122,11 @@ def cmd_train(args) -> int:
     dataset = load_csv(data_path, schema)
     task = _task(dataset)
     run_root = out_dir / run_id
+    # A file anywhere on the run root's path would fail the first mkdir, after
+    # a whole lambda had trained; the lambda directories still wait for it.
+    for part in (run_root, *run_root.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"output path {run_root}: {part} is a file, not a directory")
     if run_root.exists() and not args.force:
         raise ConfigError(f"run directory {run_root} exists (use --force to overwrite)")
     configs = [_train_config(cfg, lam, args, task) for lam in lambdas]
@@ -187,43 +192,53 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    rows = []
-    header_cols = None
+    column = args.fairness_column
+    header_cols = first_utility = None
+    points, meta = [], []
     for path in args.snapshots:
         with open_input(path) as f:
             reader = csv.DictReader(f)
             cols = tuple(reader.fieldnames or ())
             if header_cols is None:
                 header_cols = cols
+                if column not in cols:
+                    raise ConfigError(f"fairness column {column!r} not in inputs")
+                for name in ("iteration", "utility_name", "utility_value"):
+                    if name not in cols:
+                        raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
             elif cols != header_cols:
                 extra = sorted(set(cols).symmetric_difference(header_cols))
                 raise ConfigError(f"{path}: snapshot schema mismatch on columns {extra}")
+            run_id = Path(path).stem
             for rec in reader:
-                rows.append((Path(path).stem, rec))
-    if args.fairness_column not in (header_cols or ()):
-        raise ConfigError(f"fairness column {args.fairness_column!r} not in inputs")
-
-    points, meta = [], []
-    for run_id, rec in rows:
-        fval = rec.get(args.fairness_column, "")
-        if fval in ("", "nan") or rec["utility_value"] == "nan":
-            continue
-        utility = float(rec["utility_value"])
-        signed = -utility if rec["utility_name"] == "mae" else utility
-        points.append((signed, float(fval)))
-        meta.append((run_id, rec["iteration"], utility, float(fval)))
+                fval, uval = rec[column], rec["utility_value"]
+                if first_utility is None:
+                    first_utility = rec["utility_name"]
+                if fval in ("", "nan") or uval == "nan":
+                    continue
+                name = "utility_value"  # the cell being parsed, for the error
+                try:
+                    utility = float(uval)
+                    name = column
+                    fairness = float(fval)
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"{path}: row {reader.line_num}, column {name!r}: {rec[name]!r} is not a number"
+                    ) from None
+                points.append((-utility if rec["utility_name"] == "mae" else utility, fairness))
+                meta.append((run_id, rec["iteration"], utility, fairness))
     flags = metrics.frontier_flags(points)
     header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
     # Rows stream to the file: a list of one row per pooled point read slower.
     _write_csv(args.out, itertools.chain([header], (
-        [run_id, it, repr(utility), args.fairness_column, repr(fval), int(flag)]
+        [run_id, it, repr(utility), column, repr(fval), int(flag)]
         for (run_id, it, utility, fval), flag in zip(meta, flags)
     )))
     print(f"wrote {args.out}")
     if args.utility_threshold is not None:
         frontier = metrics.pareto_frontier(points)
         threshold = args.utility_threshold
-        if rows and rows[0][1]["utility_name"] == "mae":
+        if first_utility == "mae":
             threshold = -threshold
         summary = metrics.topk_fair_summary(frontier, threshold, k=args.k)
         print(

@@ -1,8 +1,15 @@
 """Minimal feed-forward network engine with manual backprop and SGD.
 
 The layer set is closed: dense, batch-norm, and elementwise activations
-(relu / sigmoid / identity). Gradients are accumulated into per-layer
-buffers by ``backward`` and consumed (then cleared) by ``sgd_step``.
+(relu / sigmoid / identity). Each layer class names its trainable arrays in
+``PARAMS``. ``Mlp`` owns one flat parameter buffer and one flat gradient
+buffer and re-homes every such array, and its ``grad_<name>`` twin, as a
+view into them, so ``sgd_step`` is one scaled add, one finiteness check and
+one clear over the whole network. ``backward`` accumulates parameter
+gradients into those views; ``backward(..., params=False)`` returns only the
+input gradient and leaves the gradient buffer untouched. The train-mode
+kernels reuse their temporaries in place, in the same operation order as the
+plain expressions, so results are bit for bit those of the textbook forms.
 """
 
 from __future__ import annotations
@@ -43,15 +50,23 @@ def _arr_from_spec(d: dict) -> np.ndarray:
     return vals.reshape(d["shape"])
 
 
-class DenseLayer:
+class _Layer:
+    PARAMS: tuple[str, ...] = ()  # trainable arrays; Mlp adds a grad_<name> view for each
+
+    def params_and_grads(self):
+        for name in self.PARAMS:
+            yield getattr(self, name), getattr(self, "grad_" + name)
+
+
+class DenseLayer(_Layer):
     """Affine layer y = x W + b with cached input for backprop."""
+
+    PARAMS = ("weights", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weights = rng.uniform(-limit, limit, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
         self._cached_input: np.ndarray | None = None
 
     @property
@@ -64,17 +79,15 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._cached_input = x if train else None
-        return x @ self.weights + self.bias
+        out = x @ self.weights
+        out += self.bias
+        return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._cached_input
-        self.grad_weights += x.T @ grad_out
-        self.grad_bias += grad_out.sum(axis=0)
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
+        if params:
+            self.grad_weights += self._cached_input.T @ grad_out
+            self.grad_bias += grad_out.sum(axis=0)
         return grad_out @ self.weights.T
-
-    def params_and_grads(self):
-        yield self.weights, self.grad_weights
-        yield self.bias, self.grad_bias
 
     def to_spec(self) -> dict:
         return {
@@ -91,21 +104,19 @@ class DenseLayer:
         layer.bias = _arr_from_spec(spec["bias"])
         if w.ndim != 2 or layer.bias.shape != (w.shape[1],):
             raise ValueError(f"dense weights {w.shape} and bias {layer.bias.shape} do not fit")
-        layer.grad_weights = np.zeros_like(layer.weights)
-        layer.grad_bias = np.zeros_like(layer.bias)
         layer._cached_input = None
         return layer
 
 
-class BatchNormLayer:
+class BatchNormLayer(_Layer):
     """Batch normalization: batch statistics in train mode, exponential
     running statistics (momentum 0.99) in inference mode."""
+
+    PARAMS = ("gamma", "beta_shift")
 
     def __init__(self, width: int, momentum: float = 0.99, epsilon: float = 1e-5):
         self.gamma = np.ones(width)
         self.beta_shift = np.zeros(width)
-        self.grad_gamma = np.zeros(width)
-        self.grad_beta_shift = np.zeros(width)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
         self.momentum = momentum
@@ -114,29 +125,39 @@ class BatchNormLayer:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            # x.mean and x.var are both a column sum divided by n; centre once
+            # and reuse the centred block for the variance and for x_hat
+            n = len(x)
+            mean = x.sum(axis=0) / n
+            x_hat = x - mean
+            var = np.square(x_hat).sum(axis=0) / n
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat = (x - mean) * inv_std
+            x_hat *= inv_std
             self._cache = (x_hat, inv_std)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            return self.gamma * x_hat + self.beta_shift
+            out = self.gamma * x_hat
+            out += self.beta_shift
+            return out
         self._cache = None
         x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.epsilon)
         return self.gamma * x_hat + self.beta_shift
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
+        # inv_std / n * (n * g - g.sum(0) - x_hat * (g * x_hat).sum(0)), in place
         x_hat, inv_std = self._cache
         n = grad_out.shape[0]
-        self.grad_gamma += (grad_out * x_hat).sum(axis=0)
-        self.grad_beta_shift += grad_out.sum(axis=0)
+        if params:
+            self.grad_gamma += (grad_out * x_hat).sum(axis=0)
+            self.grad_beta_shift += grad_out.sum(axis=0)
         g = grad_out * self.gamma
-        return inv_std / n * (n * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0))
-
-    def params_and_grads(self):
-        yield self.gamma, self.grad_gamma
-        yield self.beta_shift, self.grad_beta_shift
+        g_sum = g.sum(axis=0)
+        proj = x_hat * (g * x_hat).sum(axis=0)
+        g *= n
+        g -= g_sum
+        g -= proj
+        g *= inv_std / n
+        return g
 
     def to_spec(self) -> dict:
         return {
@@ -159,12 +180,10 @@ class BatchNormLayer:
         arrays = (layer.gamma, layer.beta_shift, layer.running_mean, layer.running_var)
         if any(a.shape != (len(layer.gamma),) for a in arrays):
             raise ValueError(f"batch-norm arrays of shapes {[a.shape for a in arrays]} differ")
-        layer.grad_gamma = np.zeros_like(layer.gamma)
-        layer.grad_beta_shift = np.zeros_like(layer.beta_shift)
         return layer
 
 
-class ActivationLayer:
+class ActivationLayer(_Layer):
     """Elementwise relu / sigmoid / identity."""
 
     KINDS = ("relu", "sigmoid", "identity")
@@ -187,16 +206,13 @@ class ActivationLayer:
             self._cache = None
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         if self.fn == "relu":
             return grad_out * (self._cache > 0)
         if self.fn == "sigmoid":
             s = self._cache
             return grad_out * s * (1.0 - s)
         return grad_out
-
-    def params_and_grads(self):
-        return iter(())
 
     def to_spec(self) -> dict:
         return {"kind": "activation", "fn": self.fn}
@@ -214,11 +230,25 @@ _LAYER_KINDS = {
 
 
 class Mlp:
-    """Ordered layer stack with a shared train/inference mode switch."""
+    """Ordered layer stack with a shared train/inference mode switch; owns
+    every layer's parameters and gradients as views into two flat buffers."""
 
     def __init__(self, layers: list):
         self.layers = layers
         self._train_cache_ready = False
+        arrays = [(i, layer, name) for i, layer in enumerate(layers) for name in layer.PARAMS]
+        self._params = np.empty(sum(getattr(layer, name).size for _, layer, name in arrays))
+        self._grads = np.zeros_like(self._params)
+        self._spans = []  # (layer index, start, stop) of each array in the flat buffers
+        start = 0
+        for i, layer, name in arrays:
+            value = getattr(layer, name)
+            stop = start + value.size
+            self._params[start:stop] = value.ravel()
+            setattr(layer, name, self._params[start:stop].reshape(value.shape))
+            setattr(layer, "grad_" + name, self._grads[start:stop].reshape(value.shape))
+            self._spans.append((i, start, stop))
+            start = stop
         width = None  # output width of the last dense or batch-norm layer so far
         for i, layer in enumerate(layers):
             if isinstance(layer, DenseLayer):
@@ -252,28 +282,28 @@ class Mlp:
         self._train_cache_ready = train
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; return the gradient w.r.t. the input."""
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
+        """Return the gradient w.r.t. the input; with ``params`` also
+        accumulate parameter gradients, else leave the gradient buffer as is."""
         if not self._train_cache_ready:
             raise StateError("backward called without a prior train-mode forward")
         grad = np.asarray(grad_out, dtype=np.float64)
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            grad = layer.backward(grad, params)
         return grad
 
     def sgd_step(self, learning_rate: float, maximize: bool = False) -> None:
-        sign = 1.0 if maximize else -1.0
-        for i, layer in enumerate(self.layers):
-            for param, grad in layer.params_and_grads():
-                param += sign * learning_rate * grad
-                if not np.isfinite(param).all():
-                    raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
-        self.zero_grads()
+        """param += ±learning_rate * grad over the whole network, then clear
+        the gradients; a non-finite result names its first layer."""
+        self._grads *= (1.0 if maximize else -1.0) * learning_rate
+        self._params += self._grads
+        self._grads.fill(0.0)
+        if not np.isfinite(self._params).all():
+            i = next(i for i, start, stop in self._spans if not np.isfinite(self._params[start:stop]).all())
+            raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
 
     def zero_grads(self) -> None:
-        for layer in self.layers:
-            for _, grad in layer.params_and_grads():
-                grad[...] = 0.0
+        self._grads.fill(0.0)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p, _ in layer.params_and_grads()]

@@ -53,14 +53,17 @@ def contrast(
     fake: np.ndarray,
     w=1.0,
     train: bool = True,
+    params: bool = True,
 ) -> tuple[float, np.ndarray]:
     """mean[log D(real) + w log(1 - D(fake))], the real-vs-resampled objective.
 
     ``real`` and ``fake`` are row-aligned blocks of D's input columns; ``w``
     is a scalar or one weight per row and receives no gradient. Returns
     (value, gradient w.r.t. the columns the two blocks share, summed over
-    both halves); the gradient w.r.t. D's parameters is accumulated into
-    D's grad buffers (clear them if only the input gradient is wanted).
+    both halves). With ``params`` (the D step) the gradient w.r.t. D's
+    parameters is accumulated into D's flat gradient buffer for the next
+    ``sgd_step``; ``params=False`` (the scorer step, which needs only the
+    input gradient) skips that work and leaves the buffer untouched.
     """
     real = np.asarray(real, dtype=np.float64)
     fake = np.asarray(fake, dtype=np.float64)
@@ -75,7 +78,7 @@ def contrast(
     p = clamp_prob(net.forward(np.vstack([real, fake]), train=train))
     p_real, p_fake = p[:n], p[n:]
     upstream = np.vstack([1.0 / (n * p_real), -w / (n * (1.0 - p_fake))])
-    grad_in = net.backward(upstream)
+    grad_in = net.backward(upstream, params)
 
     value = float(np.mean(np.log(p_real) + w * np.log(1.0 - p_fake)))
     return value, grad_in[:n] + grad_in[n:]

@@ -34,8 +34,8 @@ class TrainConfig:
         for name in ("T", "T_prime", "L", "n_b", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < float("inf"):  # also false for nan
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.sampler not in ("within_batch", "disjoint"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.task not in ("binary_classification", "regression"):
@@ -195,8 +195,7 @@ def train(
         _, grad_p = loss_fn(s[:, 0], mb.y)
         grad_s = lam_m * grad_p.reshape(-1, 1)
         if lam_f > 0.0:
-            _, pen_grad = contrast(D, real, fake, w)
-            D.zero_grads()
+            _, pen_grad = contrast(D, real, fake, w, params=False)
             grad_s = grad_s + lam_f * pen_grad[:, :1]
         h.backward(grad_s)
         sgd_step(h, "h")

@@ -1,8 +1,12 @@
 """The original quadratic and per-row implementations of the metric kernels
 and the disjoint sampler, kept as oracles for the sort-and-sweep versions
-in ``fairpen.metrics`` and ``fairpen.data``."""
+in ``fairpen.metrics`` and ``fairpen.data``; and the original out-of-place
+train-mode layer kernels and per-array SGD loop, kept as oracles for the
+in-place, flat-buffer versions in ``fairpen.nn``."""
 
 import numpy as np
+
+from fairpen.errors import DivergenceError
 
 
 def choose_threshold_loop(scores, labels):
@@ -59,3 +63,41 @@ def disjoint_draw_setdiff(n, n_b, rng, sampler_rng):
     idx = rng.choice(n, size=n_b, replace=False)
     rest = np.setdiff1d(np.arange(n), idx)
     return idx, sampler_rng.choice(rest, size=n_b, replace=False)
+
+
+def dense_forward(x, weights, bias):
+    return x @ weights + bias
+
+
+def batch_norm_forward_train(x, gamma, beta_shift, running_mean, running_var, momentum, epsilon):
+    """(output, (x_hat, inv_std), new running mean, new running variance)."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    x_hat = (x - mean) * inv_std
+    running_mean = momentum * running_mean + (1 - momentum) * mean
+    running_var = momentum * running_var + (1 - momentum) * var
+    return gamma * x_hat + beta_shift, (x_hat, inv_std), running_mean, running_var
+
+
+def batch_norm_backward(grad_out, x_hat, inv_std, gamma):
+    """(input gradient, gamma gradient, beta_shift gradient)."""
+    n = grad_out.shape[0]
+    grad_gamma = (grad_out * x_hat).sum(axis=0)
+    grad_beta_shift = grad_out.sum(axis=0)
+    g = grad_out * gamma
+    grad_in = inv_std / n * (n * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0))
+    return grad_in, grad_gamma, grad_beta_shift
+
+
+def sgd_step_loop(layers, learning_rate, maximize=False):
+    """Update and check one parameter array at a time, then clear the gradients."""
+    sign = 1.0 if maximize else -1.0
+    for i, layer in enumerate(layers):
+        for param, grad in layer.params_and_grads():
+            param += sign * learning_rate * grad
+            if not np.isfinite(param).all():
+                raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
+    for layer in layers:
+        for _, grad in layer.params_and_grads():
+            grad[...] = 0.0

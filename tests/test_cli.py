@@ -357,18 +357,34 @@ def _bad_input(tmp_path, case):
     if case == "schema_without_role":
         schema_path.write_text(json.dumps([{"name": "x1", "kind": "continuous"}]))
         return train, [str(schema_path), "entry 0", "'role'"]
-    pareto = ["pareto", str(tmp_path / "s1.csv"), "--fairness-column", "a_ks_gsp"]
+    if case in ("learning_rate_nan", "learning_rate_inf"):
+        config.write_text(f"[train]\nt = 5\nlearning_rate = {case[-3:]}\n")
+        return train, ["learning_rate", case[-3:]]
+    if case == "out_is_a_file":
+        train[train.index("--out") + 1] = str(csv_path)  # runs would go to data.csv/r1
+        return train, [str(csv_path)]
+    snapshots = tmp_path / "s1.csv"
+    pareto = ["pareto", str(snapshots), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv")]
     if case == "missing_pareto_input":
-        return pareto + ["--out", str(tmp_path / "p.csv")], [str(tmp_path / "s1.csv")]
-    _snapshot_csv(tmp_path / "s1.csv", [["1", "validation", "auc", "0.9", "0.1"]])
+        return pareto, [str(snapshots)]
+    if case in ("pareto_bad_utility", "pareto_bad_fairness"):
+        column, cells = ("utility_value", ["abc", "0.1"]) if case == "pareto_bad_utility" else ("a_ks_gsp", ["0.9", "abc"])
+        _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", *cells]])
+        return pareto, [str(snapshots), "row 3", column, "'abc'"]
+    if case == "pareto_no_utility_column":
+        snapshots.write_text("iteration,split,utility_name,a_ks_gsp\n1,validation,auc,0.1\n")
+        return pareto, [str(snapshots), "utility_value"]
+    _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"]])
     unwritable = tmp_path / "absent_dir" / "p.csv"  # case == "unwritable_output"
-    return pareto + ["--out", str(unwritable)], [str(unwritable)]
+    return pareto[:-1] + [str(unwritable)], [str(unwritable)]
 
 
 @pytest.mark.parametrize(
     "case",
     ["config_value", "lambda_value", "config_key_typo", "model_section", "missing_data",
-     "missing_schema", "schema_without_role", "missing_pareto_input", "unwritable_output"],
+     "missing_schema", "schema_without_role", "missing_pareto_input", "unwritable_output",
+     "learning_rate_nan", "learning_rate_inf", "out_is_a_file", "pareto_bad_utility",
+     "pareto_bad_fairness", "pareto_no_utility_column"],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -1,6 +1,6 @@
-"""The sort-and-sweep metric kernels and the disjoint sampler against the
-original implementations in ``reference_kernels``: results must be equal
-bit for bit, not approximately."""
+"""The sort-and-sweep metric kernels, the disjoint sampler and the in-place,
+flat-buffer network kernels against the original implementations in
+``reference_kernels``: results must be equal bit for bit, not approximately."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from fairpen import metrics
 from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct
+from fairpen.nn import BatchNormLayer, DenseLayer, Mlp
 from reference_kernels import (
     average_ranks_loop,
+    batch_norm_backward,
+    batch_norm_forward_train,
     choose_threshold_loop,
+    dense_forward,
     disjoint_draw_setdiff,
     frontier_flags_pairwise,
     pareto_frontier_pairwise,
+    sgd_step_loop,
 )
 
 
@@ -161,3 +166,61 @@ def test_ks_gap_of_every_group_in_unit_interval(data):
     groups = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(scores), max_size=len(scores))))
     for v in np.unique(groups):
         assert 0.0 <= metrics._ks_distance(scores[groups == v], scores) <= 1.0
+
+
+def _dense_bn_net(seed, in_dim, width, scale):
+    """Dense -> batch-norm with every parameter and running statistic random."""
+    rng = np.random.default_rng(seed)
+    net = Mlp([DenseLayer(in_dim, width, rng), BatchNormLayer(width)])
+    dense, bn = net.layers
+    dense.weights *= scale
+    for arr in (dense.bias, bn.gamma, bn.beta_shift, bn.running_mean):
+        arr[...] = rng.standard_normal(width)
+    bn.running_var = rng.random(width) + 0.5
+    return net
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 257),
+    width=st.integers(1, 80),
+    in_dim=st.integers(1, 6),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    learning_rate=st.floats(1e-4, 1.0),
+    maximize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_rate, maximize, seed):
+    net = _dense_bn_net(seed, in_dim, width, scale)
+    ref = _dense_bn_net(seed, in_dim, width, scale)
+    dense, bn = net.layers
+    rng = np.random.default_rng(seed + 1)
+    x = scale * rng.standard_normal((n, in_dim))
+    grad_out = rng.standard_normal((n, width))
+
+    z_ref = dense_forward(x, dense.weights, dense.bias)
+    out_ref, (x_hat, inv_std), mean_ref, var_ref = batch_norm_forward_train(
+        z_ref, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon
+    )
+    g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward(grad_out, x_hat, inv_std, bn.gamma)
+    g_x_ref = g_z_ref @ dense.weights.T
+
+    z = dense.forward(x, train=True)
+    out = bn.forward(z, train=True)
+    g_z = bn.backward(grad_out)
+    g_x = dense.backward(g_z)
+    assert _bytes([z, out, bn.running_mean, bn.running_var]) == _bytes([z_ref, out_ref, mean_ref, var_ref])
+    assert _bytes([g_z, g_x]) == _bytes([g_z_ref, g_x_ref])
+    grads_ref = [x.T @ g_z_ref, g_z_ref.sum(axis=0), g_gamma_ref, g_beta_ref]
+    assert _bytes(net.gradients()) == _bytes(grads_ref)
+
+    for g_ref, g in zip(ref.gradients(), net.gradients()):
+        g_ref[...] = g
+    sgd_step_loop(ref.layers, learning_rate, maximize)
+    net.sgd_step(learning_rate, maximize)
+    assert _bytes(net.parameters()) == _bytes(ref.parameters())
+    assert all((g == 0.0).all() for g in net.gradients())

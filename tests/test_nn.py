@@ -139,6 +139,37 @@ def test_sgd_step_rejects_non_finite():
     assert isinstance(err.value, DivergenceError) and isinstance(err.value, FairpenError)
 
 
+def test_sgd_step_names_the_first_non_finite_layer():
+    net = mlp(2, [4], rng=np.random.default_rng(4), batch_norm=True)
+    assert [type(layer) for layer in net.layers][3] is DenseLayer  # the output layer
+    net.layers[3].grad_weights[0, 0] = np.inf
+    with pytest.raises(DivergenceError, match="layer 3"):
+        net.sgd_step(0.1)
+
+
+def test_backward_without_params_leaves_gradients_zero():
+    rng = np.random.default_rng(6)
+    net = mlp(3, [8, 8], rng=rng, batch_norm=True)
+    net.forward(rng.standard_normal((16, 3)), train=True)
+    upstream = rng.standard_normal((16, 1))
+    grad_in = net.backward(upstream, params=False)
+    assert all((g == 0.0).all() for g in net.gradients())
+    assert grad_in.tobytes() == net.backward(upstream).tobytes()
+    assert any((g != 0.0).any() for g in net.gradients())
+
+
+def test_parameter_views_alias_the_flat_buffers(tmp_path):
+    net = mlp(3, [4], rng=np.random.default_rng(8), batch_norm=True)
+    for k, (param, grad) in enumerate(zip(net.parameters(), net.gradients())):
+        param[...] = float(k)
+        grad[...] = 1.0
+    net.sgd_step(0.25)
+    net.save(tmp_path / "net.ckpt")
+    loaded = Mlp.load(tmp_path / "net.ckpt")
+    for k, param in enumerate(loaded.parameters()):
+        assert (param == k - 0.25).all()
+
+
 def test_init_determinism():
     a = mlp(3, [8, 8], rng=np.random.default_rng(7))
     b = mlp(3, [8, 8], rng=np.random.default_rng(7))
