@@ -214,6 +214,11 @@ def cmd_pareto(args) -> int:
                 fval, uval = rec[column], rec["utility_value"]
                 if first_utility is None:
                     first_utility = rec["utility_name"]
+                elif rec["utility_name"] != first_utility:
+                    raise ConfigError(
+                        f"{path}: row {reader.line_num}, column 'utility_name': "
+                        f"{rec['utility_name']!r} cannot be pooled with {first_utility!r}"
+                    )
                 if fval in ("", "nan") or uval == "nan":
                     continue
                 name = "utility_value"  # the cell being parsed, for the error
@@ -225,7 +230,7 @@ def cmd_pareto(args) -> int:
                     raise ConfigError(
                         f"{path}: row {reader.line_num}, column {name!r}: {rec[name]!r} is not a number"
                     ) from None
-                points.append((-utility if rec["utility_name"] == "mae" else utility, fairness))
+                points.append((-utility if first_utility == "mae" else utility, fairness))
                 meta.append((run_id, rec["iteration"], utility, fairness))
     flags = metrics.frontier_flags(points)
     header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]

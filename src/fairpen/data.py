@@ -188,9 +188,59 @@ def open_input(path):
         raise IngestionError(f"{path}: cannot open ({exc.strerror or exc})") from None
 
 
+def _parse_columns(rows: list[list[str]], schema: list[ColumnSchema], positions: list[int]) -> np.ndarray:
+    """Parse the table one column at a time: ``float`` over a numeric column,
+    a ``{category: index}`` lookup over a categorical one, then one
+    finiteness and one {0, 1} check per column. Raises IndexError, KeyError
+    or ValueError on the first column with a short row or a bad cell."""
+    n = len(rows)
+    columns = []
+    for col, position in zip(schema, positions):
+        cells = [row[position] for row in rows]
+        if col.kind == "categorical":
+            # reversed, so a repeated category keeps its first index, as
+            # tuple.index does; an empty cell is a missing value, not a category
+            codes = {c: float(i) for i, c in reversed(list(enumerate(col.categories))) if c}
+            values = np.fromiter(map(codes.__getitem__, map(str.strip, cells)), np.float64, n)
+        else:
+            values = np.fromiter(map(float, cells), np.float64, n)
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite cell")
+            if col.kind == "binary" and not ((values == 0.0) | (values == 1.0)).all():
+                raise ValueError("non-binary cell")
+        columns.append(values)
+    return np.column_stack(columns)
+
+
+def _parse_rows(path, rows: list[list[str]], schema: list[ColumnSchema], positions: list[int]) -> np.ndarray:
+    """Parse the table row by row and cell by cell, in schema order, so that
+    the first bad or missing cell raises its IngestionError."""
+    parsed = []
+    for row_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        cells = []
+        for col, position in zip(schema, positions):
+            if position >= len(row):
+                raise IngestionError(
+                    f"{path}: row {row_no}, column {col.name!r}: missing cell (the row has {len(row)} cells)"
+                )
+            cells.append(_parse_cell(row[position], col, row_no))
+        parsed.append(cells)
+    return np.array(parsed, dtype=np.float64)
+
+
 def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
+    """Read, validate and encode a CSV file with a header row.
+
+    Cells are parsed one column at a time (``_parse_columns``). If any
+    column fails, the file is parsed again row by row and cell by cell
+    (``_parse_rows``), so the error names the first bad or missing cell:
+    rows in file order, cells in schema order, as a cell-by-cell reader
+    would. Empty lines are skipped but keep their row number; extra
+    trailing cells are ignored.
+    """
     validate_schema(schema)
-    by_name = {c.name: c for c in schema}
     with open_input(path) as f:
         reader = csv.reader(f)
         try:
@@ -201,18 +251,15 @@ def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
         missing = [c.name for c in schema if c.name not in header]
         if missing:
             raise IngestionError(f"{path}: missing columns {missing}")
-        positions = {c.name: header.index(c.name) for c in schema}
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            parsed = [
-                _parse_cell(row[positions[c.name]], c, row_no) for c in schema
-            ]
-            rows.append(parsed)
-    if not rows:
+        positions = [header.index(c.name) for c in schema]
+        rows = list(reader)
+    data_rows = [row for row in rows if row]
+    if not data_rows:
         raise IngestionError(f"{path}: no data rows")
-    table = np.array(rows, dtype=np.float64)
+    try:
+        table = _parse_columns(data_rows, schema, positions)
+    except (IndexError, KeyError, ValueError):
+        table = _parse_rows(path, rows, schema, positions)
 
     feat_cols = [c for c in schema if c.role == "feature"]
     sens_cols = [c for c in schema if c.role == "sensitive"]

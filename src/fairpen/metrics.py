@@ -12,6 +12,11 @@ summed over levels, averaged over grid values. The unconditional forms (SP,
 GSP) are the conditional ones (EO, GEO) with one outcome condition holding
 every row.
 
+Each reference is prepared once per outcome condition, not once per cell:
+its rate, or its sorted distinct values and its CDF at them. A KS cell of m
+rows against a reference with u distinct values then costs one sort of the
+cell and one binary search per distinct value, O(m log m + u log m).
+
 The rank, threshold, KS and Pareto kernels sort once and then sweep or
 binary-search: O(n log n) in their rows or points.
 """
@@ -143,13 +148,15 @@ def _conditions(column: np.ndarray, kind: str, grid: QuantileGrid | None = None)
 
 
 def _sweep(gap, values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
-    """Sum gap(cell, reference) over the (outcome condition x attribute
-    condition) cells in that order, then divide by both divisors.
+    """Sum the cell gaps over the (outcome condition x attribute condition)
+    cells in that order, then divide by both divisors.
 
-    Without ``y`` one outcome condition holds every row (the SP and GSP
-    forms). The reference is built once per outcome condition: its rows,
-    narrowed to ``ref_where`` if given (A=0 for the binary rate ratio), or
-    ``values`` itself for the all-rows condition.
+    ``gap(reference)`` prepares one reference and returns the function that
+    scores a cell against it, so each reference is prepared once per outcome
+    condition, not once per cell. Without ``y`` one outcome condition holds
+    every row (the SP and GSP forms). The reference is the outcome
+    condition's rows, narrowed to ``ref_where`` if given (A=0 for the binary
+    rate ratio), or ``values`` itself for the all-rows condition.
     """
     a_masks, a_div = a_conds
     y_masks, y_div = ([(" any", None)], 1) if y is None else _conditions(
@@ -158,9 +165,9 @@ def _sweep(gap, values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
     total = 0.0
     for y_name, y_mask in y_masks:
         ref_mask = _and(ref_where, y_mask)
-        ref = values if ref_mask is None else _rows(values, ref_mask, f"reference, Y{y_name}")
+        cell_gap = gap(values if ref_mask is None else _rows(values, ref_mask, f"reference, Y{y_name}"))
         for a_name, a_mask in a_masks:
-            total += gap(_rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}"), ref)
+            total += cell_gap(_rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}"))
     return float(total / a_div / y_div)
 
 
@@ -176,12 +183,16 @@ def _rows(values: np.ndarray, where: np.ndarray, what: str) -> np.ndarray:
     return chosen
 
 
-def _rate_gap(cell: np.ndarray, reference: np.ndarray) -> float:
-    """|rate(cell)/rate(reference) - 1|."""
+def _rate_gap(reference: np.ndarray):
+    """cell -> |rate(cell)/rate(reference) - 1|."""
     ref_rate = reference.mean()
-    if ref_rate == 0.0:
-        raise DegenerateMetricError("zero positive rate in the reference group")
-    return abs(cell.mean() / ref_rate - 1.0)
+
+    def cell_gap(cell: np.ndarray) -> float:
+        if ref_rate == 0.0:
+            raise DegenerateMetricError("zero positive rate in the reference group")
+        return abs(cell.mean() / ref_rate - 1.0)
+
+    return cell_gap
 
 
 def sp_discrete(yhat: np.ndarray, a: np.ndarray) -> float:
@@ -218,19 +229,25 @@ def eo_continuous(
     return _sweep(_rate_gap, yhat, _conditions(a, "continuous", a_grid), y, y_grid)
 
 
-def _ks_distance(sample: np.ndarray, reference: np.ndarray) -> float:
-    """Max empirical-CDF gap; checking the observed values is sufficient.
+def _ks_gap(reference: np.ndarray):
+    """cell -> max |F_cell(t) - F_reference(t)| over the observed values t.
 
-    O((m + n) log(m + n)) for samples of sizes m and n.
+    Every KS cell is a subset of its reference, so the observed values are
+    the reference's own: they and the reference CDF at them are computed
+    once, with one sort of the reference. A cell of m rows then costs one
+    sort and one binary search per distinct reference value,
+    O(m log m + u log m) for u distinct values.
     """
-    if len(sample) == 0 or len(reference) == 0:
-        raise DegenerateMetricError("empty group in KS distance")
-    ts = np.unique(np.concatenate([sample, reference]))
-    if np.isnan(ts[-1]):  # NaN sorts last
-        raise DegenerateMetricError("NaN score in KS distance")
-    fs = np.searchsorted(np.sort(sample), ts, side="right") / len(sample)
-    fr = np.searchsorted(np.sort(reference), ts, side="right") / len(reference)
-    return float(np.abs(fs - fr).max())
+    ts, counts = np.unique(reference, return_counts=True)
+    fr = np.cumsum(counts) / len(reference)
+
+    def cell_gap(cell: np.ndarray) -> float:
+        if np.isnan(ts[-1]):  # NaN sorts last
+            raise DegenerateMetricError("NaN score in KS distance")
+        fs = np.searchsorted(np.sort(cell), ts, side="right") / len(cell)
+        return float(np.abs(fs - fr).max())
+
+    return cell_gap
 
 
 def ks_gsp(
@@ -245,7 +262,7 @@ def ks_gsp(
     grid with A<=a conditioning.
     """
     s, a = _columns(scores, a)
-    return _sweep(_ks_distance, s, _conditions(a, kind, grid))
+    return _sweep(_ks_gap, s, _conditions(a, kind, grid))
 
 
 def ks_geo(
@@ -258,7 +275,7 @@ def ks_geo(
 ) -> float:
     """KS gaps between score CDFs given (A, Y) and given Y alone."""
     s, a, y = _columns(scores, a, y)
-    return _sweep(_ks_distance, s, _conditions(a, a_kind, a_grid), y, y_grid)
+    return _sweep(_ks_gap, s, _conditions(a, a_kind, a_grid), y, y_grid)
 
 
 def mae(predictions: np.ndarray, targets: np.ndarray) -> float:

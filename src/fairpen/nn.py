@@ -8,8 +8,9 @@ view into them, so ``sgd_step`` is one scaled add, one finiteness check and
 one clear over the whole network. ``backward`` accumulates parameter
 gradients into those views; ``backward(..., params=False)`` returns only the
 input gradient and leaves the gradient buffer untouched. The train-mode
-kernels reuse their temporaries in place, in the same operation order as the
-plain expressions, so results are bit for bit those of the textbook forms.
+kernels and the inference batch-norm reuse their temporaries in place, in the
+same operation order as the plain expressions, so results are bit for bit
+those of the textbook forms.
 """
 
 from __future__ import annotations
@@ -140,8 +141,12 @@ class BatchNormLayer(_Layer):
             out += self.beta_shift
             return out
         self._cache = None
-        x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.epsilon)
-        return self.gamma * x_hat + self.beta_shift
+        # gamma * ((x - mean) / std) + beta_shift, in one temporary
+        out = x - self.running_mean
+        out /= np.sqrt(self.running_var + self.epsilon)
+        out *= self.gamma
+        out += self.beta_shift
+        return out
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         # inv_std / n * (n * g - g.sum(0) - x_hat * (g * x_hat).sum(0)), in place
@@ -302,14 +307,8 @@ class Mlp:
             i = next(i for i, start, stop in self._spans if not np.isfinite(self._params[start:stop]).all())
             raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
 
-    def zero_grads(self) -> None:
-        self._grads.fill(0.0)
-
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p, _ in layer.params_and_grads()]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for _, g in layer.params_and_grads()]
 
     def save(self, path) -> None:
         spec = {"layers": [layer.to_spec() for layer in self.layers]}

@@ -41,6 +41,16 @@ def conditional_independent_toy(n: int, seed: int = 0) -> TabularDataset:
     return TabularDataset(x.reshape(-1, 1), a.reshape(-1, 1), a.reshape(-1, 1), y, schema, ["x"])
 
 
+def gradients(net) -> list[np.ndarray]:
+    """Every parameter gradient of ``net``, layer by layer, as views into its buffer."""
+    return [g for layer in net.layers for _, g in layer.params_and_grads()]
+
+
+def zero_gradients(net) -> None:
+    for g in gradients(net):
+        g.fill(0.0)
+
+
 def rewrite_checkpoint_layer(path, index, **arrays):
     """Replace named 1-D arrays of one layer in a saved checkpoint file."""
     magic, body = path.read_text().split("\n", 1)

@@ -3,6 +3,7 @@ and acceptance suites."""
 
 import numpy as np
 
+from conftest import gradients, zero_gradients
 from fairpen.nn import bce_loss, mae_loss, mlp
 
 
@@ -18,11 +19,11 @@ def check_network_gradients(net, loss_fn, x, y, eps: float = 1e-6) -> float:
     every parameter of ``net`` (train-mode forward throughout)."""
     out = net.forward(x, train=True)
     _, grad_out = loss_fn(out[:, 0], y)
-    net.zero_grads()
+    zero_gradients(net)
     net.forward(x, train=True)
     net.backward(grad_out.reshape(-1, 1))
-    analytic = [g.copy() for g in net.gradients()]
-    net.zero_grads()
+    analytic = [g.copy() for g in gradients(net)]
+    zero_gradients(net)
 
     def loss_at():
         value, _ = loss_fn(net.forward(x, train=True)[:, 0], y)

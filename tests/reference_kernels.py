@@ -1,12 +1,45 @@
 """The original quadratic and per-row implementations of the metric kernels
 and the disjoint sampler, kept as oracles for the sort-and-sweep versions
-in ``fairpen.metrics`` and ``fairpen.data``; and the original out-of-place
-train-mode layer kernels and per-array SGD loop, kept as oracles for the
-in-place, flat-buffer versions in ``fairpen.nn``."""
+in ``fairpen.metrics`` and ``fairpen.data``; the original out-of-place
+layer kernels and per-array SGD loop, kept as oracles for the in-place,
+flat-buffer versions in ``fairpen.nn``; the original cell-by-cell CSV
+parse, kept as the oracle for the column-at-a-time parse in
+``fairpen.data``; and the original KS distance, which merges and sorts the
+cell with its reference for every cell."""
+
+import csv
 
 import numpy as np
 
-from fairpen.errors import DivergenceError
+from fairpen.data import _parse_cell
+from fairpen.errors import DegenerateMetricError, DivergenceError
+
+
+def parse_table_cellwise(path, schema):
+    """The numeric table of a CSV file, one ``_parse_cell`` per cell, rows
+    in file order and cells in schema order; a short row raises IndexError."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = [h.strip() for h in next(reader)]
+        positions = {c.name: header.index(c.name) for c in schema}
+        rows = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            rows.append([_parse_cell(row[positions[c.name]], c, row_no) for c in schema])
+    return np.array(rows, dtype=np.float64)
+
+
+def ks_distance_concat(sample, reference):
+    """Max empirical-CDF gap over the sorted distinct values of both samples."""
+    if len(sample) == 0 or len(reference) == 0:
+        raise DegenerateMetricError("empty group in KS distance")
+    ts = np.unique(np.concatenate([sample, reference]))
+    if np.isnan(ts[-1]):  # NaN sorts last
+        raise DegenerateMetricError("NaN score in KS distance")
+    fs = np.searchsorted(np.sort(sample), ts, side="right") / len(sample)
+    fr = np.searchsorted(np.sort(reference), ts, side="right") / len(reference)
+    return float(np.abs(fs - fr).max())
 
 
 def choose_threshold_loop(scores, labels):
@@ -78,6 +111,11 @@ def batch_norm_forward_train(x, gamma, beta_shift, running_mean, running_var, mo
     running_mean = momentum * running_mean + (1 - momentum) * mean
     running_var = momentum * running_var + (1 - momentum) * var
     return gamma * x_hat + beta_shift, (x_hat, inv_std), running_mean, running_var
+
+
+def batch_norm_forward_infer(x, gamma, beta_shift, running_mean, running_var, epsilon):
+    x_hat = (x - running_mean) / np.sqrt(running_var + epsilon)
+    return gamma * x_hat + beta_shift
 
 
 def batch_norm_backward(grad_out, x_hat, inv_std, gamma):

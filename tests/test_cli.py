@@ -363,8 +363,19 @@ def _bad_input(tmp_path, case):
     if case == "out_is_a_file":
         train[train.index("--out") + 1] = str(csv_path)  # runs would go to data.csv/r1
         return train, [str(csv_path)]
+    if case == "short_row":
+        short = tmp_path / "short.csv"
+        short.write_text("x1,x2,a,y\n0.1,0.3,0,1\n0.2,0.4,1\n")
+        evaluate = ["evaluate", "--checkpoint", str(tmp_path / "h.ckpt"), "--data", str(short),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(short), "row 3", "'y'", "missing cell"]
     snapshots = tmp_path / "s1.csv"
     pareto = ["pareto", str(snapshots), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv")]
+    if case == "pareto_mixed_utility":
+        mae_snapshots = tmp_path / "s2.csv"
+        _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.3"]])
+        _snapshot_csv(mae_snapshots, [["1", "validation", "mae", "0.2", "0.1"]])
+        return pareto[:2] + [str(mae_snapshots)] + pareto[2:], [str(mae_snapshots), "row 2", "utility_name", "'mae'", "'auc'"]
     if case == "missing_pareto_input":
         return pareto, [str(snapshots)]
     if case in ("pareto_bad_utility", "pareto_bad_fairness"):
@@ -384,7 +395,7 @@ def _bad_input(tmp_path, case):
     ["config_value", "lambda_value", "config_key_typo", "model_section", "missing_data",
      "missing_schema", "schema_without_role", "missing_pareto_input", "unwritable_output",
      "learning_rate_nan", "learning_rate_inf", "out_is_a_file", "pareto_bad_utility",
-     "pareto_bad_fairness", "pareto_no_utility_column"],
+     "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility"],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -78,6 +78,18 @@ def test_load_csv_bad_cells(tmp_path):
         load_csv(path, _schema())
 
 
+def test_load_csv_short_and_long_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,a,y\n1.0,0,1,extra\n3.0,1,0,,\n")
+    assert np.array_equal(load_csv(path, _schema()).Y, [1.0, 0.0])
+    path.write_text("x1,a,y\n1.0,0,1\n\n3.0\n")
+    with pytest.raises(IngestionError, match=r"d\.csv: row 4, column 'a': missing cell \(the row has 1 cells\)"):
+        load_csv(path, _schema())
+    path.write_text("x1,a,y\n1.0,0\nfoo,1,0\n")  # the first bad cell in file order wins
+    with pytest.raises(IngestionError, match="row 2, column 'y': missing cell"):
+        load_csv(path, _schema())
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
 @pytest.mark.parametrize("column", ["x1", "a"])
 def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):

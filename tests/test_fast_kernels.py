@@ -1,24 +1,36 @@
-"""The sort-and-sweep metric kernels, the disjoint sampler and the in-place,
-flat-buffer network kernels against the original implementations in
+"""The sort-and-sweep metric kernels, the disjoint sampler, the in-place,
+flat-buffer network kernels, the column-at-a-time CSV parse and the KS gap
+that prepares each reference once against the original implementations in
 ``reference_kernels``: results must be equal bit for bit, not approximately."""
+
+import csv
+import tempfile
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gradients
 from fairpen import metrics
-from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct
+from fairpen import data
+from fairpen.data import ColumnSchema, TabularDataset, load_csv, minibatch_construct
+from fairpen.errors import DegenerateMetricError, IngestionError
 from fairpen.nn import BatchNormLayer, DenseLayer, Mlp
 from reference_kernels import (
     average_ranks_loop,
     batch_norm_backward,
+    batch_norm_forward_infer,
     batch_norm_forward_train,
     choose_threshold_loop,
     dense_forward,
     disjoint_draw_setdiff,
     frontier_flags_pairwise,
+    ks_distance_concat,
     pareto_frontier_pairwise,
+    parse_table_cellwise,
     sgd_step_loop,
 )
 
@@ -165,7 +177,7 @@ def test_ks_gap_of_every_group_in_unit_interval(data):
     scores = np.array(data.draw(st.lists(st.one_of(_finite_or_inf, _tied), min_size=1, max_size=60)))
     groups = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(scores), max_size=len(scores))))
     for v in np.unique(groups):
-        assert 0.0 <= metrics._ks_distance(scores[groups == v], scores) <= 1.0
+        assert 0.0 <= metrics._ks_gap(scores)(scores[groups == v]) <= 1.0
 
 
 def _dense_bn_net(seed, in_dim, width, scale):
@@ -216,11 +228,142 @@ def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_ra
     assert _bytes([z, out, bn.running_mean, bn.running_var]) == _bytes([z_ref, out_ref, mean_ref, var_ref])
     assert _bytes([g_z, g_x]) == _bytes([g_z_ref, g_x_ref])
     grads_ref = [x.T @ g_z_ref, g_z_ref.sum(axis=0), g_gamma_ref, g_beta_ref]
-    assert _bytes(net.gradients()) == _bytes(grads_ref)
+    assert _bytes(gradients(net)) == _bytes(grads_ref)
 
-    for g_ref, g in zip(ref.gradients(), net.gradients()):
+    for g_ref, g in zip(gradients(ref), gradients(net)):
         g_ref[...] = g
     sgd_step_loop(ref.layers, learning_rate, maximize)
     net.sgd_step(learning_rate, maximize)
     assert _bytes(net.parameters()) == _bytes(ref.parameters())
-    assert all((g == 0.0).all() for g in net.gradients())
+    assert all((g == 0.0).all() for g in gradients(net))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 300),
+    width=st.integers(1, 80),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inference_batch_norm_equals_reference(n, width, scale, seed):
+    rng = np.random.default_rng(seed)
+    bn = BatchNormLayer(width)
+    for arr in (bn.gamma, bn.beta_shift, bn.running_mean):
+        arr[...] = scale * rng.standard_normal(width)
+    bn.running_var = scale * rng.random(width)
+    x = scale * rng.standard_normal((n, width))
+    expected = batch_norm_forward_infer(x, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.epsilon)
+    x_before = x.copy()
+    assert bn.forward(x, train=False).tobytes() == expected.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+
+
+# Header order differs from schema order, and one header column is unused, so
+# the row-major scan's cell order is the schema's, not the file's.
+_CSV_HEADER = ["x", "unused", "job", "a", "y"]
+_CSV_SCHEMA = [
+    ColumnSchema("y", "outcome", "binary"),
+    ColumnSchema("x", "feature", "continuous"),
+    ColumnSchema("job", "feature", "categorical", ("u", "v w", "u", "z")),
+    ColumnSchema("a", "sensitive", "binary"),
+]
+_valid_cells = {
+    "x": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+        st.sampled_from([" 2.5 ", "1_0", "\u20031\u2003", "-0.0", "1e3", "1E-320"]),
+    ),
+    "unused": st.sampled_from(["", "?", "1"]),
+    "job": st.sampled_from(["u", "v w", " z ", "z"]),
+    "a": st.sampled_from(["0", "1", " 1 ", "1.0", "-0.0", "0e0"]),
+    "y": st.sampled_from(["0", "1", "1.00"]),
+}
+_bad_cells = {
+    "x": st.sampled_from(["", " ", "abc", "0x1", "nan", "inf", "-Infinity", "1e500", "-1e500"]),
+    "unused": st.sampled_from(["x"]),
+    "job": st.sampled_from(["", "U", "q", "u w"]),
+    "a": st.sampled_from(["2", "0.5", "nan", "", "x"]),
+    "y": st.sampled_from(["0.5", "inf", ""]),
+}
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows of cells: in half the files every cell is valid; in the other
+    half a cell may be bad and a row may be cut short."""
+    faulty = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [
+            draw(_bad_cells[name] if faulty and draw(st.integers(0, 7)) == 0 else _valid_cells[name])
+            for name in _CSV_HEADER
+        ]
+        if faulty and draw(st.integers(0, 7)) == 0:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        rows.append(row)
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_csv_rows())
+def test_column_parse_equals_cellwise_parse(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("\n".join(",".join(r) for r in [_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+        try:
+            expected, error = parse_table_cellwise(path, _CSV_SCHEMA), None
+        except IngestionError as exc:
+            expected, error = None, str(exc)
+        except IndexError:
+            expected, error = None, "missing cell"
+        if expected is not None and len(expected) == 0:
+            expected, error = None, "no data rows"
+        if error is None:
+            with open(path, encoding="utf-8", newline="") as f:
+                data_rows = [r for r in list(csv.reader(f))[1:] if r]
+            positions = [_CSV_HEADER.index(c.name) for c in _CSV_SCHEMA]
+            table = data._parse_columns(data_rows, _CSV_SCHEMA, positions)
+            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+        with np.errstate(all="ignore"):
+            try:
+                load_csv(path, _CSV_SCHEMA)
+                got = None
+            except IngestionError as exc:
+                got = str(exc)
+    if error is None:
+        assert got is None or "overflows when scaled" in got
+    elif error in ("missing cell", "no data rows"):
+        assert got is not None and error in got
+    else:
+        assert got == error
+
+
+def _ks_outcome(fn, *args):
+    """The bits of fn(*args), or the type of the error it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except DegenerateMetricError as exc:
+        return type(exc)
+
+
+def _ks_concat_gap(reference):
+    return partial(ks_distance_concat, reference=reference)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_ks_gaps_equal_concat_reference(data):
+    n = data.draw(st.integers(1, 60))
+    score = st.one_of(_finite_or_inf, _tied, st.just(np.nan)) if data.draw(st.booleans()) else _tied
+    s = np.array(data.draw(st.lists(score, min_size=n, max_size=n)))
+    a_disc = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    a_cont = np.array(data.draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))) / 10
+    y_disc = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    y_cont = np.array(data.draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))) / 10
+    a_grid, y_grid = metrics.quantile_grid(a_cont), metrics.quantile_grid(y_cont)
+    for a, kind, grid in ((a_disc, "discrete", None), (a_cont, "continuous", a_grid)):
+        conds = metrics._conditions(a, kind, grid)
+        expected = _ks_outcome(metrics._sweep, _ks_concat_gap, s, conds)
+        assert _ks_outcome(metrics.ks_gsp, s, a, kind, grid) == expected
+        for y, yg in ((y_disc, None), (y_cont, y_grid)):
+            expected = _ks_outcome(metrics._sweep, _ks_concat_gap, s, conds, y, yg)
+            assert _ks_outcome(metrics.ks_geo, s, a, y, kind, grid, yg) == expected

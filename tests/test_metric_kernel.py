@@ -55,7 +55,7 @@ def test_nan_score_is_undefined_for_auc_and_threshold():
 def test_nan_score_is_degenerate_for_ks():
     s = np.array([0.1, np.nan, 0.3, 0.4])
     with pytest.raises(DegenerateMetricError, match="NaN"):
-        metrics._ks_distance(s[:2], s)
+        metrics._ks_gap(s)(s[:2])
     with pytest.raises(DegenerateMetricError):
         metrics.ks_gsp(s, np.array([0, 0, 1, 1]), "discrete")
 

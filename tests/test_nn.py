@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_checkpoint_layer
+from conftest import gradients, rewrite_checkpoint_layer
 from gradcheck import check_network_gradients, random_config
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
@@ -107,11 +107,11 @@ def test_sgd_step_direction_and_grad_clearing():
     out = net.forward(x, train=True)
     loss0, grad = bce_loss(out[:, 0], y)
     net.backward(grad.reshape(-1, 1))
-    g0 = [g.copy() for g in net.gradients()]
+    g0 = [g.copy() for g in gradients(net)]
     net.sgd_step(0.01)
     for p, p0, g in zip(net.parameters(), before, g0):
         assert np.allclose(p, p0 - 0.01 * g)
-    assert all((g == 0.0).all() for g in net.gradients())
+    assert all((g == 0.0).all() for g in gradients(net))
     loss1, _ = bce_loss(net.forward(x, train=True)[:, 0], y)
     assert loss1 < loss0
 
@@ -123,7 +123,7 @@ def test_sgd_step_maximize_flips_direction():
     before = [p.copy() for p in net.parameters()]
     net.forward(x, train=True)
     net.backward(np.ones((6, 1)))
-    grads = [g.copy() for g in net.gradients()]
+    grads = [g.copy() for g in gradients(net)]
     net.sgd_step(0.01, maximize=True)
     for p, p0, g in zip(net.parameters(), before, grads):
         assert np.allclose(p, p0 + 0.01 * g)
@@ -133,7 +133,7 @@ def test_sgd_step_rejects_non_finite():
     net = mlp(2, [4], rng=np.random.default_rng(4), batch_norm=False)
     net.forward(np.zeros((2, 2)), train=True)
     net.backward(np.ones((2, 1)))
-    net.gradients()[0][0, 0] = np.inf
+    gradients(net)[0][0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="layer 0") as err:
         net.sgd_step(0.1)
     assert isinstance(err.value, DivergenceError) and isinstance(err.value, FairpenError)
@@ -153,14 +153,14 @@ def test_backward_without_params_leaves_gradients_zero():
     net.forward(rng.standard_normal((16, 3)), train=True)
     upstream = rng.standard_normal((16, 1))
     grad_in = net.backward(upstream, params=False)
-    assert all((g == 0.0).all() for g in net.gradients())
+    assert all((g == 0.0).all() for g in gradients(net))
     assert grad_in.tobytes() == net.backward(upstream).tobytes()
-    assert any((g != 0.0).any() for g in net.gradients())
+    assert any((g != 0.0).any() for g in gradients(net))
 
 
 def test_parameter_views_alias_the_flat_buffers(tmp_path):
     net = mlp(3, [4], rng=np.random.default_rng(8), batch_norm=True)
-    for k, (param, grad) in enumerate(zip(net.parameters(), net.gradients())):
+    for k, (param, grad) in enumerate(zip(net.parameters(), gradients(net))):
         param[...] = float(k)
         grad[...] = 1.0
     net.sgd_step(0.25)
