@@ -194,11 +194,11 @@ def cmd_evaluate(args) -> int:
 def cmd_pareto(args) -> int:
     column = args.fairness_column
     header_cols = first_utility = None
-    points, meta = [], []
+    utilities, fairness, iterations, run_ids = [], [], [], []
     for path in args.snapshots:
         with open_input(path) as f:
-            reader = csv.DictReader(f)
-            cols = tuple(reader.fieldnames or ())
+            reader = csv.reader(f)
+            cols = tuple(next(reader, ()))
             if header_cols is None:
                 header_cols = cols
                 if column not in cols:
@@ -206,50 +206,55 @@ def cmd_pareto(args) -> int:
                 for name in ("iteration", "utility_name", "utility_value"):
                     if name not in cols:
                         raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
+                # Read as csv.DictReader reads: a repeated name's last cell, None past a short row.
+                at = {name: i for i, name in enumerate(cols)}
+                it_i, name_i, u_i, f_i = map(at.get, ("iteration", "utility_name", "utility_value", column))
+                width = max(it_i, name_i, u_i, f_i) + 1
             elif cols != header_cols:
                 extra = sorted(set(cols).symmetric_difference(header_cols))
                 raise ConfigError(f"{path}: snapshot schema mismatch on columns {extra}")
-            run_id = Path(path).stem
-            for rec in reader:
-                fval, uval = rec[column], rec["utility_value"]
+            kept = len(utilities)
+            for row in filter(None, reader):  # blank lines skipped, as csv.DictReader does
+                if len(row) < width:
+                    row += [None] * (width - len(row))
+                uname, uval, fval = row[name_i], row[u_i], row[f_i]
                 if first_utility is None:
-                    first_utility = rec["utility_name"]
-                elif rec["utility_name"] != first_utility:
-                    raise ConfigError(
-                        f"{path}: row {reader.line_num}, column 'utility_name': "
-                        f"{rec['utility_name']!r} cannot be pooled with {first_utility!r}"
-                    )
+                    first_utility, signed_from = uname, len(utilities)
+                elif uname != first_utility:
+                    raise ConfigError(f"{path}: row {reader.line_num}, column 'utility_name': "
+                                      f"{uname!r} cannot be pooled with {first_utility!r}")
                 if fval in ("", "nan") or uval == "nan":
                     continue
-                name = "utility_value"  # the cell being parsed, for the error
+                name, cell = "utility_value", uval  # the cell being parsed, for the error
                 try:
                     utility = float(uval)
-                    name = column
-                    fairness = float(fval)
+                    name, cell = column, fval
+                    fval = float(fval)
                 except (TypeError, ValueError):
                     raise ConfigError(
-                        f"{path}: row {reader.line_num}, column {name!r}: {rec[name]!r} is not a number"
-                    ) from None
-                points.append((-utility if first_utility == "mae" else utility, fairness))
-                meta.append((run_id, rec["iteration"], utility, fairness))
+                        f"{path}: row {reader.line_num}, column {name!r}: {cell!r} is not a number") from None
+                if utility != utility or fval != fval:  # NaN in another spelling: no point
+                    continue
+                utilities.append(utility)
+                fairness.append(fval)
+                iterations.append(row[it_i])
+            run_ids.append((Path(path).stem, len(utilities) - kept))
+    points = np.array([utilities, fairness], dtype=np.float64).T
+    if first_utility == "mae":  # rank by -MAE, from the first row that names the utility on
+        points[signed_from:, 0] *= -1.0
     flags = metrics.frontier_flags(points)
     header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
-    # Rows stream to the file: a list of one row per pooled point read slower.
-    _write_csv(args.out, itertools.chain([header], (
-        [run_id, it, repr(utility), column, repr(fval), int(flag)]
-        for (run_id, it, utility, fval), flag in zip(meta, flags)
+    _write_csv(args.out, itertools.chain([header], zip(
+        itertools.chain.from_iterable(itertools.repeat(*r) for r in run_ids), iterations,
+        map(repr, utilities), itertools.repeat(column), map(repr, fairness), map(int, flags),
     )))
     print(f"wrote {args.out}")
     if args.utility_threshold is not None:
-        frontier = metrics.pareto_frontier(points)
-        threshold = args.utility_threshold
-        if first_utility == "mae":
-            threshold = -threshold
+        # Equal points share a flag, so this is metrics.pareto_frontier(points).
+        frontier = sorted(set(map(tuple, points[flags].tolist())))
+        threshold = -args.utility_threshold if first_utility == "mae" else args.utility_threshold
         summary = metrics.topk_fair_summary(frontier, threshold, k=args.k)
-        print(
-            f"top-{args.k} fairness: mean={summary.mean!r} std={summary.std!r} "
-            f"count={summary.count}"
-        )
+        print(f"top-{args.k} fairness: mean={summary.mean!r} std={summary.std!r} count={summary.count}")
     return 0
 
 

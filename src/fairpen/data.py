@@ -108,9 +108,6 @@ class TabularDataset:
         idx = [c.name for c in self.sensitive_columns].index(name)
         return self.A_raw[:, idx]
 
-    def destandardized_features(self) -> np.ndarray:
-        return self.X * self.scaling.std + self.scaling.mean
-
     def take(self, indices: np.ndarray, scaling: FeatureScaling | None = None) -> "TabularDataset":
         return TabularDataset(
             self._raw_features[indices].copy(),

@@ -295,7 +295,7 @@ def _frontier_mask(points) -> np.ndarray:
     flag. A point with a NaN coordinate never dominates and is never
     dominated, as under the pairwise definition.
     """
-    pts = np.array(points, dtype=np.float64).reshape(-1, 2)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     u, f = pts[:, 0], pts[:, 1]
     on = np.isnan(u) | np.isnan(f)
     rows = np.flatnonzero(~on)
@@ -320,9 +320,10 @@ def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, floa
     return [p for p, on in zip(unique, _frontier_mask(unique)) if on]
 
 
-def frontier_flags(points: list[tuple[float, float]]) -> list[bool]:
-    """Per-input-point frontier membership (duplicates share a flag); O(n log n)."""
-    return _frontier_mask([(float(u), float(f)) for u, f in points]).tolist()
+def frontier_flags(points) -> list[bool]:
+    """Per-input-point frontier membership (duplicates share a flag) of a
+    sequence of (utility, fairness) pairs or an (n, 2) array; O(n log n)."""
+    return _frontier_mask(points).tolist()
 
 
 @dataclass(frozen=True)

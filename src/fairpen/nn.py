@@ -307,15 +307,11 @@ class Mlp:
             i = next(i for i, start, stop in self._spans if not np.isfinite(self._params[start:stop]).all())
             raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p, _ in layer.params_and_grads()]
-
     def save(self, path) -> None:
         spec = {"layers": [layer.to_spec() for layer in self.layers]}
+        # json.dumps, not json.dump: only the one-shot path uses the C encoder.
         with open(path, "w", encoding="utf-8") as f:
-            f.write(CKPT_MAGIC + "\n")
-            json.dump(spec, f, sort_keys=True)
-            f.write("\n")
+            f.write(CKPT_MAGIC + "\n" + json.dumps(spec, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Mlp":

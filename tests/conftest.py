@@ -41,6 +41,16 @@ def conditional_independent_toy(n: int, seed: int = 0) -> TabularDataset:
     return TabularDataset(x.reshape(-1, 1), a.reshape(-1, 1), a.reshape(-1, 1), y, schema, ["x"])
 
 
+def destandardized_features(dataset: TabularDataset) -> np.ndarray:
+    """The dataset's features on their original scale."""
+    return dataset.X * dataset.scaling.std + dataset.scaling.mean
+
+
+def parameters(net) -> list[np.ndarray]:
+    """Every parameter array of ``net``, layer by layer, as views into its buffer."""
+    return [p for layer in net.layers for p, _ in layer.params_and_grads()]
+
+
 def gradients(net) -> list[np.ndarray]:
     """Every parameter gradient of ``net``, layer by layer, as views into its buffer."""
     return [g for layer in net.layers for _, g in layer.params_and_grads()]

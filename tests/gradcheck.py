@@ -3,7 +3,7 @@ and acceptance suites."""
 
 import numpy as np
 
-from conftest import gradients, zero_gradients
+from conftest import gradients, parameters, zero_gradients
 from fairpen.nn import bce_loss, mae_loss, mlp
 
 
@@ -30,7 +30,7 @@ def check_network_gradients(net, loss_fn, x, y, eps: float = 1e-6) -> float:
         return value
 
     worst = 0.0
-    for param, grad in zip(net.parameters(), analytic):
+    for param, grad in zip(parameters(net), analytic):
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

@@ -4,15 +4,20 @@ in ``fairpen.metrics`` and ``fairpen.data``; the original out-of-place
 layer kernels and per-array SGD loop, kept as oracles for the in-place,
 flat-buffer versions in ``fairpen.nn``; the original cell-by-cell CSV
 parse, kept as the oracle for the column-at-a-time parse in
-``fairpen.data``; and the original KS distance, which merges and sorts the
-cell with its reference for every cell."""
+``fairpen.data``; the original KS distance, which merges and sorts the
+cell with its reference for every cell; and the original ``fairpen
+pareto``, which reads rows with ``csv.DictReader`` and sorts the points
+twice."""
 
 import csv
+import itertools
+from pathlib import Path
 
 import numpy as np
 
-from fairpen.data import _parse_cell
-from fairpen.errors import DegenerateMetricError, DivergenceError
+from fairpen import metrics
+from fairpen.data import _parse_cell, open_input
+from fairpen.errors import ConfigError, DegenerateMetricError, DivergenceError
 
 
 def parse_table_cellwise(path, schema):
@@ -88,6 +93,67 @@ def frontier_flags_pairwise(points):
     pts = [(float(u), float(f)) for u, f in points]
     unique = set(pts)
     return [not any(_dominates(q, p) for q in unique if q != p) for p in pts]
+
+
+def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
+    """``fairpen pareto`` with one ``csv.DictReader`` dict per row, pooled
+    (utility, fairness) tuples, ``frontier_flags`` for the file and
+    ``pareto_frontier`` (a second sort) for the top-k. Writes ``out`` and
+    returns the top-k line (None without a threshold); raises ConfigError.
+    A row whose utility or fairness parses to NaN in any spelling is skipped."""
+    header_cols = first_utility = None
+    points, meta = [], []
+    for path in paths:
+        with open_input(path) as f:
+            reader = csv.DictReader(f)
+            cols = tuple(reader.fieldnames or ())
+            if header_cols is None:
+                header_cols = cols
+                if column not in cols:
+                    raise ConfigError(f"fairness column {column!r} not in inputs")
+                for name in ("iteration", "utility_name", "utility_value"):
+                    if name not in cols:
+                        raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
+            elif cols != header_cols:
+                extra = sorted(set(cols).symmetric_difference(header_cols))
+                raise ConfigError(f"{path}: snapshot schema mismatch on columns {extra}")
+            run_id = Path(path).stem
+            for rec in reader:
+                fval, uval = rec[column], rec["utility_value"]
+                if first_utility is None:
+                    first_utility = rec["utility_name"]
+                elif rec["utility_name"] != first_utility:
+                    raise ConfigError(
+                        f"{path}: row {reader.line_num}, column 'utility_name': "
+                        f"{rec['utility_name']!r} cannot be pooled with {first_utility!r}"
+                    )
+                if fval in ("", "nan") or uval == "nan":
+                    continue
+                name = "utility_value"
+                try:
+                    utility = float(uval)
+                    name = column
+                    fairness = float(fval)
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"{path}: row {reader.line_num}, column {name!r}: {rec[name]!r} is not a number"
+                    ) from None
+                if np.isnan(utility) or np.isnan(fairness):
+                    continue
+                points.append((-utility if first_utility == "mae" else utility, fairness))
+                meta.append((run_id, rec["iteration"], utility, fairness))
+    flags = metrics.frontier_flags(points)
+    header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
+    with open(out, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows(itertools.chain([header], (
+            [run_id, it, repr(utility), column, repr(fval), int(flag)]
+            for (run_id, it, utility, fval), flag in zip(meta, flags)
+        )))
+    if utility_threshold is None:
+        return None
+    threshold = -utility_threshold if first_utility == "mae" else utility_threshold
+    summary = metrics.topk_fair_summary(metrics.pareto_frontier(points), threshold, k=k)
+    return f"top-{k} fairness: mean={summary.mean!r} std={summary.std!r} count={summary.count}"
 
 
 def disjoint_draw_setdiff(n, n_b, rng, sampler_rng):

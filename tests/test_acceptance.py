@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, conditional_independent_toy
+from conftest import binary_toy_dataset, conditional_independent_toy, destandardized_features, parameters
 from gradcheck import check_network_gradients, random_config
 from fairpen.cli import main
 from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct, split_train_val
@@ -161,7 +161,7 @@ def test_criterion_05_lambda_zero_erm_equivalence():
         h_erm.sgd_step(config.learning_rate)
 
     identical = all(
-        np.array_equal(pa, pb) for pa, pb in zip(result.h.parameters(), h_erm.parameters())
+        np.array_equal(pa, pb) for pa, pb in zip(parameters(result.h), parameters(h_erm))
     )
     _report("5 lambda=0 equivalence", identical, "h trajectory bit-identical to plain ERM")
 
@@ -313,7 +313,7 @@ def test_criterion_09_beta_robustness_ablation():
 
 def test_criterion_10_cli_determinism(tmp_path):
     dataset = binary_toy_dataset(300, seed=0)
-    raw = dataset.destandardized_features()
+    raw = destandardized_features(dataset)
     data_path = tmp_path / "data.csv"
     with open(data_path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fairpen
-from conftest import binary_toy_dataset, rewrite_checkpoint_layer
+from conftest import binary_toy_dataset, destandardized_features, rewrite_checkpoint_layer
 from fairpen import penalties
 from fairpen.cli import default_networks, load_schema, main
 from fairpen.nn import mlp
@@ -17,7 +17,7 @@ from fairpen.nn import mlp
 
 def _write_dataset(tmp_path, n=200, seed=0):
     ds = binary_toy_dataset(n, seed=seed)
-    raw = ds.destandardized_features()
+    raw = destandardized_features(ds)
     csv_path = tmp_path / "data.csv"
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -274,6 +274,31 @@ def test_pareto_skips_nan_utility(tmp_path, capsys):
     with open(out) as f:
         flags = {r["iteration"]: r["on_frontier"] for r in csv.DictReader(f)}
     assert flags == {"200": "1", "300": "0"}
+
+
+def test_pareto_skips_nan_in_any_spelling(tmp_path, capsys):
+    # float() reads NaN, -nan and NAN too; none of them may reach the frontier
+    snap = tmp_path / "s1.csv"
+    _snapshot_csv(
+        snap,
+        [
+            ["1", "validation", "auc", "0.9", "0.2"],
+            ["2", "validation", "auc", "NaN", "0.05"],
+            ["3", "validation", "auc", "0.8", "NaN"],
+            ["4", "validation", "auc", "0.95", "-nan"],
+            ["5", "validation", "auc", "0.99", ""],
+        ],
+    )
+    out = tmp_path / "pareto.csv"
+    args = ["pareto", str(snap), "--fairness-column", "a_ks_gsp", "--out", str(out), "--utility-threshold", "0.5"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.endswith("top-5 fairness: mean=0.2 std=0.0 count=1\n")
+    with open(out) as f:
+        assert [(r["iteration"], r["on_frontier"]) for r in csv.DictReader(f)] == [("1", "1")]
+    # an empty utility cell is still an error
+    _snapshot_csv(snap, [["1", "validation", "auc", "", "0.2"]])
+    assert main(args) == 1
+    assert "row 2, column 'utility_value': '' is not a number" in capsys.readouterr().err
 
 
 def test_pareto_schema_mismatch(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_toy_dataset
+from conftest import binary_toy_dataset, destandardized_features
 from fairpen.data import (
     ColumnSchema,
     TabularDataset,
@@ -53,7 +53,7 @@ def test_load_csv_happy_path(tmp_path):
     assert ds.n == 2 and ds.p == 1 and ds.l == 1
     # z-scored features: mean 2, std 1
     assert np.allclose(ds.X[:, 0], [-1.0, 1.0])
-    assert np.allclose(ds.destandardized_features()[:, 0], [1.0, 3.0])
+    assert np.allclose(destandardized_features(ds)[:, 0], [1.0, 3.0])
     assert np.array_equal(ds.A[:, 0], [0.0, 1.0])
     assert np.array_equal(ds.Y, [1.0, 0.0])
 
@@ -162,7 +162,7 @@ def test_load_csv_categorical_one_hot_and_unknown_category(tmp_path):
     path.write_text("job,a,y\nnurse,0,1\npilot,1,0\nclerk,0,0\n")
     ds = load_csv(path, schema)
     assert ds.p == 3
-    raw = ds.destandardized_features()
+    raw = destandardized_features(ds)
     assert np.array_equal(raw, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     path.write_text("job,a,y\nwizard,0,1\n")
     with pytest.raises(IngestionError, match="unknown category"):
@@ -205,9 +205,9 @@ def test_split_sizes_and_disjointness(toy_dataset):
     train, val = split_train_val(toy_dataset, fraction=0.8, seed=3)
     assert train.n == 160 and val.n == 40
     all_rows = np.concatenate(
-        [train.destandardized_features()[:, 0], val.destandardized_features()[:, 0]]
+        [destandardized_features(train)[:, 0], destandardized_features(val)[:, 0]]
     )
-    assert sorted(all_rows) == pytest.approx(sorted(toy_dataset.destandardized_features()[:, 0]))
+    assert sorted(all_rows) == pytest.approx(sorted(destandardized_features(toy_dataset)[:, 0]))
 
 
 def test_split_scaling_refit_on_train(toy_dataset):

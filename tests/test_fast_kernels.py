@@ -1,23 +1,27 @@
 """The sort-and-sweep metric kernels, the disjoint sampler, the in-place,
-flat-buffer network kernels, the column-at-a-time CSV parse and the KS gap
-that prepares each reference once against the original implementations in
-``reference_kernels``: results must be equal bit for bit, not approximately."""
+flat-buffer network kernels, the column-at-a-time CSV parse, the KS gap
+that prepares each reference once and the one-pass ``fairpen pareto``
+against the original implementations in ``reference_kernels``: results
+must be equal bit for bit, not approximately."""
 
+import contextlib
 import csv
+import io
 import tempfile
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gradients
+from conftest import gradients, parameters
 from fairpen import metrics
 from fairpen import data
 from fairpen.data import ColumnSchema, TabularDataset, load_csv, minibatch_construct
-from fairpen.errors import DegenerateMetricError, IngestionError
+from fairpen.cli import main
+from fairpen.errors import ConfigError, DegenerateMetricError, IngestionError
 from fairpen.nn import BatchNormLayer, DenseLayer, Mlp
 from reference_kernels import (
     average_ranks_loop,
@@ -30,6 +34,7 @@ from reference_kernels import (
     frontier_flags_pairwise,
     ks_distance_concat,
     pareto_frontier_pairwise,
+    pareto_dictreader,
     parse_table_cellwise,
     sgd_step_loop,
 )
@@ -106,6 +111,11 @@ def test_frontier_flags_nan_points_equal_pairwise():
     # a NaN coordinate never dominates and is never dominated
     pts = [(np.nan, 0.0), (0.9, 0.1), (0.8, 0.5), (0.95, np.nan), (0.9, 0.1)]
     assert metrics.frontier_flags(pts) == frontier_flags_pairwise(pts) == [True, True, False, True, True]
+
+
+def test_frontier_flags_of_array_equal_of_tuples():
+    for pts in [*_point_sets(5), [(np.nan, 0.0), (0.9, np.nan), (0.9, 0.1), (-0.0, 0.0), (0.0, -0.0)]]:
+        assert metrics.frontier_flags(np.array(pts, dtype=np.float64).reshape(-1, 2)) == metrics.frontier_flags(pts)
 
 
 def _index_dataset(n):
@@ -234,7 +244,7 @@ def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_ra
         g_ref[...] = g
     sgd_step_loop(ref.layers, learning_rate, maximize)
     net.sgd_step(learning_rate, maximize)
-    assert _bytes(net.parameters()) == _bytes(ref.parameters())
+    assert _bytes(parameters(net)) == _bytes(parameters(ref))
     assert all((g == 0.0).all() for g in gradients(net))
 
 
@@ -367,3 +377,93 @@ def test_ks_gaps_equal_concat_reference(data):
         for y, yg in ((y_disc, None), (y_cont, y_grid)):
             expected = _ks_outcome(metrics._sweep, _ks_concat_gap, s, conds, y, yg)
             assert _ks_outcome(metrics.ks_geo, s, a, y, kind, grid, yg) == expected
+
+
+_POOL_HEADER = ["iteration", "split", "utility_name", "utility_value", "a_ks_gsp", "b_sp"]
+_NUMBERS = ["0.5", "0.50", "0.75", "0.9", "1", "0.0", "-0.0", "1e-3", "inf"]
+_NANS = ["nan", "NaN", "-nan", "NAN"]
+_pool_cells = {
+    "iteration": st.sampled_from(["1", "2", "10", "1,5", '"q"', "7\n8"]),
+    "split": st.sampled_from(["validation", "train", "a,b"]),
+    "utility_value": st.sampled_from(_NUMBERS + _NANS),
+    "a_ks_gsp": st.sampled_from(_NUMBERS + _NANS + [""]),
+    "b_sp": st.sampled_from(["", "0.3", "x"]),
+}
+_bad_pool_cells = st.sampled_from(["", "abc", "x,y", "0.5 0.5"])
+
+
+@st.composite
+def _snapshot_pool(draw):
+    """Snapshot files as text, all with one header (perhaps with a repeated
+    name). Rows may be short or long and blank lines may sit between them.
+    In half the pools a cell may be bad or missing, a utility_name may
+    differ, or a file's header may differ or be blank."""
+    faulty = draw(st.booleans())
+    header = list(_POOL_HEADER)
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
+    utility = draw(st.sampled_from(["auc", "mae"]))
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = header[:-1] if faulty and draw(st.integers(0, 9)) == 0 else header
+        lines = ["\r\n" if faulty and draw(st.integers(0, 19)) == 0 else _csv_line(cols)]
+        for _ in range(draw(st.integers(0, 10))):
+            row = []
+            for name in cols:
+                if name == "utility_name":
+                    odd = faulty and draw(st.integers(0, 9)) == 0
+                    row.append(draw(st.sampled_from(["auc", "mae", ""])) if odd else utility)
+                elif faulty and draw(st.integers(0, 9)) == 0:
+                    row.append(draw(_bad_pool_cells))
+                else:
+                    row.append(draw(_pool_cells[name]))
+            shape = draw(st.integers(0, 9))
+            if shape == 0 and faulty:
+                row = row[: draw(st.integers(1, len(row) - 1))]
+            elif shape == 0 and cols[-1] == "b_sp":  # a short row that still holds every cell read
+                row = row[:-1]
+            elif shape == 1:
+                row += ["9", "extra"]
+            lines += ["\n"] * draw(st.integers(0, 2)) + [_csv_line(row)]
+        files.append("".join(lines))
+    return files
+
+
+def _csv_line(cells):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _snapshot_pool(),
+    st.sampled_from(["a_ks_gsp"] * 6 + ["utility_value", "zzz"]),
+    st.sampled_from([None, 0.0, 0.5, 0.8, -0.5]),
+    st.integers(1, 6),
+)
+# The first row has no utility_name cell, so its point keeps its sign: the
+# utility to pool, and its sign, come from the first row that names one.
+@example(["iteration,utility_value,a_ks_gsp,utility_name\n1,0.9,0.1\n2,0.5,0.2,mae\n3,0.4,0.05,mae\n"],
+         "a_ks_gsp", -0.45, 5)
+def test_pareto_equals_dictreader_reference(files, column, threshold, k):
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"):  # std of [inf]
+        paths = []
+        for stem, text in zip(["p0", "run 1", "a,b"], files):
+            paths.append(str(Path(tmp) / f"{stem}.csv"))
+            Path(paths[-1]).write_text(text, encoding="utf-8", newline="")
+        ref_out, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+        try:
+            line = pareto_dictreader(paths, column, ref_out, threshold, k)
+            expected = (0, f"wrote {out}\n" + (f"{line}\n" if line else ""), "")
+        except ConfigError as exc:
+            expected = (1, "", f"error: {exc}\n")
+        argv = ["pareto", *paths, "--fairness-column", column, "--out", str(out)]
+        if threshold is not None:
+            argv += [f"--utility-threshold={threshold!r}", "--k", str(k)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        assert (rc, stdout.getvalue(), stderr.getvalue()) == expected
+        if rc == 0:
+            assert out.read_bytes() == ref_out.read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gradients, rewrite_checkpoint_layer
+from conftest import gradients, parameters, rewrite_checkpoint_layer
 from gradcheck import check_network_gradients, random_config
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
@@ -103,13 +103,13 @@ def test_sgd_step_direction_and_grad_clearing():
     x = rng.standard_normal((6, 2))
     y = rng.integers(0, 2, 6).astype(np.float64)
 
-    before = [p.copy() for p in net.parameters()]
+    before = [p.copy() for p in parameters(net)]
     out = net.forward(x, train=True)
     loss0, grad = bce_loss(out[:, 0], y)
     net.backward(grad.reshape(-1, 1))
     g0 = [g.copy() for g in gradients(net)]
     net.sgd_step(0.01)
-    for p, p0, g in zip(net.parameters(), before, g0):
+    for p, p0, g in zip(parameters(net), before, g0):
         assert np.allclose(p, p0 - 0.01 * g)
     assert all((g == 0.0).all() for g in gradients(net))
     loss1, _ = bce_loss(net.forward(x, train=True)[:, 0], y)
@@ -120,12 +120,12 @@ def test_sgd_step_maximize_flips_direction():
     rng = np.random.default_rng(3)
     net = mlp(2, [4], rng=rng, batch_norm=False)
     x = rng.standard_normal((6, 2))
-    before = [p.copy() for p in net.parameters()]
+    before = [p.copy() for p in parameters(net)]
     net.forward(x, train=True)
     net.backward(np.ones((6, 1)))
     grads = [g.copy() for g in gradients(net)]
     net.sgd_step(0.01, maximize=True)
-    for p, p0, g in zip(net.parameters(), before, grads):
+    for p, p0, g in zip(parameters(net), before, grads):
         assert np.allclose(p, p0 + 0.01 * g)
 
 
@@ -160,20 +160,20 @@ def test_backward_without_params_leaves_gradients_zero():
 
 def test_parameter_views_alias_the_flat_buffers(tmp_path):
     net = mlp(3, [4], rng=np.random.default_rng(8), batch_norm=True)
-    for k, (param, grad) in enumerate(zip(net.parameters(), gradients(net))):
+    for k, (param, grad) in enumerate(zip(parameters(net), gradients(net))):
         param[...] = float(k)
         grad[...] = 1.0
     net.sgd_step(0.25)
     net.save(tmp_path / "net.ckpt")
     loaded = Mlp.load(tmp_path / "net.ckpt")
-    for k, param in enumerate(loaded.parameters()):
+    for k, param in enumerate(parameters(loaded)):
         assert (param == k - 0.25).all()
 
 
 def test_init_determinism():
     a = mlp(3, [8, 8], rng=np.random.default_rng(7))
     b = mlp(3, [8, 8], rng=np.random.default_rng(7))
-    for pa, pb in zip(a.parameters(), b.parameters()):
+    for pa, pb in zip(parameters(a), parameters(b)):
         assert np.array_equal(pa, pb)
 
 
@@ -184,7 +184,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = tmp_path / "net.ckpt"
     net.save(path)
     loaded = Mlp.load(path)
-    for pa, pb in zip(net.parameters(), loaded.parameters()):
+    for pa, pb in zip(parameters(net), parameters(loaded)):
         assert np.array_equal(pa, pb)
     x = rng.standard_normal((5, 3))
     assert np.array_equal(net.forward(x), loaded.forward(x))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import destandardized_features
 from fairpen.oracles import (
     SyntheticBiasSpec,
     brute_force_ks,
@@ -39,11 +40,11 @@ def test_synth_bias_shapes_and_rho_effect():
     ds = synth_bias(SyntheticBiasSpec(n=5000, rho=2.0, seed=0))
     assert ds.n == 5000 and ds.p == 2
     a = ds.sensitive_raw("a")
-    x1 = ds.destandardized_features()[:, 0]
+    x1 = destandardized_features(ds)[:, 0]
     strong = np.corrcoef(a, x1)[0, 1]
     weak = np.corrcoef(
         synth_bias(SyntheticBiasSpec(n=5000, rho=0.0, seed=0)).sensitive_raw("a"),
-        synth_bias(SyntheticBiasSpec(n=5000, rho=0.0, seed=0)).destandardized_features()[:, 0],
+        destandardized_features(synth_bias(SyntheticBiasSpec(n=5000, rho=0.0, seed=0)))[:, 0],
     )[0, 1]
     assert strong > 0.5 and abs(weak) < 0.05
 

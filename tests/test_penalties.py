@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, gradients, zero_gradients
+from conftest import binary_toy_dataset, gradients, parameters, zero_gradients
 from gradcheck import relative_error
 from fairpen.data import ColumnSchema, TabularDataset, split_train_val
 from fairpen.errors import DimensionError, StateError
@@ -19,7 +19,7 @@ from fairpen.training import TrainConfig, train
 def _half_net(in_dim):
     """A net whose output is exactly 0.5 everywhere (zero weights, sigmoid)."""
     net = mlp(in_dim, [4], rng=np.random.default_rng(0), batch_norm=False)
-    for p in net.parameters():
+    for p in parameters(net):
         p[...] = 0.0
     return net
 
@@ -54,7 +54,7 @@ def _worst_fd_error(net, penalty, s):
 
     eps = 1e-6
     worst = 0.0
-    for param, grad in zip(net.parameters(), analytic):
+    for param, grad in zip(parameters(net), analytic):
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

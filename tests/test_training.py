@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, conditional_independent_toy
+from conftest import binary_toy_dataset, conditional_independent_toy, parameters
 from fairpen.data import minibatch_construct, split_train_val
 from fairpen.errors import ConfigError, DivergenceError
 from fairpen.nn import Mlp, bce_loss, mlp
@@ -67,7 +67,7 @@ def test_lambda_zero_bit_identical_to_erm():
         h2.backward(grad.reshape(-1, 1))
         h2.sgd_step(config.learning_rate)
 
-    for p_trained, p_erm in zip(result.h.parameters(), h2.parameters()):
+    for p_trained, p_erm in zip(parameters(result.h), parameters(h2)):
         assert np.array_equal(p_trained, p_erm)
 
 
@@ -82,7 +82,7 @@ def test_lambda_one_ignores_utility():
     flipped.Y.setflags(write=False)
     train2, val2, h2, D2, config2 = _setup(lam=1.0, T=15)
     r2 = train(flipped, val, h2, D2, config2)
-    for pa, pb in zip(r1.h.parameters(), r2.h.parameters()):
+    for pa, pb in zip(parameters(r1.h), parameters(r2.h)):
         assert np.array_equal(pa, pb)
 
 
@@ -93,7 +93,7 @@ def test_geo_lambda_zero_matches_gsp_lambda_zero():
     D2 = mlp(1 + train2.l + 1, [8, 8], rng=np.random.default_rng(99), batch_norm=True)
     beta = DensityRatioEstimator(constant=1.0, frozen=True)
     r_geo = train(train2, val2, h2, D2, config2, beta=beta)
-    for pa, pb in zip(r_gsp.h.parameters(), r_geo.h.parameters()):
+    for pa, pb in zip(parameters(r_gsp.h), parameters(r_geo.h)):
         assert np.array_equal(pa, pb)
 
 
@@ -153,7 +153,7 @@ def test_checkpoint_per_snapshot(tmp_path):
 def test_evaluate_constant_scorer_is_fair():
     ds = binary_toy_dataset(100, seed=2)
     h = mlp(ds.p, [4], rng=np.random.default_rng(0), batch_norm=False)
-    for p in h.parameters():
+    for p in parameters(h):
         p[...] = 0.0  # sigmoid(0) = 0.5 everywhere
     report = evaluate_snapshot(h, ds, "binary_classification")
     attr = report.attributes["a"]
