@@ -7,6 +7,7 @@ import configparser
 import csv
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -191,9 +192,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+_UNSEEN = object()  # no data row read yet; a short row's missing utility_name reads as None
+
+
 def cmd_pareto(args) -> int:
     column = args.fairness_column
-    header_cols = first_utility = None
+    header_cols, first_utility = None, _UNSEEN
     utilities, fairness, iterations, run_ids = [], [], [], []
     for path in args.snapshots:
         with open_input(path) as f:
@@ -218,8 +222,8 @@ def cmd_pareto(args) -> int:
                 if len(row) < width:
                     row += [None] * (width - len(row))
                 uname, uval, fval = row[name_i], row[u_i], row[f_i]
-                if first_utility is None:
-                    first_utility, signed_from = uname, len(utilities)
+                if first_utility is _UNSEEN:
+                    first_utility = uname
                 elif uname != first_utility:
                     raise ConfigError(f"{path}: row {reader.line_num}, column 'utility_name': "
                                       f"{uname!r} cannot be pooled with {first_utility!r}")
@@ -233,15 +237,18 @@ def cmd_pareto(args) -> int:
                 except (TypeError, ValueError):
                     raise ConfigError(
                         f"{path}: row {reader.line_num}, column {name!r}: {cell!r} is not a number") from None
-                if utility != utility or fval != fval:  # NaN in another spelling: no point
-                    continue
+                if not (math.isfinite(utility) and math.isfinite(fval)):
+                    if utility != utility or fval != fval:  # NaN in another spelling: no point
+                        continue
+                    name, cell = ("utility_value", uval) if math.isinf(utility) else (column, cell)
+                    raise ConfigError(f"{path}: row {reader.line_num}, column {name!r}: non-finite cell {cell!r}")
                 utilities.append(utility)
                 fairness.append(fval)
                 iterations.append(row[it_i])
             run_ids.append((Path(path).stem, len(utilities) - kept))
     points = np.array([utilities, fairness], dtype=np.float64).T
-    if first_utility == "mae":  # rank by -MAE, from the first row that names the utility on
-        points[signed_from:, 0] *= -1.0
+    if first_utility == "mae":  # rank by -MAE
+        points[:, 0] *= -1.0
     flags = metrics.frontier_flags(points)
     header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
     _write_csv(args.out, itertools.chain([header], zip(

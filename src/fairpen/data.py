@@ -9,12 +9,15 @@ column is encoded {0, 1} in declared category order.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, IngestionError
+
+PARSE_BLOCK = 1024  # CSV records read and parsed at a time
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,13 @@ def _parse_columns(rows: list[list[str]], schema: list[ColumnSchema], positions:
     return np.column_stack(columns)
 
 
-def _parse_rows(path, rows: list[list[str]], schema: list[ColumnSchema], positions: list[int]) -> np.ndarray:
-    """Parse the table row by row and cell by cell, in schema order, so that
-    the first bad or missing cell raises its IngestionError."""
+def _parse_rows(path, rows: list[list[str]], schema: list[ColumnSchema], positions: list[int],
+                first_row: int) -> np.ndarray:
+    """Parse rows, numbered from ``first_row``, one by one and cell by cell,
+    in schema order, so that the first bad or missing cell raises its
+    IngestionError."""
     parsed = []
-    for row_no, row in enumerate(rows, start=2):
+    for row_no, row in enumerate(rows, start=first_row):
         if not row:
             continue
         cells = []
@@ -227,17 +232,18 @@ def _parse_rows(path, rows: list[list[str]], schema: list[ColumnSchema], positio
     return np.array(parsed, dtype=np.float64)
 
 
-def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
-    """Read, validate and encode a CSV file with a header row.
+def _read_table(path, schema: list[ColumnSchema]) -> np.ndarray:
+    """The numeric table of a CSV file with a header row: one row per data
+    row, one label-encoded column per schema column, in schema order.
 
-    Cells are parsed one column at a time (``_parse_columns``). If any
-    column fails, the file is parsed again row by row and cell by cell
-    (``_parse_rows``), so the error names the first bad or missing cell:
-    rows in file order, cells in schema order, as a cell-by-cell reader
-    would. Empty lines are skipped but keep their row number; extra
+    The file is read in blocks of ``PARSE_BLOCK`` records, and each block's
+    cells are parsed one column at a time (``_parse_columns``). If any
+    column of a block fails, that block is parsed again row by row and cell
+    by cell (``_parse_rows``), so the error names the first bad or missing
+    cell: rows in file order, cells in schema order, as a cell-by-cell
+    reader would. Empty lines are skipped but keep their row number; extra
     trailing cells are ignored.
     """
-    validate_schema(schema)
     with open_input(path) as f:
         reader = csv.reader(f)
         try:
@@ -249,14 +255,26 @@ def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
         if missing:
             raise IngestionError(f"{path}: missing columns {missing}")
         positions = [header.index(c.name) for c in schema]
-        rows = list(reader)
-    data_rows = [row for row in rows if row]
-    if not data_rows:
+        blocks = []
+        first_row = 2  # the header is row 1
+        while rows := list(itertools.islice(reader, PARSE_BLOCK)):
+            data_rows = [row for row in rows if row]
+            if data_rows:
+                try:
+                    blocks.append(_parse_columns(data_rows, schema, positions))
+                except (IndexError, KeyError, ValueError):
+                    blocks.append(_parse_rows(path, rows, schema, positions, first_row))
+            first_row += len(rows)
+    if not blocks:
         raise IngestionError(f"{path}: no data rows")
-    try:
-        table = _parse_columns(data_rows, schema, positions)
-    except (IndexError, KeyError, ValueError):
-        table = _parse_rows(path, rows, schema, positions)
+    return np.concatenate(blocks)
+
+
+def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
+    """Read, validate and encode a CSV file with a header row (see
+    ``_read_table`` for how cells are read and which errors name them)."""
+    validate_schema(schema)
+    table = _read_table(path, schema)
 
     feat_cols = [c for c in schema if c.role == "feature"]
     sens_cols = [c for c in schema if c.role == "sensitive"]

@@ -10,7 +10,9 @@ gradients into those views; ``backward(..., params=False)`` returns only the
 input gradient and leaves the gradient buffer untouched. The train-mode
 kernels and the inference batch-norm reuse their temporaries in place, in the
 same operation order as the plain expressions, so results are bit for bit
-those of the textbook forms.
+those of the textbook forms. An inference pass keeps no layer cache and runs
+a long input in row blocks of ``INFER_BLOCK`` rows, so its transient memory
+does not grow with the number of rows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import CheckpointError, DimensionError, DivergenceError, StateError
 
 PROB_EPS = 1e-7
 CKPT_MAGIC = "FAIRPEN-CKPT-v1"
+INFER_BLOCK = 1024  # rows per block of an inference pass
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -41,11 +44,12 @@ def clamp_prob(p: np.ndarray) -> np.ndarray:
 
 
 def _arr_to_spec(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "hex": [float(v).hex() for v in a.ravel()]}
+    return {"shape": list(a.shape), "hex": list(map(float.hex, a.ravel().tolist()))}
 
 
 def _arr_from_spec(d: dict) -> np.ndarray:
-    vals = np.array([float.fromhex(h) for h in d["hex"]], dtype=np.float64)
+    # no count: len() of a malformed non-list "hex" would change the error text
+    vals = np.fromiter(map(float.fromhex, d["hex"]), np.float64)
     if not np.isfinite(vals).all():
         raise ValueError("non-finite value")
     return vals.reshape(d["shape"])
@@ -202,10 +206,10 @@ class ActivationLayer(_Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if self.fn == "relu":
             out = np.maximum(x, 0.0)
-            self._cache = x
+            self._cache = x if train else None
         elif self.fn == "sigmoid":
             out = sigmoid(x)
-            self._cache = out
+            self._cache = out if train else None
         else:
             out = x
             self._cache = None
@@ -282,9 +286,25 @@ class Mlp:
             raise DimensionError(
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
+        if train:
+            out = self._forward_layers(x, True)
+        else:
+            # Blocks of INFER_BLOCK rows, the remainder folded into the last
+            # block. Blocks start at multiples of INFER_BLOCK, so BLAS unrolls
+            # a block's rows as it unrolls the whole array's, and no block has
+            # one row (numpy would take its vector product, whose bits can
+            # differ). Every row thus gets the bits of the whole-array pass.
+            out = np.empty((len(x), self.out_dim))
+            start = 0
+            for stop in [*range(INFER_BLOCK, len(x) - INFER_BLOCK + 1, INFER_BLOCK), len(x)]:
+                out[start:stop] = self._forward_layers(x[start:stop], False)
+                start = stop
+        self._train_cache_ready = train
+        return out
+
+    def _forward_layers(self, x: np.ndarray, train: bool) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train)
-        self._train_cache_ready = train
         return x
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:

@@ -3,11 +3,12 @@ and the disjoint sampler, kept as oracles for the sort-and-sweep versions
 in ``fairpen.metrics`` and ``fairpen.data``; the original out-of-place
 layer kernels and per-array SGD loop, kept as oracles for the in-place,
 flat-buffer versions in ``fairpen.nn``; the original cell-by-cell CSV
-parse, kept as the oracle for the column-at-a-time parse in
+parse, kept as the oracle for the row-blocked, column-at-a-time parse in
 ``fairpen.data``; the original KS distance, which merges and sorts the
-cell with its reference for every cell; and the original ``fairpen
-pareto``, which reads rows with ``csv.DictReader`` and sorts the points
-twice."""
+cell with its reference for every cell; the original ``fairpen pareto``,
+which reads rows with ``csv.DictReader`` and sorts the points twice; and
+the original whole-array inference pass, kept as the oracle for the
+row-blocked one in ``fairpen.nn``."""
 
 import csv
 import itertools
@@ -100,8 +101,11 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
     (utility, fairness) tuples, ``frontier_flags`` for the file and
     ``pareto_frontier`` (a second sort) for the top-k. Writes ``out`` and
     returns the top-k line (None without a threshold); raises ConfigError.
-    A row whose utility or fairness parses to NaN in any spelling is skipped."""
-    header_cols = first_utility = None
+    A row whose utility or fairness parses to NaN in any spelling is skipped;
+    an infinite one is an error. The first data row names the utility to
+    pool, even when it is too short to hold a utility_name cell (None)."""
+    unseen = object()
+    header_cols, first_utility = None, unseen
     points, meta = [], []
     for path in paths:
         with open_input(path) as f:
@@ -120,7 +124,7 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
             run_id = Path(path).stem
             for rec in reader:
                 fval, uval = rec[column], rec["utility_value"]
-                if first_utility is None:
+                if first_utility is unseen:
                     first_utility = rec["utility_name"]
                 elif rec["utility_name"] != first_utility:
                     raise ConfigError(
@@ -140,6 +144,11 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
                     ) from None
                 if np.isnan(utility) or np.isnan(fairness):
                     continue
+                for name, value in (("utility_value", utility), (column, fairness)):
+                    if np.isinf(value):
+                        raise ConfigError(
+                            f"{path}: row {reader.line_num}, column {name!r}: non-finite cell {rec[name]!r}"
+                        )
                 points.append((-utility if first_utility == "mae" else utility, fairness))
                 meta.append((run_id, rec["iteration"], utility, fairness))
     flags = metrics.frontier_flags(points)
@@ -205,3 +214,10 @@ def sgd_step_loop(layers, learning_rate, maximize=False):
     for layer in layers:
         for _, grad in layer.params_and_grads():
             grad[...] = 0.0
+
+
+def inference_forward_whole(net, x):
+    """An inference pass over the whole array at once, layer after layer."""
+    for layer in net.layers:
+        x = layer.forward(x, train=False)
+    return x

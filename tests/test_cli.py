@@ -301,6 +301,22 @@ def test_pareto_skips_nan_in_any_spelling(tmp_path, capsys):
     assert "row 2, column 'utility_value': '' is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("short_at", [0, 1])
+def test_pareto_row_without_utility_name_cannot_be_pooled(tmp_path, capsys, short_at):
+    # utility_name is the last header column, so a short row has none (None);
+    # wherever that row sits, it cannot be pooled with the rows naming 'mae'
+    rows = ["2,0.5,0.2,mae", "3,0.4,0.05,mae"]
+    rows.insert(short_at, "1,0.9,0.1")
+    snap = tmp_path / "s1.csv"
+    snap.write_text("\n".join(["iteration,utility_value,a_ks_gsp,utility_name", *rows]) + "\n")
+    args = ["pareto", str(snap), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv"),
+            "--utility-threshold", "-0.45", "--k", "5"]
+    assert main(args) == 1
+    named = ("'mae' cannot be pooled with None", "None cannot be pooled with 'mae'")[short_at]
+    assert capsys.readouterr().err == f"error: {snap}: row 3, column 'utility_name': {named}\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_pareto_schema_mismatch(tmp_path, capsys):
     s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     _snapshot_csv(s1, [["1", "validation", "auc", "0.5", "0.1"]])
@@ -407,6 +423,10 @@ def _bad_input(tmp_path, case):
         column, cells = ("utility_value", ["abc", "0.1"]) if case == "pareto_bad_utility" else ("a_ks_gsp", ["0.9", "abc"])
         _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", *cells]])
         return pareto, [str(snapshots), "row 3", column, "'abc'"]
+    if case in ("pareto_inf_utility", "pareto_inf_fairness"):
+        column, cells = ("utility_value", ["-inf", "0.1"]) if case == "pareto_inf_utility" else ("a_ks_gsp", ["0.9", "1e999"])
+        _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", *cells]])
+        return pareto, [str(snapshots), "row 3", column, "non-finite cell", repr(cells[column == "a_ks_gsp"])]
     if case == "pareto_no_utility_column":
         snapshots.write_text("iteration,split,utility_name,a_ks_gsp\n1,validation,auc,0.1\n")
         return pareto, [str(snapshots), "utility_value"]
@@ -420,7 +440,8 @@ def _bad_input(tmp_path, case):
     ["config_value", "lambda_value", "config_key_typo", "model_section", "missing_data",
      "missing_schema", "schema_without_role", "missing_pareto_input", "unwritable_output",
      "learning_rate_nan", "learning_rate_inf", "out_is_a_file", "pareto_bad_utility",
-     "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility"],
+     "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility",
+     "pareto_inf_utility", "pareto_inf_fairness"],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -1,8 +1,9 @@
 """The sort-and-sweep metric kernels, the disjoint sampler, the in-place,
-flat-buffer network kernels, the column-at-a-time CSV parse, the KS gap
-that prepares each reference once and the one-pass ``fairpen pareto``
-against the original implementations in ``reference_kernels``: results
-must be equal bit for bit, not approximately."""
+flat-buffer network kernels, the row-blocked inference pass, the
+row-blocked, column-at-a-time CSV parse, the KS gap that prepares each
+reference once and the one-pass ``fairpen pareto`` against the original
+implementations in ``reference_kernels``: results must be equal bit for
+bit, not approximately."""
 
 import contextlib
 import csv
@@ -22,7 +23,7 @@ from fairpen import data
 from fairpen.data import ColumnSchema, TabularDataset, load_csv, minibatch_construct
 from fairpen.cli import main
 from fairpen.errors import ConfigError, DegenerateMetricError, IngestionError
-from fairpen.nn import BatchNormLayer, DenseLayer, Mlp
+from fairpen.nn import INFER_BLOCK, BatchNormLayer, DenseLayer, Mlp, mlp
 from reference_kernels import (
     average_ranks_loop,
     batch_norm_backward,
@@ -32,6 +33,7 @@ from reference_kernels import (
     dense_forward,
     disjoint_draw_setdiff,
     frontier_flags_pairwise,
+    inference_forward_whole,
     ks_distance_concat,
     pareto_frontier_pairwise,
     pareto_dictreader,
@@ -347,6 +349,71 @@ def test_column_parse_equals_cellwise_parse(rows):
         assert got == error
 
 
+def _block_csv(path, rows, blank_before=()):
+    """Write _CSV_HEADER and rows, with a blank line before each listed row."""
+    lines = [",".join(_CSV_HEADER)]
+    for i, row in enumerate(rows):
+        lines += [""] * (i in blank_before) + [",".join(row)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _valid_row(i):
+    return [repr(0.25 * i - 7.5), "?", ("u", "v w", " z ")[i % 3], str(i % 2), str(i // 2 % 2)]
+
+
+def test_blocked_parse_equals_cellwise_parse(tmp_path):
+    n = 2 * data.PARSE_BLOCK + 37
+    path = tmp_path / "d.csv"
+    _block_csv(path, [_valid_row(i) for i in range(n)], blank_before={0, 5, data.PARSE_BLOCK - 3, n - 1})
+    expected = parse_table_cellwise(path, _CSV_SCHEMA)
+    table = data._read_table(path, _CSV_SCHEMA)
+    assert table.shape == (n, len(_CSV_SCHEMA)) and table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["bad cell", "short row"])
+def test_blocked_parse_names_the_cellwise_row_and_column(tmp_path, fault):
+    # blank lines in the first block shift the file rows of the second block
+    rows = [_valid_row(i) for i in range(data.PARSE_BLOCK + 40)]
+    at = data.PARSE_BLOCK + 5
+    if fault == "bad cell":
+        rows[at][_CSV_HEADER.index("a")] = "2"
+    else:
+        rows[at] = rows[at][:3]  # x, unused, job: the first missing schema column is y
+    rows[at + 10][_CSV_HEADER.index("x")] = "abc"  # a later fault must not be named
+    path = tmp_path / "d.csv"
+    blanks = {3, 4, 900}
+    _block_csv(path, rows, blank_before=blanks)
+    row_no = 2 + at + len(blanks)
+    with pytest.raises(IngestionError) as got:
+        load_csv(path, _CSV_SCHEMA)
+    if fault == "bad cell":
+        with pytest.raises(IngestionError) as expected:
+            parse_table_cellwise(path, _CSV_SCHEMA)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"row {row_no}, column 'a': binary cell")
+    else:
+        with pytest.raises(IndexError):
+            parse_table_cellwise(path, _CSV_SCHEMA)
+        assert str(got.value) == f"{path}: row {row_no}, column 'y': missing cell (the row has 3 cells)"
+
+
+@pytest.mark.parametrize(
+    "n", [1, INFER_BLOCK - 1, INFER_BLOCK, INFER_BLOCK + 1, 2 * INFER_BLOCK - 1, 2 * INFER_BLOCK,
+          2 * INFER_BLOCK + 1, 2 * INFER_BLOCK + 3, 3 * INFER_BLOCK - 1, 4 * INFER_BLOCK + 5],
+)
+def test_blocked_inference_equals_whole_array_pass(n):
+    rng = np.random.default_rng(n)
+    scorer = mlp(13, [64] * 3, rng=rng)  # the CLI's scorer: a sigmoid on one output
+    discriminator = mlp(3, [16] * 2, out_dim=2, rng=rng, output_activation="identity")
+    for net in (scorer, discriminator):
+        for _ in range(3):  # move the batch-norm running statistics off their start
+            net.forward(rng.standard_normal((50, net.in_dim)) * 2.0 + 0.5, train=True)
+        x = rng.standard_normal((n, net.in_dim)) * 3.0
+        got = net.forward(x, train=False)
+        expected = inference_forward_whole(net, x)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def _ks_outcome(fn, *args):
     """The bits of fn(*args), or the type of the error it raised."""
     try:
@@ -380,7 +447,7 @@ def test_ks_gaps_equal_concat_reference(data):
 
 
 _POOL_HEADER = ["iteration", "split", "utility_name", "utility_value", "a_ks_gsp", "b_sp"]
-_NUMBERS = ["0.5", "0.50", "0.75", "0.9", "1", "0.0", "-0.0", "1e-3", "inf"]
+_NUMBERS = ["0.5", "0.50", "0.75", "0.9", "1", "0.0", "-0.0", "1e-3", "inf", "-Infinity", "1e999"]
 _NANS = ["nan", "NaN", "-nan", "NAN"]
 _pool_cells = {
     "iteration": st.sampled_from(["1", "2", "10", "1,5", '"q"', "7\n8"]),
@@ -442,12 +509,12 @@ def _csv_line(cells):
     st.sampled_from([None, 0.0, 0.5, 0.8, -0.5]),
     st.integers(1, 6),
 )
-# The first row has no utility_name cell, so its point keeps its sign: the
-# utility to pool, and its sign, come from the first row that names one.
+# The first row has no utility_name cell, so it pools the utility None, and
+# the next row's 'mae' cannot join it.
 @example(["iteration,utility_value,a_ks_gsp,utility_name\n1,0.9,0.1\n2,0.5,0.2,mae\n3,0.4,0.05,mae\n"],
          "a_ks_gsp", -0.45, 5)
 def test_pareto_equals_dictreader_reference(files, column, threshold, k):
-    with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"):  # std of [inf]
+    with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for stem, text in zip(["p0", "run 1", "a,b"], files):
             paths.append(str(Path(tmp) / f"{stem}.csv"))

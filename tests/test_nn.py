@@ -1,4 +1,6 @@
+import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from conftest import gradients, parameters, rewrite_checkpoint_layer
 from gradcheck import check_network_gradients, random_config
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
+    INFER_BLOCK,
     ActivationLayer,
     BatchNormLayer,
     DenseLayer,
@@ -75,6 +78,35 @@ def test_backward_without_train_forward_raises():
     net.forward(np.zeros((3, 2)), train=False)
     with pytest.raises(StateError):
         net.backward(np.ones((3, 1)))
+
+
+def test_inference_pass_keeps_no_layer_cache():
+    rng = np.random.default_rng(0)
+    net = mlp(3, [8, 8], rng=rng, batch_norm=True)
+    x = rng.standard_normal((20, 3))
+    net.forward(x, train=True)
+    net.forward(x, train=False)
+    for layer in net.layers:
+        assert getattr(layer, "_cache", None) is None and getattr(layer, "_cached_input", None) is None
+    with pytest.raises(StateError):
+        net.backward(np.ones((20, 1)))
+
+
+def test_inference_memory_is_bounded_by_the_block():
+    # A whole-array pass over 50 000 rows holds (50 000, 64) arrays of
+    # 25.6 MB each; the blocked pass holds a few blocks and the output.
+    rng = np.random.default_rng(0)
+    net = mlp(10, [64] * 3, rng=rng, batch_norm=True)
+    x = rng.standard_normal((50_000, 10))
+    tracemalloc.start()
+    try:
+        out = net.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = 2 * INFER_BLOCK * 64 * 8  # the largest block, one layer's output
+    assert out.shape == (50_000, 1)
+    assert peak < out.nbytes + 6 * block_bytes, peak
 
 
 def test_forward_width_mismatch_raises():
@@ -247,6 +279,22 @@ def test_checkpoint_corrupt_body(tmp_path):
         with pytest.raises(CheckpointError, match="layer 0") as err:
             Mlp.load(path)
         assert str(path) in str(err.value)
+
+
+def test_checkpoint_malformed_hex_keeps_its_error_text(tmp_path):
+    # the error each malformed "hex" value gave when it was read one float at a time
+    path = tmp_path / "net.ckpt"
+    for bad in (5, None, ["0x1p0", "zz"], ["0x1p0", 1.0], {"0x1p0": 1}):
+        mlp(2, [4], rng=np.random.default_rng(0), batch_norm=False).save(path)
+        magic, body = path.read_text().split("\n", 1)
+        spec = json.loads(body)
+        spec["layers"][0]["bias"]["hex"] = bad
+        path.write_text(magic + "\n" + json.dumps(spec) + "\n")
+        with pytest.raises((TypeError, ValueError)) as old:
+            np.array([float.fromhex(h) for h in bad], dtype=np.float64).reshape([4])
+        with pytest.raises(CheckpointError) as err:
+            Mlp.load(path)
+        assert str(err.value) == f"{path}: layer 0: malformed spec ({old.value!r})"
 
 
 def test_bce_loss_value_and_gradient():
