@@ -12,17 +12,11 @@ if os.environ.get("FAIRPEN_THREADS"):
 from .data import ColumnSchema, TabularDataset, load_csv, minibatch_construct, split_train_val
 from .metrics import FairnessReport, pareto_frontier, topk_fair_summary
 from .nn import Mlp, mlp
-from .penalties import (
-    DensityRatioEstimator,
-    contrast,
-    empirical_pmf_ratio,
-    pretrain_density_ratio,
-)
+from .penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
 from .training import TrainConfig, TrainResult, evaluate_snapshot, train
 
 __all__ = [
     "ColumnSchema",
-    "DensityRatioEstimator",
     "FairnessReport",
     "Mlp",
     "TabularDataset",

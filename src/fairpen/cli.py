@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracles, penalties, training
-from .data import ColumnSchema, load_csv, open_input, split_train_val
+from .data import ColumnSchema, csv_reader, load_csv, open_input, rng_streams, split_train_val
 from .errors import ConfigError, FairpenError, IngestionError
 from .nn import Mlp, mlp
-from .training import TrainConfig, rng_streams
+from .training import TrainConfig
 
 
 def load_schema(path) -> list[ColumnSchema]:
@@ -26,6 +26,8 @@ def load_schema(path) -> list[ColumnSchema]:
             entries = json.load(f)
         except json.JSONDecodeError as exc:
             raise IngestionError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise IngestionError(f"{path}: schema must be a JSON list of column objects")
     schema = []
@@ -170,7 +172,7 @@ def _maybe_write_beta_table(beta, dataset, path) -> None:
     rows = [[f"a{i}" for i in range(dataset.l)] + ["y", "ratio"]]
     for cell in sorted({tuple(row) + (yv,) for row, yv in zip(dataset.A, dataset.Y)}):
         a_row = np.array(cell[:-1]).reshape(1, -1)
-        ratio = float(beta.values(a_row, np.array([cell[-1]]))[0])
+        ratio = float(beta(a_row, np.array([cell[-1]]))[0])
         rows.append([repr(float(v)) for v in cell] + [repr(ratio)])
     _write_csv(path, rows)
 
@@ -200,8 +202,7 @@ def cmd_pareto(args) -> int:
     header_cols, first_utility = None, _UNSEEN
     utilities, fairness, iterations, run_ids = [], [], [], []
     for path in args.snapshots:
-        with open_input(path) as f:
-            reader = csv.reader(f)
+        with csv_reader(path) as reader:
             cols = tuple(next(reader, ()))
             if header_cols is None:
                 header_cols = cols
@@ -267,14 +268,12 @@ def cmd_pareto(args) -> int:
 
 def cmd_ratio_toy(args) -> int:
     dataset = oracles.table5_toy(args.n, seed=args.seed)
-    estimator = penalties.pretrain_density_ratio(
-        dataset, L=args.iters, n_b=args.batch, seed=args.seed
-    )
+    beta = penalties.pretrain_density_ratio(dataset, L=args.iters, n_b=args.batch, seed=args.seed)
     true = oracles.table5_true_ratios()
     cells = [(1, 1), (0, 1), (1, 0), (0, 0)]  # matches the published ordering
     rows = [["cell", "true_ratio", "estimated_ratio", "abs_error"]]
     for a, y in cells:
-        est = float(estimator.values(np.array([[a]]), np.array([y]))[0])
+        est = float(beta(np.array([[a]]), np.array([y]))[0])
         rows.append(
             [f"p({y}|{a})/p({y})", repr(true[(a, y)]), repr(est), repr(abs(est - true[(a, y)]))]
         )

@@ -8,6 +8,7 @@ column is encoded {0, 1} in declared category order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -188,6 +189,22 @@ def open_input(path):
         raise IngestionError(f"{path}: cannot open ({exc.strerror or exc})") from None
 
 
+@contextlib.contextmanager
+def csv_reader(path):
+    """A ``csv.reader`` over a UTF-8 file. A file that cannot be opened, a
+    byte that is not UTF-8 and a record that csv cannot read (such as a
+    field over ``csv.field_size_limit()``) raise IngestionError naming the
+    file, and the row for a bad record."""
+    with open_input(path) as f:
+        reader = csv.reader(f)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_columns(rows: list[list[str]], schema: list[ColumnSchema], positions: list[int]) -> np.ndarray:
     """Parse the table one column at a time: ``float`` over a numeric column,
     a ``{category: index}`` lookup over a categorical one, then one
@@ -244,8 +261,7 @@ def _read_table(path, schema: list[ColumnSchema]) -> np.ndarray:
     reader would. Empty lines are skipped but keep their row number; extra
     trailing cells are ignored.
     """
-    with open_input(path) as f:
-        reader = csv.reader(f)
+    with csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -315,12 +331,22 @@ def split_train_val(dataset: TabularDataset, fraction: float = 0.8, seed: int = 
     return dataset.take(train_idx, scaling), dataset.take(val_idx, scaling)
 
 
+def rng_streams(seed: int) -> dict[str, np.random.Generator]:
+    """Independent init/batch/sampler streams derived from one master seed."""
+    init_ss, batch_ss, sampler_ss = np.random.SeedSequence(seed).spawn(3)
+    return {
+        "init": np.random.default_rng(init_ss),
+        "batch": np.random.default_rng(batch_ss),
+        "sampler": np.random.default_rng(sampler_ss),
+    }
+
+
 def minibatch_construct(
     dataset: TabularDataset,
     n_b: int,
     sampler: str,
     rng: np.random.Generator,
-    sampler_rng: np.random.Generator | None = None,
+    sampler_rng: np.random.Generator,
 ) -> Minibatch:
     """Draw (x, a, y) without replacement and pair it with resampled a'.
 
@@ -336,7 +362,6 @@ def minibatch_construct(
         raise DimensionError(
             f"disjoint sampler needs n >= 2*n_b, got n={dataset.n}, n_b={n_b}"
         )
-    sampler_rng = sampler_rng if sampler_rng is not None else rng
     idx = rng.choice(dataset.n, size=n_b, replace=False)
     if sampler == "within_batch":
         a_prime = dataset.A[idx][sampler_rng.permutation(n_b)]

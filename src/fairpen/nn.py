@@ -58,10 +58,6 @@ def _arr_from_spec(d: dict) -> np.ndarray:
 class _Layer:
     PARAMS: tuple[str, ...] = ()  # trainable arrays; Mlp adds a grad_<name> view for each
 
-    def params_and_grads(self):
-        for name in self.PARAMS:
-            yield getattr(self, name), getattr(self, "grad_" + name)
-
 
 class DenseLayer(_Layer):
     """Affine layer y = x W + b with cached input for backprop."""
@@ -343,6 +339,8 @@ class Mlp:
                 spec = json.load(f)
         except OSError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{path}: corrupted checkpoint body") from exc
         if not isinstance(spec, dict) or not isinstance(spec.get("layers"), list):

@@ -1,4 +1,4 @@
-"""The contrast penalty and the density-ratio weight estimator.
+"""The contrast penalty and the density-ratio weights.
 
 One objective serves all three uses: a network learns to tell real rows
 from rows whose attribute was resampled from its marginal. The independence
@@ -10,41 +10,16 @@ contrasting (attribute, outcome) pairs.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .data import TabularDataset, minibatch_construct
-from .errors import DimensionError, StateError
+from .data import TabularDataset, minibatch_construct, rng_streams
+from .errors import DimensionError, DivergenceError
 from .nn import Mlp, clamp_prob, mlp
 
-
-class DensityRatioEstimator:
-    """beta(a, y) = p(a,y) / (p(a)p(y)), via a classifier's odds, an
-    empirical pmf table, or a constant (the no-weight ablation)."""
-
-    def __init__(self, net: Mlp | None = None, table: dict | None = None,
-                 constant: float | None = None, frozen: bool = False):
-        sources = sum(x is not None for x in (net, table, constant))
-        if sources != 1:
-            raise ValueError("exactly one of net/table/constant required")
-        self.net = net
-        self.table = table
-        self.constant = constant
-        self.frozen = frozen
-
-    def values(self, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if not self.frozen:
-            raise StateError("density-ratio estimator must be frozen before use")
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if self.constant is not None:
-            return np.full(len(y), self.constant)
-        if self.table is not None:
-            # unseen (a, y) cells get the neutral weight 1
-            return np.array(
-                [self.table.get(tuple(row) + (yv,), 1.0) for row, yv in zip(a, y)]
-            )
-        d = clamp_prob(self.net.forward(np.column_stack([a, y]))[:, 0])
-        return d / (1.0 - d)
+# beta(a, y): a block of attribute rows and their outcomes -> one weight per row
+DensityRatio = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def contrast(
@@ -91,42 +66,51 @@ def pretrain_density_ratio(
     learning_rate: float = 0.005,
     seed: int = 0,
     sampler: str = "within_batch",
-    hidden: tuple[int, ...] = (64, 64),
-    net: Mlp | None = None,
-) -> DensityRatioEstimator:
-    """Train the ratio classifier by ascent on
-    mean[log D(a,y) + log(1 - D(a',y))] for L iterations; returns it frozen."""
-    init_ss, batch_ss, sampler_ss = np.random.SeedSequence(seed).spawn(3)
-    if net is None:
-        # no batch-norm in the ratio classifier
-        net = mlp(dataset.l + 1, list(hidden), rng=np.random.default_rng(init_ss), batch_norm=False)
-    batch_rng = np.random.default_rng(batch_ss)
-    sampler_rng = np.random.default_rng(sampler_ss)
-    for _ in range(L):
-        mb = minibatch_construct(dataset, n_b, sampler, batch_rng, sampler_rng)
+) -> DensityRatio:
+    """Train a ratio classifier D(a, y) by ascent on
+    mean[log D(a,y) + log(1 - D(a',y))] for L iterations; returns
+    beta(a, y) = D / (1 - D), its odds."""
+    streams = rng_streams(seed)
+    # no batch-norm in the ratio classifier
+    net = mlp(dataset.l + 1, [64, 64], rng=streams["init"], batch_norm=False)
+    for t in range(1, L + 1):
+        mb = minibatch_construct(dataset, n_b, sampler, streams["batch"], streams["sampler"])
         contrast(net, np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y]))
-        net.sgd_step(learning_rate, maximize=True)
-    return DensityRatioEstimator(net=net, frozen=True)
+        try:
+            net.sgd_step(learning_rate, maximize=True)
+        except DivergenceError as exc:
+            raise DivergenceError(f"density-ratio pre-training, iteration {t}, {exc}") from exc
+
+    def beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        d = clamp_prob(net.forward(np.column_stack([a, y]))[:, 0])
+        return d / (1.0 - d)
+
+    return beta
 
 
-def empirical_pmf_ratio(dataset: TabularDataset) -> DensityRatioEstimator:
-    """Plug-in ratio p(a,y)/(p(a)p(y)) from empirical counts (discrete A, Y)."""
+def empirical_pmf_ratio(dataset: TabularDataset) -> DensityRatio:
+    """Plug-in beta(a, y) = p(a,y) / (p(a)p(y)) from empirical counts
+    (discrete A, Y); an (a, y) cell absent from the data gets weight 1."""
     for col in dataset.sensitive_columns:
         if col.kind == "continuous":
             raise ValueError(f"sensitive column {col.name!r} is continuous")
     if dataset.outcome_column.kind == "continuous":
         raise ValueError("outcome column is continuous")
-    n = dataset.n
-    joint: dict[tuple, float] = {}
-    marg_a: dict[tuple, float] = {}
-    marg_y: dict[float, float] = {}
-    for row, yv in zip(dataset.A, dataset.Y):
-        ka, ky = tuple(row), float(yv)
-        joint[ka + (ky,)] = joint.get(ka + (ky,), 0.0) + 1.0 / n
-        marg_a[ka] = marg_a.get(ka, 0.0) + 1.0 / n
-        marg_y[ky] = marg_y.get(ky, 0.0) + 1.0 / n
-    table = {
-        key: p / (marg_a[key[:-1]] * marg_y[key[-1]]) for key, p in joint.items()
-    }
-    return DensityRatioEstimator(table=table, frozen=True)
+    cells, c_ay = np.unique(np.column_stack([dataset.A, dataset.Y]), axis=0, return_counts=True)
+    # each marginal count sums the joint counts of the cells that share its value
+    _, a_of = np.unique(cells[:, :-1], axis=0, return_inverse=True)
+    _, y_of = np.unique(cells[:, -1], return_inverse=True)
+    a_of, y_of = a_of.ravel(), y_of.ravel()  # the inverse's shape varies across numpy versions
+    c_a, c_y = np.bincount(a_of, weights=c_ay), np.bincount(y_of, weights=c_ay)
+    ratios = c_ay * dataset.n / (c_a[a_of] * c_y[y_of])
 
+    def beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # One sort over the known cells and the queried rows labels each
+        # queried row with the cell it equals, if any.
+        _, label = np.unique(np.vstack([cells, np.column_stack([a, y])]), axis=0, return_inverse=True)
+        label = label.ravel()
+        weights = np.ones(label.max() + 1)
+        weights[label[: len(cells)]] = ratios
+        return weights[label[len(cells):]]
+
+    return beta

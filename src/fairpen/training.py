@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .data import TabularDataset, minibatch_construct
+from .data import TabularDataset, minibatch_construct, rng_streams
 from .errors import ConfigError, DegenerateMetricError, DivergenceError, UndefinedMetricError
 from .nn import Mlp, bce_loss, mae_loss
-from .penalties import DensityRatioEstimator, contrast
+from .penalties import DensityRatio, contrast
 
 
 @dataclass
@@ -62,16 +62,6 @@ class TrainResult:
     snapshots: list[Snapshot]
     h: Mlp
     discriminator: Mlp
-
-
-def rng_streams(seed: int) -> dict[str, np.random.Generator]:
-    """Independent init/batch/sampler streams derived from one master seed."""
-    init_ss, batch_ss, sampler_ss = np.random.SeedSequence(seed).spawn(3)
-    return {
-        "init": np.random.default_rng(init_ss),
-        "batch": np.random.default_rng(batch_ss),
-        "sampler": np.random.default_rng(sampler_ss),
-    }
 
 
 def _utility_loss(task: str):
@@ -155,15 +145,15 @@ def train(
     h: Mlp,
     D: Mlp,
     config: TrainConfig,
-    beta: DensityRatioEstimator | None = None,
+    beta: DensityRatio | None = None,
     checkpoint_dir=None,
 ) -> TrainResult:
     """Alternating ascent on the discriminator and descent on the scorer
     under (1-lam)*utility + lam*penalty (convex scaling).
 
     Without ``beta`` D contrasts (s, a) with (s, a') (independence); with a
-    frozen ``beta`` it contrasts (s, a, y) with (s, a', y) and weights the
-    resampled term by beta(a, y) (separation).
+    density ratio ``beta(a, y) -> weights`` it contrasts (s, a, y) with
+    (s, a', y) and weights the resampled term by beta(a, y) (separation).
     """
     streams = rng_streams(config.seed)
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
@@ -186,7 +176,7 @@ def train(
         else:
             real = np.column_stack([s, mb.a, mb.y])
             fake = np.column_stack([s, mb.a_prime, mb.y])
-            w = beta.values(mb.a, mb.y)
+            w = beta(mb.a, mb.y)
 
         for _ in range(config.T_prime):
             contrast(D, real, fake, w)

@@ -48,12 +48,12 @@ def destandardized_features(dataset: TabularDataset) -> np.ndarray:
 
 def parameters(net) -> list[np.ndarray]:
     """Every parameter array of ``net``, layer by layer, as views into its buffer."""
-    return [p for layer in net.layers for p, _ in layer.params_and_grads()]
+    return [getattr(layer, name) for layer in net.layers for name in layer.PARAMS]
 
 
 def gradients(net) -> list[np.ndarray]:
     """Every parameter gradient of ``net``, layer by layer, as views into its buffer."""
-    return [g for layer in net.layers for _, g in layer.params_and_grads()]
+    return [getattr(layer, "grad_" + name) for layer in net.layers for name in layer.PARAMS]
 
 
 def zero_gradients(net) -> None:

@@ -8,7 +8,9 @@ parse, kept as the oracle for the row-blocked, column-at-a-time parse in
 cell with its reference for every cell; the original ``fairpen pareto``,
 which reads rows with ``csv.DictReader`` and sorts the points twice; and
 the original whole-array inference pass, kept as the oracle for the
-row-blocked one in ``fairpen.nn``."""
+row-blocked one in ``fairpen.nn``; and the original dict-built plug-in
+density-ratio table, kept as the oracle for the ``np.unique`` lookup in
+``fairpen.penalties``."""
 
 import csv
 import itertools
@@ -207,13 +209,26 @@ def sgd_step_loop(layers, learning_rate, maximize=False):
     """Update and check one parameter array at a time, then clear the gradients."""
     sign = 1.0 if maximize else -1.0
     for i, layer in enumerate(layers):
-        for param, grad in layer.params_and_grads():
-            param += sign * learning_rate * grad
+        for name in layer.PARAMS:
+            param = getattr(layer, name)
+            param += sign * learning_rate * getattr(layer, "grad_" + name)
             if not np.isfinite(param).all():
                 raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
     for layer in layers:
-        for _, grad in layer.params_and_grads():
-            grad[...] = 0.0
+        for name in layer.PARAMS:
+            getattr(layer, "grad_" + name)[...] = 0.0
+
+
+def pmf_ratio_table(A, Y):
+    """{(a..., y): p(a,y) / (p(a)p(y))}, each probability a sum of 1/n per row."""
+    n = len(Y)
+    joint, marg_a, marg_y = {}, {}, {}
+    for row, yv in zip(A, Y):
+        ka, ky = tuple(row), float(yv)
+        joint[ka + (ky,)] = joint.get(ka + (ky,), 0.0) + 1.0 / n
+        marg_a[ka] = marg_a.get(ka, 0.0) + 1.0 / n
+        marg_y[ky] = marg_y.get(ky, 0.0) + 1.0 / n
+    return {key: p / (marg_a[key[:-1]] * marg_y[key[-1]]) for key, p in joint.items()}
 
 
 def inference_forward_whole(net, x):

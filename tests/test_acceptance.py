@@ -35,12 +35,7 @@ from fairpen.oracles import (
     table5_toy,
     table5_true_ratios,
 )
-from fairpen.penalties import (
-    DensityRatioEstimator,
-    contrast,
-    empirical_pmf_ratio,
-    pretrain_density_ratio,
-)
+from fairpen.penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
 from fairpen.training import TrainConfig, rng_streams, train
 
 
@@ -54,9 +49,9 @@ def test_criterion_01_density_ratio_toy_reproduction():
     errors = []
     for seed in range(5):
         dataset = table5_toy(10_000, seed=seed)
-        estimator = pretrain_density_ratio(dataset, L=10_000, n_b=100, seed=seed)
+        beta = pretrain_density_ratio(dataset, L=10_000, n_b=100, seed=seed)
         for (a, y), ratio in true.items():
-            est = float(estimator.values(np.array([[float(a)]]), np.array([float(y)]))[0])
+            est = float(beta(np.array([[float(a)]]), np.array([float(y)]))[0])
             errors.append(abs(est - ratio))
     mean_err = float(np.mean(errors))
     _report("1 density-ratio toy", mean_err < 0.02, f"mean abs error {mean_err:.4f} over 5 seeds")
@@ -107,7 +102,7 @@ def test_criterion_03_geo_discriminator_matches_oracle():
     beta = empirical_pmf_ratio(dataset)
     beta_table = np.array(
         [
-            [float(beta.values(np.array([[av]]), np.array([yv]))[0]) for yv in (0.0, 1.0)]
+            [float(beta(np.array([[av]]), np.array([yv]))[0]) for yv in (0.0, 1.0)]
             for av in (0.0, 1.0)
         ]
     )
@@ -120,7 +115,7 @@ def test_criterion_03_geo_discriminator_matches_oracle():
         a_prime = a_b[loop_rng.permutation(100)]
         real = np.column_stack([s[idx], a_b, y[idx]])
         fake = np.column_stack([s[idx], a_prime, y[idx]])
-        contrast(D, real, fake, beta.values(a_b, y[idx]), train=True)
+        contrast(D, real, fake, beta(a_b, y[idx]), train=True)
         D.sgd_step(0.005, maximize=True)
     worst = max(
         abs(float(D.forward(np.array([[float(sv), float(av), float(yv)]]))[0, 0]) - target[sv, av, yv])
@@ -301,7 +296,7 @@ def test_criterion_09_beta_robustness_ablation():
     dataset = conditional_independent_toy(10_000, seed=0)
     train_set, _ = split_train_val(dataset, 0.75, seed=0)
     weighted = run(empirical_pmf_ratio(train_set))
-    unweighted = run(DensityRatioEstimator(constant=1.0, frozen=True))
+    unweighted = run(lambda a, y: np.full(len(y), 1.0))
     gap = abs(weighted - unweighted)
     ok = gap < 0.05 and weighted < 0.05 and unweighted < 0.05
     _report(

@@ -190,8 +190,9 @@ def test_evaluate_corrupt_checkpoint(tmp_path, capsys):
         ('FAIRPEN-CKPT-v1\n{"layers": [{"kind": "conv"}]}\n', "layer 0"),
         ('FAIRPEN-CKPT-v1\n{"layers": [{"kind": "dense"}]}\n', "layer 0"),
         ('FAIRPEN-CKPT-v1\n{"layers": []}\n', "no dense layer"),
+        ("\udcff\udcfeFAIRPEN-CKPT-v1\n{}\n", "not UTF-8"),  # starts with the bytes ff fe
     ):
-        bad.write_text(body)
+        bad.write_text(body, errors="surrogateescape")
         rc = main(
             ["evaluate", "--checkpoint", str(bad), "--data", str(csv_path),
              "--schema", str(schema_path), "--out", str(out)]
@@ -222,12 +223,14 @@ def test_train_divergence_exits_cleanly(tmp_path, capsys):
     (tmp_path / "train.ini").write_text(
         "[train]\nt = 40\neval_interval = 20\nn_b = 50\nl = 30\nlearning_rate = 1e300\n"
     )
-    with np.errstate(all="ignore"):
-        rc = main(_train_args(tmp_path, csv_path, schema_path))
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "lambda=0.5, iteration 1, " in err and " layer " in err and "Traceback" not in err
-    assert not (tmp_path / "runs" / "r1" / "lambda=0.5").exists()
+    # the geo run diverges first in its density-ratio pre-training
+    for criterion, stage in (("gsp", "lambda=0.5, iteration 1, "), ("geo", "density-ratio pre-training, iteration ")):
+        with np.errstate(all="ignore"):
+            rc = main(_train_args(tmp_path, csv_path, schema_path, "--criterion", criterion))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert stage in err and " layer " in err and "Traceback" not in err
+        assert not (tmp_path / "runs" / "r1" / "lambda=0.5").exists()
 
 
 def _snapshot_csv(path, rows):
@@ -410,6 +413,15 @@ def _bad_input(tmp_path, case):
         evaluate = ["evaluate", "--checkpoint", str(tmp_path / "h.ckpt"), "--data", str(short),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
         return evaluate, [str(short), "row 3", "'y'", "missing cell"]
+    if case == "data_not_utf8":
+        csv_path.write_bytes(b"x1,x2,a,y\n0.1,0.3,0,1\n0.2,0.4,\xe9,1\n")  # Latin-1, not UTF-8
+        return train, [str(csv_path), "not UTF-8"]
+    if case == "data_oversized_field":
+        csv_path.write_text('x1,x2,a,y\n0.1,0.3,0,1\n"' + "9" * 200_000 + '",0.4,1,1\n')
+        return train, [str(csv_path), "row 3", "field larger than field limit"]
+    if case == "schema_not_utf8":
+        schema_path.write_bytes(b'[{"name": "x\xe9", "role": "feature", "kind": "continuous"}]')
+        return train, [str(schema_path), "not UTF-8"]
     snapshots = tmp_path / "s1.csv"
     pareto = ["pareto", str(snapshots), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv")]
     if case == "pareto_mixed_utility":
@@ -419,6 +431,12 @@ def _bad_input(tmp_path, case):
         return pareto[:2] + [str(mae_snapshots)] + pareto[2:], [str(mae_snapshots), "row 2", "utility_name", "'mae'", "'auc'"]
     if case == "missing_pareto_input":
         return pareto, [str(snapshots)]
+    if case == "pareto_not_utf8":
+        snapshots.write_bytes(b"iteration,split,utility_name,utility_value,a_ks_gsp\n1,valid\xe9,auc,0.9,0.1\n")
+        return pareto, [str(snapshots), "not UTF-8"]
+    if case == "pareto_oversized_field":
+        _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "x" * 200_000, "auc", "0.8", "0.2"]])
+        return pareto, [str(snapshots), "row 3", "field larger than field limit"]
     if case in ("pareto_bad_utility", "pareto_bad_fairness"):
         column, cells = ("utility_value", ["abc", "0.1"]) if case == "pareto_bad_utility" else ("a_ks_gsp", ["0.9", "abc"])
         _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", *cells]])
@@ -441,7 +459,8 @@ def _bad_input(tmp_path, case):
      "missing_schema", "schema_without_role", "missing_pareto_input", "unwritable_output",
      "learning_rate_nan", "learning_rate_inf", "out_is_a_file", "pareto_bad_utility",
      "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility",
-     "pareto_inf_utility", "pareto_inf_fairness"],
+     "pareto_inf_utility", "pareto_inf_fairness", "data_not_utf8", "data_oversized_field",
+     "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field"],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -243,15 +243,15 @@ def test_minibatch_disjoint_draw(toy_dataset):
     mb = minibatch_construct(toy_dataset, 50, "disjoint", rng, np.random.default_rng(1))
     assert mb.a_prime.shape == (50, 1)
     with pytest.raises(DimensionError):
-        minibatch_construct(toy_dataset, 150, "disjoint", rng)
+        minibatch_construct(toy_dataset, 150, "disjoint", rng, rng)
 
 
 def test_minibatch_size_and_sampler_validation(toy_dataset):
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionError):
-        minibatch_construct(toy_dataset, 500, "within_batch", rng)
+        minibatch_construct(toy_dataset, 500, "within_batch", rng, rng)
     with pytest.raises(ValueError):
-        minibatch_construct(toy_dataset, 10, "bootstrap", rng)
+        minibatch_construct(toy_dataset, 10, "bootstrap", rng, rng)
 
 
 @pytest.mark.parametrize("sampler", ["within_batch", "disjoint"])
@@ -266,6 +266,39 @@ def test_a_prime_follows_marginal_of_A(sampler):
     marginal = ds.A[:, 0].mean()
     # binomial std at 20000 draws is well under 0.01
     assert abs(draws.mean() - marginal) < 0.02
+
+
+def _mixed_attribute_dataset(n: int, seed: int) -> TabularDataset:
+    """A block of three attributes: binary, 3-category one-hot and continuous."""
+    rng = np.random.default_rng(seed)
+    binary = rng.integers(0, 2, n).astype(np.float64)
+    region = rng.integers(0, 3, n)
+    age = rng.random(n)
+    schema = [
+        ColumnSchema("x", "feature", "continuous"),
+        ColumnSchema("sex", "sensitive", "binary"),
+        ColumnSchema("region", "sensitive", "categorical", ("n", "s", "e")),
+        ColumnSchema("age", "sensitive", "continuous"),
+        ColumnSchema("y", "outcome", "binary"),
+    ]
+    A = np.column_stack([binary, np.eye(3)[region], age])
+    A_raw = np.column_stack([binary, region, age]).astype(np.float64)
+    y = rng.integers(0, 2, n).astype(np.float64)
+    return TabularDataset(rng.standard_normal((n, 1)), A, A_raw, y, schema, ["x"])
+
+
+@pytest.mark.parametrize("sampler", ["within_batch", "disjoint"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_prime_rows_are_rows_of_A(sampler, n, seed, data):
+    # a' resamples whole rows of A, so a one-hot block stays one-hot and
+    # the attributes keep their joint law
+    n_b = data.draw(st.integers(1, n // 2 if sampler == "disjoint" else n), label="n_b")
+    ds = _mixed_attribute_dataset(n, seed)
+    mb = minibatch_construct(ds, n_b, sampler, np.random.default_rng(seed), np.random.default_rng(seed + 1))
+    rows = set(map(tuple, ds.A.tolist()))
+    assert mb.a_prime.shape == (n_b, 5)
+    assert all(row in rows for row in map(tuple, mb.a_prime.tolist()))
 
 
 def test_take_preserves_schema(toy_dataset):

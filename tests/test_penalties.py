@@ -3,17 +3,14 @@ import pytest
 
 from conftest import binary_toy_dataset, gradients, parameters, zero_gradients
 from gradcheck import relative_error
-from fairpen.data import ColumnSchema, TabularDataset, split_train_val
-from fairpen.errors import DimensionError, StateError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_kernels import pmf_ratio_table
+from fairpen.data import ColumnSchema, TabularDataset
+from fairpen.errors import DimensionError
 from fairpen.oracles import optimal_gsp_discriminator_oracle, table5_toy, table5_true_ratios
-from fairpen.penalties import (
-    DensityRatioEstimator,
-    contrast,
-    empirical_pmf_ratio,
-    pretrain_density_ratio,
-)
+from fairpen.penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
 from fairpen.nn import mlp
-from fairpen.training import TrainConfig, train
 
 
 def _half_net(in_dim):
@@ -91,17 +88,13 @@ def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
 def test_geo_penalty_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     net = mlp(3, [6, 6], rng=rng, batch_norm=True)
-    table = DensityRatioEstimator(
-        table={(0.0, 0.0): 1.3, (0.0, 1.0): 0.8, (1.0, 0.0): 0.7, (1.0, 1.0): 1.2},
-        frozen=True,
-    )
+    table = {(0.0, 0.0): 1.3, (0.0, 1.0): 0.8, (1.0, 0.0): 0.7, (1.0, 1.0): 1.2}
     n = 10
     s = rng.random(n)
     a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
     y = rng.integers(0, 2, n).astype(float)
     a_prime = a[rng.permutation(n)]
-    for beta in (table, DensityRatioEstimator(constant=0.7, frozen=True)):
-        w = beta.values(a, y)
+    for w in (np.array([table[(av, yv)] for av, yv in zip(a[:, 0], y)]), np.full(n, 0.7)):
 
         def penalty(s_):
             real = np.column_stack([s_, a, y])
@@ -118,63 +111,67 @@ def test_geo_penalty_constant_beta_matches_weighted_value():
     a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
     y = rng.integers(0, 2, n).astype(float)
     a_prime = a[rng.permutation(n)]
-    one = DensityRatioEstimator(constant=1.0, frozen=True)
-    table = DensityRatioEstimator(
-        table={(av, yv): 1.0 for av in (0.0, 1.0) for yv in (0.0, 1.0)}, frozen=True
-    )
+    # every (a, y) cell once: A and Y are independent, so every ratio is 1
+    table = empirical_pmf_ratio(_discrete_dataset([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]))
     real, fake = np.column_stack([s, a, y]), np.column_stack([s, a_prime, y])
-    v1, _ = contrast(net, real, fake, one.values(a, y))
+    v1, _ = contrast(net, real, fake, np.full(len(y), 1.0))  # the constant ratio 1
     zero_gradients(net)
-    v2, _ = contrast(net, real, fake, table.values(a, y))
+    v2, _ = contrast(net, real, fake, table(a, y))
     zero_gradients(net)
     assert v1 == pytest.approx(v2, abs=1e-15)
 
 
-def test_geo_penalty_requires_frozen_beta():
-    train_set, val_set = split_train_val(binary_toy_dataset(60, seed=0), seed=0)
-    rng = np.random.default_rng(0)
-    h = mlp(train_set.p, [4], rng=rng)
-    D = mlp(1 + train_set.l + 1, [4], rng=rng)
-    beta = DensityRatioEstimator(constant=1.0)
-    with pytest.raises(StateError):
-        train(train_set, val_set, h, D, TrainConfig(lam=0.5, T=1, n_b=10), beta=beta)
-
-
-def test_density_ratio_estimator_source_validation():
-    with pytest.raises(ValueError):
-        DensityRatioEstimator()
-    with pytest.raises(ValueError):
-        DensityRatioEstimator(constant=1.0, table={})
-
-
-def test_density_ratio_table_unseen_cell_neutral():
-    beta = DensityRatioEstimator(table={(1.0, 1.0): 2.0}, frozen=True)
-    vals = beta.values(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
-    assert vals == pytest.approx([2.0, 1.0])
-
-
-def test_density_ratio_net_odds_transform():
-    net = _half_net(2)  # D(a,y) = 0.5 -> odds 1
-    beta = DensityRatioEstimator(net=net, frozen=True)
-    vals = beta.values(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-    assert vals == pytest.approx([1.0, 1.0])
-
-
-def test_empirical_pmf_ratio_hand_counts():
-    # [DERIVED] joint counts: (a=0,y=0) x2, (a=0,y=1) x1, (a=1,y=1) x1
-    a = np.array([[0.0], [0.0], [0.0], [1.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
+def _discrete_dataset(a, y):
+    """A dataset with one binary attribute ``a`` and a binary outcome ``y``."""
+    a = np.array(a, dtype=np.float64).reshape(-1, 1)
     schema = [
         ColumnSchema("x", "feature", "continuous"),
         ColumnSchema("a", "sensitive", "binary"),
         ColumnSchema("y", "outcome", "binary"),
     ]
-    ds = TabularDataset(np.zeros((4, 1)), a, a.copy(), y, schema, ["x"])
-    beta = empirical_pmf_ratio(ds)
+    return TabularDataset(np.zeros((len(a), 1)), a, a.copy(), np.array(y, dtype=np.float64), schema, ["x"])
+
+
+def test_density_ratio_table_unseen_cell_neutral():
+    # the cell (a=1, y=0) never occurs: p(1,1)=.5, p(a=1)=.5, p(y=1)=.75 -> 4/3
+    beta = empirical_pmf_ratio(_discrete_dataset([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]))
+    vals = beta(np.array([[1.0], [1.0]]), np.array([1.0, 0.0]))
+    assert vals == pytest.approx([4.0 / 3.0, 1.0])
+
+
+def test_empirical_pmf_ratio_hand_counts():
+    # [DERIVED] joint counts: (a=0,y=0) x2, (a=0,y=1) x1, (a=1,y=1) x1
+    beta = empirical_pmf_ratio(_discrete_dataset([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]))
     # p(0,0)=.5, p(a=0)=.75, p(y=0)=.5 -> 4/3
-    assert beta.values(np.array([[0.0]]), np.array([0.0]))[0] == pytest.approx(4.0 / 3.0)
+    assert beta(np.array([[0.0]]), np.array([0.0]))[0] == pytest.approx(4.0 / 3.0)
     # p(1,1)=.25, p(a=1)=.25, p(y=1)=.5 -> 2
-    assert beta.values(np.array([[1.0]]), np.array([1.0]))[0] == pytest.approx(2.0)
+    assert beta(np.array([[1.0]]), np.array([1.0]))[0] == pytest.approx(2.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_empirical_pmf_ratio_equals_dict_reference(n, seed):
+    # A joins a binary and a 3-category one-hot attribute; every one of the
+    # 12 (a, y) cells is queried, so small n leaves some of them unseen
+    rng = np.random.default_rng(seed)
+    sex, region = rng.integers(0, 2, n), rng.integers(0, 3, n)
+    A = np.column_stack([sex, np.eye(3)[region]])
+    y = rng.integers(0, 2, n).astype(np.float64)
+    schema = [
+        ColumnSchema("x", "feature", "continuous"),
+        ColumnSchema("sex", "sensitive", "binary"),
+        ColumnSchema("region", "sensitive", "categorical", ("n", "s", "e")),
+        ColumnSchema("y", "outcome", "binary"),
+    ]
+    A_raw = np.column_stack([sex, region]).astype(np.float64)
+    ds = TabularDataset(np.zeros((n, 1)), A, A_raw, y, schema, ["x"])
+    cells = [(b, *np.eye(3)[k], yv) for b in (0.0, 1.0) for k in range(3) for yv in (0.0, 1.0)]
+    query = np.array(cells)
+    got = empirical_pmf_ratio(ds)(query[:, :-1], query[:, -1])
+    table = pmf_ratio_table(A, y)
+    expected = [table.get(cell, 1.0) for cell in cells]
+    # the reference sums 1/n once per row: its rounding error grows with n
+    np.testing.assert_allclose(got, expected, rtol=4 * n * np.finfo(np.float64).eps, atol=0.0)
 
 
 def test_empirical_pmf_ratio_rejects_continuous():
@@ -194,17 +191,16 @@ def test_empirical_pmf_ratio_rejects_continuous():
     )
     with pytest.raises(ValueError):
         empirical_pmf_ratio(cont)
-    assert empirical_pmf_ratio(ds).frozen
+    empirical_pmf_ratio(ds)  # the binary attribute and outcome are accepted
 
 
-def test_pretrain_density_ratio_returns_frozen_and_deterministic():
+def test_pretrain_density_ratio_is_deterministic():
     ds = table5_toy(500, seed=0)
     e1 = pretrain_density_ratio(ds, L=50, seed=3)
     e2 = pretrain_density_ratio(ds, L=50, seed=3)
-    assert e1.frozen
     a = np.array([[0.0], [1.0]])
     y = np.array([1.0, 1.0])
-    assert np.array_equal(e1.values(a, y), e2.values(a, y))
+    assert np.array_equal(e1(a, y), e2(a, y))
 
 
 def test_pretrain_density_ratio_moves_toward_truth():
@@ -212,7 +208,7 @@ def test_pretrain_density_ratio_moves_toward_truth():
     est = pretrain_density_ratio(ds, L=2000, seed=1)
     true = table5_true_ratios()
     errs = [
-        abs(float(est.values(np.array([[a]]), np.array([float(yv)]))[0]) - r)
+        abs(float(est(np.array([[a]]), np.array([float(yv)]))[0]) - r)
         for (a, yv), r in true.items()
     ]
     assert np.mean(errs) < 0.1
