@@ -32,8 +32,14 @@ def load_schema(path) -> list[ColumnSchema]:
         raise IngestionError(f"{path}: schema must be a JSON list of column objects")
     schema = []
     for i, e in enumerate(entries):
+        cats = e.get("categories")
+        if cats is not None:
+            if not (isinstance(cats, list) and cats and all(isinstance(c, str) and c for c in cats)
+                    and len(set(cats)) == len(cats)):
+                raise IngestionError(f"{path}: schema entry {i}: 'categories' must be a non-empty list "
+                                     f"of distinct, non-empty strings, got {cats!r}")
+            cats = tuple(cats)
         try:
-            cats = tuple(e["categories"]) if e.get("categories") else None
             schema.append(ColumnSchema(e["name"], e["role"], e["kind"], cats))
         except KeyError as exc:
             raise IngestionError(f"{path}: schema entry {i} has no {exc.args[0]!r}") from None
@@ -198,6 +204,8 @@ _UNSEEN = object()  # no data row read yet; a short row's missing utility_name r
 
 
 def cmd_pareto(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     column = args.fairness_column
     header_cols, first_utility = None, _UNSEEN
     utilities, fairness, iterations, run_ids = [], [], [], []
@@ -267,6 +275,9 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_ratio_toy(args) -> int:
+    for flag in ("n", "iters", "batch"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     dataset = oracles.table5_toy(args.n, seed=args.seed)
     beta = penalties.pretrain_density_ratio(dataset, L=args.iters, n_b=args.batch, seed=args.seed)
     true = oracles.table5_true_ratios()

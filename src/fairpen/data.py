@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, IngestionError
 
-PARSE_BLOCK = 1024  # CSV records read and parsed at a time
+PARSE_BLOCK = 1024  # CSV lines, or parsed rows, read at a time
 
 
 @dataclass(frozen=True)
@@ -205,85 +205,128 @@ def csv_reader(path):
             raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_columns(rows: list[list[str]], schema: list[ColumnSchema], positions: list[int]) -> np.ndarray:
-    """Parse the table one column at a time: ``float`` over a numeric column,
-    a ``{category: index}`` lookup over a categorical one, then one
-    finiteness and one {0, 1} check per column. Raises IndexError, KeyError
-    or ValueError on the first column with a short row or a bad cell."""
-    n = len(rows)
-    columns = []
+def _parse_row(path, row: list[str], schema: list[ColumnSchema], positions: list[int],
+               row_no: int) -> list[float]:
+    """Parse one row cell by cell, in schema order, so that the first bad or
+    missing cell raises its IngestionError."""
+    cells = []
     for col, position in zip(schema, positions):
-        cells = [row[position] for row in rows]
+        if position >= len(row):
+            raise IngestionError(
+                f"{path}: row {row_no}, column {col.name!r}: missing cell (the row has {len(row)} cells)"
+            )
+        cells.append(_parse_cell(row[position], col, row_no))
+    return cells
+
+
+def _header_positions(path, header: list[str], schema: list[ColumnSchema]) -> list[int]:
+    header = [h.strip() for h in header]
+    missing = [c.name for c in schema if c.name not in header]
+    if missing:
+        raise IngestionError(f"{path}: missing columns {missing}")
+    return [header.index(c.name) for c in schema]
+
+
+def _read_table_exact(path, schema: list[ColumnSchema]) -> np.ndarray:
+    """``_read_table`` by ``csv.reader`` and ``_parse_row``, each record
+    parsed as soon as it is read, so the first record that csv cannot read
+    or that holds a bad or missing cell raises its IngestionError. Parsed
+    rows are packed into an array every ``PARSE_BLOCK`` rows."""
+    with csv_reader(path) as reader:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{path}: empty file") from None
+        positions = _header_positions(path, header, schema)
+        blocks, rows = [], []
+        for row_no, row in enumerate(reader, start=2):  # the header is row 1
+            if row:
+                rows.append(_parse_row(path, row, schema, positions, row_no))
+                if len(rows) == PARSE_BLOCK:
+                    blocks.append(np.array(rows, dtype=np.float64))
+                    rows = []
+    if rows:
+        blocks.append(np.array(rows, dtype=np.float64))
+    if not blocks:
+        raise IngestionError(f"{path}: no data rows")
+    return np.concatenate(blocks)
+
+
+def _read_table_numpy(path, schema: list[ColumnSchema]) -> np.ndarray | None:
+    """``_read_table`` by numpy's C text reader, or None where the csv path
+    could read the file differently or would raise.
+
+    The body is read ``PARSE_BLOCK`` lines at a time, one ``np.loadtxt``
+    per block. Both readers parse a number with ``PyOS_string_to_double``,
+    so the bits agree. A block is refused if it holds a NUL byte or a line
+    over ``csv.field_size_limit()`` (csv rejects or keeps what loadtxt
+    reads or strips), if the reader fails, or if a cell fails a check.
+    Each block is read with a line of zeros after it, and is refused
+    unless it yields one row per non-empty line plus that line: a quoted
+    field that runs past a line end would swallow the next line, and a
+    whitespace-only line would be read as a row. Categories are looked up
+    unstripped, so a padded cell is refused rather than stripped; a string
+    field is one character wider than the longest category, so a longer
+    cell cannot be truncated into a match.
+    """
+    fields, codes = [], {}
+    for j, col in enumerate(schema):
         if col.kind == "categorical":
+            fields.append((f"c{j}", f"U{max(map(len, col.categories)) + 1}"))
             # reversed, so a repeated category keeps its first index, as
-            # tuple.index does; an empty cell is a missing value, not a category
-            codes = {c: float(i) for i, c in reversed(list(enumerate(col.categories))) if c}
-            values = np.fromiter(map(codes.__getitem__, map(str.strip, cells)), np.float64, n)
+            # tuple.index does; a cell that strip() would change is refused
+            codes[j] = {c: float(i) for i, c in reversed(list(enumerate(col.categories))) if c and c == c.strip()}
         else:
-            values = np.fromiter(map(float, cells), np.float64, n)
-            if not np.isfinite(values).all():
-                raise ValueError("non-finite cell")
-            if col.kind == "binary" and not ((values == 0.0) | (values == 1.0)).all():
-                raise ValueError("non-binary cell")
-        columns.append(values)
-    return np.column_stack(columns)
-
-
-def _parse_rows(path, rows: list[list[str]], schema: list[ColumnSchema], positions: list[int],
-                first_row: int) -> np.ndarray:
-    """Parse rows, numbered from ``first_row``, one by one and cell by cell,
-    in schema order, so that the first bad or missing cell raises its
-    IngestionError."""
-    parsed = []
-    for row_no, row in enumerate(rows, start=first_row):
-        if not row:
-            continue
-        cells = []
-        for col, position in zip(schema, positions):
-            if position >= len(row):
-                raise IngestionError(
-                    f"{path}: row {row_no}, column {col.name!r}: missing cell (the row has {len(row)} cells)"
-                )
-            cells.append(_parse_cell(row[position], col, row_no))
-        parsed.append(cells)
-    return np.array(parsed, dtype=np.float64)
+            fields.append((f"c{j}", np.float64))
+    dtype = np.dtype(fields)
+    limit = csv.field_size_limit()
+    blocks = []
+    with open_input(path) as f:
+        try:
+            positions = _header_positions(path, next(csv.reader(f)), schema)
+            zeros = ",".join("0" * (max(positions) + 1)) + "\n"
+            while lines := list(itertools.islice(f, PARSE_BLOCK)):
+                n = len(lines) - lines.count("\n") - lines.count("\r\n") - lines.count("\r")
+                if not n:
+                    continue
+                if max(map(len, lines)) > limit or "\0" in "".join(lines):
+                    return None
+                rows = np.loadtxt(lines + [zeros], delimiter=",", usecols=positions, dtype=dtype,
+                                  comments=None, quotechar='"', ndmin=1)
+                if len(rows) != n + 1:
+                    return None
+                rows = rows[:n]
+                columns = []
+                for j, col in enumerate(schema):
+                    if col.kind == "categorical":
+                        values = np.fromiter(map(codes[j].__getitem__, rows[f"c{j}"].tolist()), np.float64, n)
+                    else:
+                        values = rows[f"c{j}"]
+                        if not np.isfinite(values).all():
+                            return None
+                        if col.kind == "binary" and not ((values == 0.0) | (values == 1.0)).all():
+                            return None
+                    columns.append(values)
+                blocks.append(np.column_stack(columns))
+        except (StopIteration, csv.Error, IngestionError, KeyError, ValueError):
+            return None
+    return np.concatenate(blocks) if blocks else None
 
 
 def _read_table(path, schema: list[ColumnSchema]) -> np.ndarray:
     """The numeric table of a CSV file with a header row: one row per data
     row, one label-encoded column per schema column, in schema order.
 
-    The file is read in blocks of ``PARSE_BLOCK`` records, and each block's
-    cells are parsed one column at a time (``_parse_columns``). If any
-    column of a block fails, that block is parsed again row by row and cell
-    by cell (``_parse_rows``), so the error names the first bad or missing
-    cell: rows in file order, cells in schema order, as a cell-by-cell
-    reader would. Empty lines are skipped but keep their row number; extra
-    trailing cells are ignored.
+    The header is one csv record. The body is read by numpy's C text reader
+    (``_read_table_numpy``). If that refuses any block, the whole file is
+    read again cell by cell by ``csv.reader`` (``_read_table_exact``), which
+    returns the same table or names the first bad or missing cell: rows in
+    file order, cells in schema order. Empty lines are skipped but keep
+    their row number; extra trailing cells are ignored. Either way, memory
+    beyond the table grows with ``PARSE_BLOCK``, not with the file.
     """
-    with csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        missing = [c.name for c in schema if c.name not in header]
-        if missing:
-            raise IngestionError(f"{path}: missing columns {missing}")
-        positions = [header.index(c.name) for c in schema]
-        blocks = []
-        first_row = 2  # the header is row 1
-        while rows := list(itertools.islice(reader, PARSE_BLOCK)):
-            data_rows = [row for row in rows if row]
-            if data_rows:
-                try:
-                    blocks.append(_parse_columns(data_rows, schema, positions))
-                except (IndexError, KeyError, ValueError):
-                    blocks.append(_parse_rows(path, rows, schema, positions, first_row))
-            first_row += len(rows)
-    if not blocks:
-        raise IngestionError(f"{path}: no data rows")
-    return np.concatenate(blocks)
+    table = _read_table_numpy(path, schema)
+    return _read_table_exact(path, schema) if table is None else table
 
 
 def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
@@ -356,6 +399,8 @@ def minibatch_construct(
     """
     if sampler not in ("within_batch", "disjoint"):
         raise ValueError(f"unknown sampler {sampler!r}")
+    if n_b < 1:
+        raise DimensionError(f"batch size must be >= 1, got {n_b}")
     if n_b > dataset.n:
         raise DimensionError(f"batch size {n_b} exceeds dataset size {dataset.n}")
     if sampler == "disjoint" and dataset.n < 2 * n_b:

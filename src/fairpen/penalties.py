@@ -27,7 +27,6 @@ def contrast(
     real: np.ndarray,
     fake: np.ndarray,
     w=1.0,
-    train: bool = True,
     params: bool = True,
 ) -> tuple[float, np.ndarray]:
     """mean[log D(real) + w log(1 - D(fake))], the real-vs-resampled objective.
@@ -50,7 +49,7 @@ def contrast(
     # One combined forward so batch-norm statistics are shared between the
     # real and resampled halves (separate passes let D discriminate on
     # batch statistics alone and collapse the penalty).
-    p = clamp_prob(net.forward(np.vstack([real, fake]), train=train))
+    p = clamp_prob(net.forward(np.vstack([real, fake]), train=True))
     p_real, p_fake = p[:n], p[n:]
     upstream = np.vstack([1.0 / (n * p_real), -w / (n * (1.0 - p_fake))])
     grad_in = net.backward(upstream, params)

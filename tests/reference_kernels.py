@@ -3,7 +3,7 @@ and the disjoint sampler, kept as oracles for the sort-and-sweep versions
 in ``fairpen.metrics`` and ``fairpen.data``; the original out-of-place
 layer kernels and per-array SGD loop, kept as oracles for the in-place,
 flat-buffer versions in ``fairpen.nn``; the original cell-by-cell CSV
-parse, kept as the oracle for the row-blocked, column-at-a-time parse in
+parse, kept as the oracle for the blocked numpy reader in
 ``fairpen.data``; the original KS distance, which merges and sorts the
 cell with its reference for every cell; the original ``fairpen pareto``,
 which reads rows with ``csv.DictReader`` and sorts the points twice; and

@@ -70,7 +70,7 @@ def test_criterion_02_gsp_discriminator_matches_oracle():
     for _ in range(10_000):
         idx = loop_rng.choice(n, 100, replace=False)
         a_prime = a[idx][loop_rng.permutation(100)]
-        contrast(D, np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime]), train=True)
+        contrast(D, np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime]))
         D.sgd_step(0.005, maximize=True)
     worst = max(
         abs(float(D.forward(np.array([[float(sv), float(av)]]))[0, 0]) - target[sv, av])
@@ -115,7 +115,7 @@ def test_criterion_03_geo_discriminator_matches_oracle():
         a_prime = a_b[loop_rng.permutation(100)]
         real = np.column_stack([s[idx], a_b, y[idx]])
         fake = np.column_stack([s[idx], a_prime, y[idx]])
-        contrast(D, real, fake, beta(a_b, y[idx]), train=True)
+        contrast(D, real, fake, beta(a_b, y[idx]))
         D.sgd_step(0.005, maximize=True)
     worst = max(
         abs(float(D.forward(np.array([[float(sv), float(av), float(yv)]]))[0, 0]) - target[sv, av, yv])

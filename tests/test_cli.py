@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -376,6 +377,17 @@ def test_ratio_toy_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# A count flag below 1, by case: the command, the flag and its value.
+_FLAG_BELOW_ONE = {
+    "ratio_toy_batch_neg5": ("ratio-toy", "--batch", "-5"),
+    "ratio_toy_batch_0": ("ratio-toy", "--batch", "0"),
+    "ratio_toy_iters_neg3": ("ratio-toy", "--iters", "-3"),
+    "ratio_toy_n_0": ("ratio-toy", "--n", "0"),
+    "pareto_k_0": ("pareto", "--k", "0"),
+    "pareto_k_neg1": ("pareto", "--k", "-1"),
+}
+
+
 def _bad_input(tmp_path, case):
     """CLI arguments for one user error, and the text its message must name."""
     csv_path, schema_path = _write_dataset(tmp_path, n=40)
@@ -422,8 +434,22 @@ def _bad_input(tmp_path, case):
     if case == "schema_not_utf8":
         schema_path.write_bytes(b'[{"name": "x\xe9", "role": "feature", "kind": "continuous"}]')
         return train, [str(schema_path), "not UTF-8"]
+    if case in ("schema_categories_int", "schema_categories_str", "schema_categories_repeated"):
+        cats = {"schema_categories_int": 5, "schema_categories_str": "uv",
+                "schema_categories_repeated": ["u", "u"]}[case]
+        schema_path.write_text(json.dumps([{"name": "a", "role": "sensitive", "kind": "categorical",
+                                            "categories": cats}]))
+        return train, [str(schema_path), "entry 0", "'categories'", repr(cats)]
     snapshots = tmp_path / "s1.csv"
     pareto = ["pareto", str(snapshots), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv")]
+    if case in _FLAG_BELOW_ONE:
+        command, flag, value = _FLAG_BELOW_ONE[case]
+        if command == "ratio-toy":
+            args = ["ratio-toy", "--n", "100", "--iters", "5", "--batch", "10", "--out", str(tmp_path / "toy.csv")]
+        else:
+            _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"]])
+            args = pareto + ["--utility-threshold", "0.5"]
+        return args + [flag, value], [flag, value]
     if case == "pareto_mixed_utility":
         mae_snapshots = tmp_path / "s2.csv"
         _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.3"]])
@@ -460,7 +486,8 @@ def _bad_input(tmp_path, case):
      "learning_rate_nan", "learning_rate_inf", "out_is_a_file", "pareto_bad_utility",
      "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility",
      "pareto_inf_utility", "pareto_inf_fairness", "data_not_utf8", "data_oversized_field",
-     "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field"],
+     "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field", "schema_categories_int",
+     "schema_categories_str", "schema_categories_repeated", *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)
@@ -508,3 +535,32 @@ def test_fairpen_threads_caps_openblas():
     if out == "missing":
         pytest.skip("numpy's bundled OpenBLAS does not export a thread-count getter")
     assert out == "1"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every file that a geo ``fairpen train`` and ``fairpen evaluate`` write
+    has the same bytes under FAIRPEN_THREADS=1 and FAIRPEN_THREADS=2."""
+    csv_path, schema_path = _write_dataset(tmp_path, n=3000)
+    (tmp_path / "train.ini").write_text("[train]\nt = 200\nl = 200\n")
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "FAIRPEN_THREADS")
+    }
+    src = str(Path(fairpen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads={threads}"
+        train = _train_args(tmp_path, csv_path, schema_path, "--criterion", "geo")
+        train[train.index("--out") + 1] = str(out / "runs")
+        evaluate = ["evaluate", "--checkpoint", str(out / "runs" / "r1" / "lambda=0.5" / "h_final.ckpt"),
+                    "--data", str(csv_path), "--schema", str(schema_path), "--out", str(out / "eval.csv")]
+        for args in (train, evaluate):
+            subprocess.run([sys.executable, "-m", "fairpen.cli", *args], env={**env, "FAIRPEN_THREADS": threads},
+                           capture_output=True, check=True)
+        digests.append({path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.rglob("*") if path.is_file()})
+    assert sorted(digests[0]) == [
+        "eval.csv", *(f"runs/r1/lambda=0.5/{name}" for name in
+                      ("beta_table.csv", "d_final.ckpt", "h_final.ckpt", "snapshots.csv"))]
+    assert digests[0] == digests[1]

@@ -250,6 +250,9 @@ def test_minibatch_size_and_sampler_validation(toy_dataset):
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionError):
         minibatch_construct(toy_dataset, 500, "within_batch", rng, rng)
+    for n_b in (0, -5):
+        with pytest.raises(DimensionError, match="batch size must be >= 1"):
+            minibatch_construct(toy_dataset, n_b, "within_batch", rng, rng)
     with pytest.raises(ValueError):
         minibatch_construct(toy_dataset, 10, "bootstrap", rng, rng)
 

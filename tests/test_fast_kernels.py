@@ -1,6 +1,6 @@
 """The sort-and-sweep metric kernels, the disjoint sampler, the in-place,
 flat-buffer network kernels, the row-blocked inference pass, the
-row-blocked, column-at-a-time CSV parse, the KS gap that prepares each
+blocked numpy CSV reader, the KS gap that prepares each
 reference once and the one-pass ``fairpen pareto`` against the original
 implementations in ``reference_kernels``: results must be equal bit for
 bit, not approximately."""
@@ -271,82 +271,105 @@ def test_inference_batch_norm_equals_reference(n, width, scale, seed):
 
 
 # Header order differs from schema order, and one header column is unused, so
-# the row-major scan's cell order is the schema's, not the file's.
+# the row-major scan's cell order is the schema's, not the file's. A
+# category holding a comma and a quote is written quoted; one holding a
+# newline is written as a quoted field over two lines; a padded category
+# can never match, because cells are stripped.
 _CSV_HEADER = ["x", "unused", "job", "a", "y"]
 _CSV_SCHEMA = [
     ColumnSchema("y", "outcome", "binary"),
     ColumnSchema("x", "feature", "continuous"),
-    ColumnSchema("job", "feature", "categorical", ("u", "v w", "u", "z")),
+    ColumnSchema("job", "feature", "categorical", ("u", "v w", "u", "z", 'q,"r', "n\nl", " p ")),
     ColumnSchema("a", "sensitive", "binary"),
 ]
+# one character longer than every category: a string field as wide as the
+# longest category would truncate it into a match
+_LONG_JOB = max(_CSV_SCHEMA[2].categories, key=len) + "x"
 _valid_cells = {
     "x": st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
         st.sampled_from([" 2.5 ", "1_0", "\u20031\u2003", "-0.0", "1e3", "1E-320"]),
     ),
-    "unused": st.sampled_from(["", "?", "1"]),
-    "job": st.sampled_from(["u", "v w", " z ", "z"]),
+    "unused": st.sampled_from(["", "?", "1", "a,b", 'say "hi"', "two\nlines"]),
+    "job": st.sampled_from(["u", "v w", " z ", "z", 'q,"r', "n\nl"]),
     "a": st.sampled_from(["0", "1", " 1 ", "1.0", "-0.0", "0e0"]),
     "y": st.sampled_from(["0", "1", "1.00"]),
 }
 _bad_cells = {
-    "x": st.sampled_from(["", " ", "abc", "0x1", "nan", "inf", "-Infinity", "1e500", "-1e500"]),
-    "unused": st.sampled_from(["x"]),
-    "job": st.sampled_from(["", "U", "q", "u w"]),
+    "x": st.sampled_from(["", " ", "abc", "0x1", "nan", "inf", "-Infinity", "1e500", "-1e500", "1\0", "1\n2"]),
+    "unused": st.sampled_from(["x\0", "x" * (csv.field_size_limit() + 1)]),
+    "job": st.sampled_from(["", "U", "q", "u w", "u\0", _LONG_JOB, "n\r\nl", " p "]),
     "a": st.sampled_from(["2", "0.5", "nan", "", "x"]),
     "y": st.sampled_from(["0.5", "inf", ""]),
 }
+# lines that are not data rows: blank, whitespace-only and comment-like
+_odd_rows = st.sampled_from([[], [" "], ["\t"], ["#"], ["# note", "1"], [""]])
+
+
+# valid cells that numpy's reader refuses, so that csv reads the whole file
+_SLOW_CELLS = {"1_0", "two\nlines", " z ", "n\nl"}
 
 
 @st.composite
 def _csv_rows(draw):
-    """Rows of cells: in half the files every cell is valid; in the other
-    half a cell may be bad and a row may be cut short."""
+    """Rows of cells: in half the files every cell is valid (and in half of
+    those, numpy's reader takes every cell); in the other half a cell may be
+    bad, a row may be cut short and an odd line may stand between rows."""
     faulty = draw(st.booleans())
+    plain = not faulty and draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         row = [
-            draw(_bad_cells[name] if faulty and draw(st.integers(0, 7)) == 0 else _valid_cells[name])
+            draw(_bad_cells[name] if faulty and draw(st.integers(0, 7)) == 0 else
+                 _valid_cells[name].filter(lambda c: not plain or c not in _SLOW_CELLS))
             for name in _CSV_HEADER
         ]
         if faulty and draw(st.integers(0, 7)) == 0:
             row = row[: draw(st.integers(1, len(row) - 1))]
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.just([]) if not faulty else _odd_rows))
         rows.append(row)
     return rows
 
 
+def _cellwise_outcome(path):
+    """The table of ``parse_table_cellwise``, or the message that
+    ``_read_table`` must raise (whole, or a part of it, for errors that
+    ``_read_table`` names by file and row)."""
+    try:
+        table = parse_table_cellwise(path, _CSV_SCHEMA)
+    except IngestionError as exc:
+        return str(exc), True
+    except IndexError:
+        return "missing cell", False
+    except csv.Error as exc:
+        return str(exc), False
+    return (table, True) if len(table) else ("no data rows", False)
+
+
+def _assert_reads_as_cellwise(path):
+    """``_read_table`` returns the bits of ``parse_table_cellwise`` or raises its message."""
+    expected, whole = _cellwise_outcome(path)
+    try:
+        table, got = data._read_table(path, _CSV_SCHEMA), None
+    except IngestionError as exc:
+        got = str(exc)
+    if isinstance(expected, np.ndarray):
+        assert got is None and table.shape == expected.shape and table.tobytes() == expected.tobytes()
+    elif whole:
+        assert got == expected
+    else:
+        assert got is not None and expected in got
+
+
 @settings(deadline=None, max_examples=300)
-@given(_csv_rows())
-def test_column_parse_equals_cellwise_parse(rows):
+@given(_csv_rows(), st.sampled_from(["\r\n", "\n"]), st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+def test_read_table_equals_cellwise_parse(rows, lineterminator, quoting):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
-        path.write_text("\n".join(",".join(r) for r in [_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
-        try:
-            expected, error = parse_table_cellwise(path, _CSV_SCHEMA), None
-        except IngestionError as exc:
-            expected, error = None, str(exc)
-        except IndexError:
-            expected, error = None, "missing cell"
-        if expected is not None and len(expected) == 0:
-            expected, error = None, "no data rows"
-        if error is None:
-            with open(path, encoding="utf-8", newline="") as f:
-                data_rows = [r for r in list(csv.reader(f))[1:] if r]
-            positions = [_CSV_HEADER.index(c.name) for c in _CSV_SCHEMA]
-            table = data._parse_columns(data_rows, _CSV_SCHEMA, positions)
-            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
-        with np.errstate(all="ignore"):
-            try:
-                load_csv(path, _CSV_SCHEMA)
-                got = None
-            except IngestionError as exc:
-                got = str(exc)
-    if error is None:
-        assert got is None or "overflows when scaled" in got
-    elif error in ("missing cell", "no data rows"):
-        assert got is not None and error in got
-    else:
-        assert got == error
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator=lineterminator, quoting=quoting).writerows([_CSV_HEADER, *rows])
+        _assert_reads_as_cellwise(path)
 
 
 def _block_csv(path, rows, blank_before=()):
@@ -395,6 +418,46 @@ def test_blocked_parse_names_the_cellwise_row_and_column(tmp_path, fault):
         with pytest.raises(IndexError):
             parse_table_cellwise(path, _CSV_SCHEMA)
         assert str(got.value) == f"{path}: row {row_no}, column 'y': missing cell (the row has 3 cells)"
+
+
+def _plain_row(i):
+    """A row that numpy's reader takes: quoted and unquoted cells, none padded."""
+    return [repr(0.25 * i - 7.5), ("?", "a,b", 'say "hi"')[i % 3], ("u", "v w", 'q,"r', "z")[i % 4],
+            str(i % 2), str(i // 2 % 2)]
+
+
+_REFUSALS = {  # a cell of the last row of the first block: (column, cell); column 5 adds a cell
+    "padded cell": (2, " z "),
+    "padded category": (2, " p "),
+    "underscore number": (0, "1_0"),
+    "nul byte": (1, "\0"),
+    "oversized unused field": (1, "x" * (csv.field_size_limit() + 1)),
+    "long category": (2, _LONG_JOB),
+    "quoted newline across blocks": (2, "n\nl"),
+    # an ignored trailing cell whose second line reads as a row of its own
+    "quoted row across blocks": (5, "\n" + ",".join(_plain_row(0)) + ',x"'),
+    "whitespace-only line": None,
+}
+
+
+@pytest.mark.parametrize("refusal", [None, *_REFUSALS])
+def test_numpy_reader_takes_plain_blocks_and_refuses_the_rest(tmp_path, refusal):
+    rows = [_plain_row(i) for i in range(2 * data.PARSE_BLOCK + 37)]
+    at = data.PARSE_BLOCK - 2  # after the blank line below, the first block's last line
+    if refusal == "whitespace-only line":
+        rows.insert(at, [" "])
+    elif refusal is not None:
+        column, cell = _REFUSALS[refusal]
+        rows[at][column:column + 1] = [cell]
+    path = tmp_path / "d.csv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([_CSV_HEADER, *rows[:9], [], *rows[9:]])  # CRLF line ends, one blank line
+    fast = data._read_table_numpy(path, _CSV_SCHEMA)
+    if refusal is None:
+        assert fast is not None and fast.tobytes() == parse_table_cellwise(path, _CSV_SCHEMA).tobytes()
+    else:
+        assert fast is None
+    _assert_reads_as_cellwise(path)
 
 
 @pytest.mark.parametrize(
