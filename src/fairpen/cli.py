@@ -34,10 +34,11 @@ def load_schema(path) -> list[ColumnSchema]:
     for i, e in enumerate(entries):
         cats = e.get("categories")
         if cats is not None:
-            if not (isinstance(cats, list) and cats and all(isinstance(c, str) and c for c in cats)
+            if not (isinstance(cats, list) and cats
+                    and all(isinstance(c, str) and c and c == c.strip() for c in cats)
                     and len(set(cats)) == len(cats)):
                 raise IngestionError(f"{path}: schema entry {i}: 'categories' must be a non-empty list "
-                                     f"of distinct, non-empty strings, got {cats!r}")
+                                     f"of distinct, non-empty, unpadded strings, got {cats!r}")
             cats = tuple(cats)
         try:
             schema.append(ColumnSchema(e["name"], e["role"], e["kind"], cats))

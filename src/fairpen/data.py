@@ -132,29 +132,29 @@ class Minibatch:
     a_prime: np.ndarray
 
 
-def _parse_cell(raw: str, col: ColumnSchema, row_no: int) -> float | None:
+def _parse_cell(path, raw: str, col: ColumnSchema, row_no: int) -> float | None:
     text = raw.strip()
     if text == "":
-        raise IngestionError(f"row {row_no}, column {col.name!r}: missing value")
+        raise IngestionError(f"{path}: row {row_no}, column {col.name!r}: missing value")
     if col.kind == "categorical":
         if text not in col.categories:
             raise IngestionError(
-                f"row {row_no}, column {col.name!r}: unknown category {text!r}"
+                f"{path}: row {row_no}, column {col.name!r}: unknown category {text!r}"
             )
         return float(col.categories.index(text))
     try:
         value = float(text)
     except ValueError:
         raise IngestionError(
-            f"row {row_no}, column {col.name!r}: unparseable cell {text!r}"
+            f"{path}: row {row_no}, column {col.name!r}: unparseable cell {text!r}"
         ) from None
     if not math.isfinite(value):
         raise IngestionError(
-            f"row {row_no}, column {col.name!r}: non-finite cell {text!r}"
+            f"{path}: row {row_no}, column {col.name!r}: non-finite cell {text!r}"
         )
     if col.kind == "binary" and value not in (0.0, 1.0):
         raise IngestionError(
-            f"row {row_no}, column {col.name!r}: binary cell must be 0 or 1, got {text!r}"
+            f"{path}: row {row_no}, column {col.name!r}: binary cell must be 0 or 1, got {text!r}"
         )
     return value
 
@@ -215,7 +215,7 @@ def _parse_row(path, row: list[str], schema: list[ColumnSchema], positions: list
             raise IngestionError(
                 f"{path}: row {row_no}, column {col.name!r}: missing cell (the row has {len(row)} cells)"
             )
-        cells.append(_parse_cell(row[position], col, row_no))
+        cells.append(_parse_cell(path, row[position], col, row_no))
     return cells
 
 

@@ -12,10 +12,11 @@ summed over levels, averaged over grid values. The unconditional forms (SP,
 GSP) are the conditional ones (EO, GEO) with one outcome condition holding
 every row.
 
-Each reference is prepared once per outcome condition, not once per cell:
-its rate, or its sorted distinct values and its CDF at them. A KS cell of m
-rows against a reference with u distinct values then costs one sort of the
-cell and one binary search per distinct value, O(m log m + u log m).
+A rate reference is prepared once per outcome condition, not once per
+cell. The KS gaps rank the n scores once per call, O(n log n); every
+condition is then a row mask in that order, and the CDF of a cell or of its
+reference at each distinct score is the mask's running count at the last
+row of that score's run of ties, divided by the mask's size: O(n) per cell.
 
 The rank, threshold, KS and Pareto kernels sort once and then sweep or
 binary-search: O(n log n) in their rows or points.
@@ -159,9 +160,7 @@ def _sweep(gap, values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
     rate ratio), or ``values`` itself for the all-rows condition.
     """
     a_masks, a_div = a_conds
-    y_masks, y_div = ([(" any", None)], 1) if y is None else _conditions(
-        y, "discrete" if y_grid is None else "continuous", y_grid
-    )
+    y_masks, y_div = _outcome_conditions(y, y_grid)
     total = 0.0
     for y_name, y_mask in y_masks:
         ref_mask = _and(ref_where, y_mask)
@@ -169,6 +168,14 @@ def _sweep(gap, values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
         for a_name, a_mask in a_masks:
             total += cell_gap(_rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}"))
     return float(total / a_div / y_div)
+
+
+def _outcome_conditions(y, y_grid):
+    """The outcome conditions of ``_conditions``; one holding every row
+    (mask None) without ``y``."""
+    if y is None:
+        return [(" any", None)], 1
+    return _conditions(y, "discrete" if y_grid is None else "continuous", y_grid)
 
 
 def _and(mask, other):
@@ -229,25 +236,46 @@ def eo_continuous(
     return _sweep(_rate_gap, yhat, _conditions(a, "continuous", a_grid), y, y_grid)
 
 
-def _ks_gap(reference: np.ndarray):
-    """cell -> max |F_cell(t) - F_reference(t)| over the observed values t.
+def _ks_sweep(s, a, a_kind, a_grid, y=None, y_grid=None) -> float:
+    """``_sweep`` with the KS distance as the cell gap, over one ranking of
+    the scores.
 
-    Every KS cell is a subset of its reference, so the observed values are
-    the reference's own: they and the reference CDF at them are computed
-    once, with one sort of the reference. A cell of m rows then costs one
-    sort and one binary search per distinct reference value,
-    O(m log m + u log m) for u distinct values.
+    The reference of a cell is its outcome condition's rows. Ranking every
+    column by score turns each condition into a row mask in score order, so
+    a mask's CDF at a score is its running count at the last row of that
+    score's run of ties. Evaluating at every distinct score, not only at the
+    reference's own, leaves the maximum as it is: a cell is a subset of its
+    reference, so where the reference has no mass both CDFs stay flat.
+    Order within a run of ties does not matter, so the sort need not be
+    stable. An empty cell or reference, or a NaN score in a reference,
+    raises DegenerateMetricError.
     """
-    ts, counts = np.unique(reference, return_counts=True)
-    fr = np.cumsum(counts) / len(reference)
-
-    def cell_gap(cell: np.ndarray) -> float:
-        if np.isnan(ts[-1]):  # NaN sorts last
-            raise DegenerateMetricError("NaN score in KS distance")
-        fs = np.searchsorted(np.sort(cell), ts, side="right") / len(cell)
-        return float(np.abs(fs - fr).max())
-
-    return cell_gap
+    order = np.argsort(s)
+    s, a = s[order], a[order]
+    a_masks, a_div = _conditions(a, a_kind, a_grid)
+    y_masks, y_div = _outcome_conditions(None if y is None else y[order], y_grid)
+    finite = len(s) - np.count_nonzero(np.isnan(s))  # NaN ranks last
+    ranked = s[:finite]
+    run_end = np.ones(finite, dtype=bool)
+    run_end[:-1] = ranked[1:] != ranked[:-1]
+    ends = np.flatnonzero(run_end)
+    total = 0.0
+    for y_name, y_mask in y_masks:
+        ref = np.ones(len(s), dtype=bool) if y_mask is None else y_mask
+        n_ref = np.count_nonzero(ref)
+        if y_mask is not None and n_ref == 0:  # as _sweep: no check on the all-rows reference
+            raise DegenerateMetricError(f"empty group (reference, Y{y_name})")
+        ref_cdf = np.cumsum(ref)[ends] / n_ref
+        ref_has_nan = ref[finite:].any()
+        for a_name, a_mask in a_masks:
+            cell = _and(a_mask, y_mask)
+            m = np.count_nonzero(cell)
+            if m == 0:
+                raise DegenerateMetricError(f"empty group (A{a_name}, Y{y_name})")
+            if ref_has_nan:
+                raise DegenerateMetricError("NaN score in KS distance")
+            total += float(np.abs(np.cumsum(cell)[ends] / m - ref_cdf).max())
+    return float(total / a_div / y_div)
 
 
 def ks_gsp(
@@ -262,7 +290,7 @@ def ks_gsp(
     grid with A<=a conditioning.
     """
     s, a = _columns(scores, a)
-    return _sweep(_ks_gap, s, _conditions(a, kind, grid))
+    return _ks_sweep(s, a, kind, grid)
 
 
 def ks_geo(
@@ -275,7 +303,7 @@ def ks_geo(
 ) -> float:
     """KS gaps between score CDFs given (A, Y) and given Y alone."""
     s, a, y = _columns(scores, a, y)
-    return _sweep(_ks_gap, s, _conditions(a, a_kind, a_grid), y, y_grid)
+    return _ks_sweep(s, a, a_kind, a_grid, y, y_grid)
 
 
 def mae(predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -34,7 +34,7 @@ def parse_table_cellwise(path, schema):
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            rows.append([_parse_cell(row[positions[c.name]], c, row_no) for c in schema])
+            rows.append([_parse_cell(path, row[positions[c.name]], c, row_no) for c in schema])
     return np.array(rows, dtype=np.float64)
 
 

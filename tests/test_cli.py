@@ -434,9 +434,9 @@ def _bad_input(tmp_path, case):
     if case == "schema_not_utf8":
         schema_path.write_bytes(b'[{"name": "x\xe9", "role": "feature", "kind": "continuous"}]')
         return train, [str(schema_path), "not UTF-8"]
-    if case in ("schema_categories_int", "schema_categories_str", "schema_categories_repeated"):
+    if case.startswith("schema_categories_"):
         cats = {"schema_categories_int": 5, "schema_categories_str": "uv",
-                "schema_categories_repeated": ["u", "u"]}[case]
+                "schema_categories_repeated": ["u", "u"], "schema_categories_padded": ["u", " v"]}[case]
         schema_path.write_text(json.dumps([{"name": "a", "role": "sensitive", "kind": "categorical",
                                             "categories": cats}]))
         return train, [str(schema_path), "entry 0", "'categories'", repr(cats)]
@@ -487,7 +487,7 @@ def _bad_input(tmp_path, case):
      "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility",
      "pareto_inf_utility", "pareto_inf_fairness", "data_not_utf8", "data_oversized_field",
      "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field", "schema_categories_int",
-     "schema_categories_str", "schema_categories_repeated", *_FLAG_BELOW_ONE],
+     "schema_categories_str", "schema_categories_repeated", "schema_categories_padded", *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

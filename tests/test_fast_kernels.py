@@ -1,7 +1,7 @@
 """The sort-and-sweep metric kernels, the disjoint sampler, the in-place,
 flat-buffer network kernels, the row-blocked inference pass, the
-blocked numpy CSV reader, the KS gap that prepares each
-reference once and the one-pass ``fairpen pareto`` against the original
+blocked numpy CSV reader, the KS gaps that rank the scores once
+per call and the one-pass ``fairpen pareto`` against the original
 implementations in ``reference_kernels``: results must be equal bit for
 bit, not approximately."""
 
@@ -189,7 +189,9 @@ def test_ks_gap_of_every_group_in_unit_interval(data):
     scores = np.array(data.draw(st.lists(st.one_of(_finite_or_inf, _tied), min_size=1, max_size=60)))
     groups = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(scores), max_size=len(scores))))
     for v in np.unique(groups):
-        assert 0.0 <= metrics._ks_gap(scores)(scores[groups == v]) <= 1.0
+        # one grid value: the cell A <= 0 is group v, its reference every row
+        outside = (groups != v).astype(float)
+        assert 0.0 <= metrics.ks_gsp(scores, outside, "continuous", metrics.QuantileGrid((0.0,))) <= 1.0
 
 
 def _dense_bn_net(seed, in_dim, width, scale):
@@ -413,7 +415,7 @@ def test_blocked_parse_names_the_cellwise_row_and_column(tmp_path, fault):
         with pytest.raises(IngestionError) as expected:
             parse_table_cellwise(path, _CSV_SCHEMA)
         assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith(f"row {row_no}, column 'a': binary cell")
+        assert str(got.value).startswith(f"{path}: row {row_no}, column 'a': binary cell")
     else:
         with pytest.raises(IndexError):
             parse_table_cellwise(path, _CSV_SCHEMA)
@@ -507,6 +509,37 @@ def test_ks_gaps_equal_concat_reference(data):
         for y, yg in ((y_disc, None), (y_cont, y_grid)):
             expected = _ks_outcome(metrics._sweep, _ks_concat_gap, s, conds, y, yg)
             assert _ks_outcome(metrics.ks_geo, s, a, y, kind, grid, yg) == expected
+
+
+def test_ks_gaps_equal_concat_reference_at_large_n_with_ties():
+    """20 000 scores on 3-decimal ties (-0.0 and 0.0 among them), with and
+    without one NaN score in a row of Y = 1 that no Y <= q condition holds."""
+    n = 20_000
+    rng = np.random.default_rng(12)
+    s = np.round(rng.standard_normal(n), 3)
+    a_disc = rng.integers(0, 4, n).astype(float)
+    a_cont = np.round(rng.random(n), 2)
+    y_disc = (rng.random(n) < 0.4).astype(float)
+    y_cont = rng.random(n)
+    nan_row = int(np.flatnonzero(y_disc == 1)[0])
+    y_cont[nan_row] = 2.0
+    a_grid, y_grid = metrics.quantile_grid(a_cont), metrics.quantile_grid(y_cont)
+    assert len(np.unique(s)) < n // 3 and np.signbit(s[s == 0]).any() and not np.signbit(s[s == 0]).all()
+    with_nan = s.copy()
+    with_nan[nan_row] = np.nan
+    outcomes = []
+    for scores in (s, with_nan):
+        for a, kind, grid in ((a_disc, "discrete", None), (a_cont, "continuous", a_grid)):
+            conds = metrics._conditions(a, kind, grid)
+            expected = _ks_outcome(metrics._sweep, _ks_concat_gap, scores, conds)
+            assert _ks_outcome(metrics.ks_gsp, scores, a, kind, grid) == expected
+            outcomes.append(expected)
+            for y, yg in ((y_disc, None), (y_cont, y_grid)):
+                expected = _ks_outcome(metrics._sweep, _ks_concat_gap, scores, conds, y, yg)
+                assert _ks_outcome(metrics.ks_geo, scores, a, y, kind, grid, yg) == expected
+                outcomes.append(expected)
+    # without the NaN every gap has a value; with it only the Y <= q forms do
+    assert [isinstance(o, str) for o in outcomes] == [True] * 6 + [False, False, True] * 2
 
 
 _POOL_HEADER = ["iteration", "split", "utility_name", "utility_value", "a_ks_gsp", "b_sp"]

@@ -55,9 +55,10 @@ def test_nan_score_is_undefined_for_auc_and_threshold():
 def test_nan_score_is_degenerate_for_ks():
     s = np.array([0.1, np.nan, 0.3, 0.4])
     with pytest.raises(DegenerateMetricError, match="NaN"):
-        metrics._ks_gap(s)(s[:2])
-    with pytest.raises(DegenerateMetricError):
         metrics.ks_gsp(s, np.array([0, 0, 1, 1]), "discrete")
+    # the cell A=0, Y=0 holds only 0.1; its reference, the Y=0 rows, holds the NaN
+    with pytest.raises(DegenerateMetricError, match="NaN"):
+        metrics.ks_geo(s, np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
 
 
 class _NanScorer:
