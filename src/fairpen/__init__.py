@@ -13,7 +13,7 @@ from .data import ColumnSchema, TabularDataset, load_csv, minibatch_construct, s
 from .metrics import FairnessReport, pareto_frontier, topk_fair_summary
 from .nn import Mlp, mlp
 from .penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
-from .training import TrainConfig, TrainResult, evaluate_snapshot, train
+from .training import TrainConfig, evaluate_snapshot, train
 
 __all__ = [
     "ColumnSchema",
@@ -21,7 +21,6 @@ __all__ = [
     "Mlp",
     "TabularDataset",
     "TrainConfig",
-    "TrainResult",
     "contrast",
     "empirical_pmf_ratio",
     "evaluate_snapshot",

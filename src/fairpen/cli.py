@@ -33,17 +33,13 @@ def load_schema(path) -> list[ColumnSchema]:
     schema = []
     for i, e in enumerate(entries):
         cats = e.get("categories")
-        if cats is not None:
-            if not (isinstance(cats, list) and cats
-                    and all(isinstance(c, str) and c and c == c.strip() for c in cats)
-                    and len(set(cats)) == len(cats)):
-                raise IngestionError(f"{path}: schema entry {i}: 'categories' must be a non-empty list "
-                                     f"of distinct, non-empty, unpadded strings, got {cats!r}")
-            cats = tuple(cats)
         try:
-            schema.append(ColumnSchema(e["name"], e["role"], e["kind"], cats))
+            schema.append(ColumnSchema(e["name"], e["role"], e["kind"],
+                                       tuple(cats) if isinstance(cats, list) else cats))
         except KeyError as exc:
             raise IngestionError(f"{path}: schema entry {i} has no {exc.args[0]!r}") from None
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: schema entry {i}: {exc}") from None
     return schema
 
 
@@ -79,7 +75,7 @@ def _parse(value, cast, where: str):
         raise ConfigError(f"{where}: {value!r} is not a valid {cast.__name__}") from None
 
 
-def _train_config(cfg: dict, lam: float, overrides: argparse.Namespace, task: str) -> TrainConfig:
+def _train_config(cfg: dict, lam: float, overrides: argparse.Namespace) -> TrainConfig:
     fields = {"T": 1000}  # TrainConfig's own defaults hold for every other field
     for key, (name, cast) in TRAIN_KEYS.items():
         if f"train.{key}" in cfg:
@@ -87,16 +83,18 @@ def _train_config(cfg: dict, lam: float, overrides: argparse.Namespace, task: st
     for name in ("seed", "sampler", "scaling"):  # command-line flags win over the config
         if getattr(overrides, name) is not None:
             fields[name] = getattr(overrides, name)
-    return TrainConfig(lam=lam, task=task, **fields)
+    return TrainConfig(lam=lam, **fields)
 
 
-def default_networks(p: int, l: int, criterion: str, task: str, rng: np.random.Generator):
-    """Architectures used throughout: classification uses width-64 blocks,
-    regression width-16; the scorer has 3 hidden blocks, discriminators 2."""
-    width = 64 if task == "binary_classification" else 16
-    out_act = "sigmoid" if task == "binary_classification" else "identity"
-    h = mlp(p, [width] * 3, rng=rng, batch_norm=True, output_activation=out_act)
-    d_in = 1 + l if criterion == "gsp" else 1 + l + 1
+def default_networks(dataset, criterion: str, rng: np.random.Generator):
+    """Architectures used throughout: a continuous outcome gets width-16
+    blocks and an identity-output scorer, any other outcome width-64 blocks
+    and a sigmoid output; the scorer has 3 hidden blocks, discriminators 2."""
+    continuous = dataset.outcome_column.kind == "continuous"
+    width = 16 if continuous else 64
+    out_act = "identity" if continuous else "sigmoid"
+    h = mlp(dataset.p, [width] * 3, rng=rng, batch_norm=True, output_activation=out_act)
+    d_in = 1 + dataset.l if criterion == "gsp" else 1 + dataset.l + 1
     d_net = mlp(d_in, [width] * 2, rng=rng, batch_norm=True)
     return h, d_net
 
@@ -108,10 +106,6 @@ def _write_csv(path, rows) -> None:
             csv.writer(f).writerows(rows)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
-
-
-def _task(dataset) -> str:
-    return "regression" if dataset.outcome_column.kind == "continuous" else "binary_classification"
 
 
 def cmd_train(args) -> int:
@@ -130,7 +124,6 @@ def cmd_train(args) -> int:
     run_id = args.run_id or cfg.get("output.run_id", "run")
 
     dataset = load_csv(data_path, schema)
-    task = _task(dataset)
     run_root = out_dir / run_id
     # A file anywhere on the run root's path would fail the first mkdir, after
     # a whole lambda had trained; the lambda directories still wait for it.
@@ -139,7 +132,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"output path {run_root}: {part} is a file, not a directory")
     if run_root.exists() and not args.force:
         raise ConfigError(f"run directory {run_root} exists (use --force to overwrite)")
-    configs = [_train_config(cfg, lam, args, task) for lam in lambdas]
+    configs = [_train_config(cfg, lam, args) for lam in lambdas]
     if not configs:
         return 0
 
@@ -160,16 +153,16 @@ def cmd_train(args) -> int:
     attr_names = [c.name for c in dataset.sensitive_columns]
     for config in configs:
         init_rng = rng_streams(config.seed)["init"]
-        h, D = default_networks(train_set.p, train_set.l, args.criterion, task, init_rng)
-        result = training.train(train_set, val_set, h, D, config, beta=beta)
+        h, D = default_networks(train_set, args.criterion, init_rng)
+        snapshots = training.train(train_set, val_set, h, D, config, beta=beta)
         lam_dir = run_root / f"lambda={config.lam:g}"
         lam_dir.mkdir(parents=True, exist_ok=True)
         if beta is not None:
             _maybe_write_beta_table(beta, train_set, lam_dir / "beta_table.csv")
-        _write_csv(lam_dir / "snapshots.csv", training.snapshot_csv_rows(result.snapshots, attr_names))
-        result.h.save(lam_dir / "h_final.ckpt")
-        result.discriminator.save(lam_dir / "d_final.ckpt")
-        print(f"wrote {lam_dir}/snapshots.csv ({len(result.snapshots)} snapshots)")
+        _write_csv(lam_dir / "snapshots.csv", training.snapshot_csv_rows(snapshots, attr_names))
+        h.save(lam_dir / "h_final.ckpt")
+        D.save(lam_dir / "d_final.ckpt")
+        print(f"wrote {lam_dir}/snapshots.csv ({len(snapshots)} snapshots)")
     return 0
 
 
@@ -192,23 +185,19 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"checkpoint expects {h.in_dim} features but dataset has {dataset.p}"
         )
-    task = _task(dataset)
-    report = training.evaluate_snapshot(h, dataset, task)
+    report = training.evaluate_snapshot(h, dataset)
     attr_names = [c.name for c in dataset.sensitive_columns]
-    snap = training.Snapshot(0, "evaluate", report, Path(args.checkpoint).name)
+    snap = training.Snapshot(0, "evaluate", report)
     _write_csv(args.out, training.snapshot_csv_rows([snap], attr_names))
     print(f"wrote {args.out}")
     return 0
-
-
-_UNSEEN = object()  # no data row read yet; a short row's missing utility_name reads as None
 
 
 def cmd_pareto(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     column = args.fairness_column
-    header_cols, first_utility = None, _UNSEEN
+    header_cols, first_utility = None, None
     utilities, fairness, iterations, run_ids = [], [], [], []
     for path in args.snapshots:
         with csv_reader(path) as reader:
@@ -220,19 +209,20 @@ def cmd_pareto(args) -> int:
                 for name in ("iteration", "utility_name", "utility_value"):
                     if name not in cols:
                         raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
-                # Read as csv.DictReader reads: a repeated name's last cell, None past a short row.
-                at = {name: i for i, name in enumerate(cols)}
-                it_i, name_i, u_i, f_i = map(at.get, ("iteration", "utility_name", "utility_value", column))
-                width = max(it_i, name_i, u_i, f_i) + 1
+                for i, name in enumerate(cols):
+                    if name in cols[:i]:
+                        raise ConfigError(f"{path}: row 1, column {name!r}: repeated in the header")
+                it_i, name_i, u_i, f_i = map(cols.index, ("iteration", "utility_name", "utility_value", column))
             elif cols != header_cols:
                 extra = sorted(set(cols).symmetric_difference(header_cols))
                 raise ConfigError(f"{path}: snapshot schema mismatch on columns {extra}")
             kept = len(utilities)
-            for row in filter(None, reader):  # blank lines skipped, as csv.DictReader does
-                if len(row) < width:
-                    row += [None] * (width - len(row))
+            for row in filter(None, reader):  # blank lines skipped
+                if len(row) != len(cols):
+                    raise ConfigError(f"{path}: row {reader.line_num}: {len(row)} cells, "
+                                      f"but the header has {len(cols)}")
                 uname, uval, fval = row[name_i], row[u_i], row[f_i]
-                if first_utility is _UNSEEN:
+                if first_utility is None:
                     first_utility = uname
                 elif uname != first_utility:
                     raise ConfigError(f"{path}: row {reader.line_num}, column 'utility_name': "
@@ -244,7 +234,7 @@ def cmd_pareto(args) -> int:
                     utility = float(uval)
                     name, cell = column, fval
                     fval = float(fval)
-                except (TypeError, ValueError):
+                except ValueError:
                     raise ConfigError(
                         f"{path}: row {reader.line_num}, column {name!r}: {cell!r} is not a number") from None
                 if not (math.isfinite(utility) and math.isfinite(fval)):

@@ -33,8 +33,19 @@ class ColumnSchema:
             raise IngestionError(f"column {self.name!r}: unknown role {self.role!r}")
         if self.kind not in ("continuous", "binary", "categorical"):
             raise IngestionError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == "categorical" and not self.categories:
+        cats = self.categories
+        if cats is not None and not (
+            isinstance(cats, tuple) and cats
+            and all(isinstance(c, str) and c and c == c.strip() for c in cats)
+            and len(set(cats)) == len(cats)
+        ):
+            raise IngestionError(f"column {self.name!r}: 'categories' must be a non-empty tuple "
+                                 f"of distinct, non-empty, unpadded strings, got {cats!r}")
+        if self.kind == "categorical" and not cats:
             raise IngestionError(f"column {self.name!r}: categorical without categories")
+        if self.role == "outcome" and self.kind == "categorical" and len(cats) != 2:
+            raise IngestionError(f"column {self.name!r}: a categorical outcome needs exactly "
+                                 f"two categories, got {len(cats)}")
 
 
 def validate_schema(schema: list[ColumnSchema]) -> None:
@@ -273,9 +284,7 @@ def _read_table_numpy(path, schema: list[ColumnSchema]) -> np.ndarray | None:
     for j, col in enumerate(schema):
         if col.kind == "categorical":
             fields.append((f"c{j}", f"U{max(map(len, col.categories)) + 1}"))
-            # reversed, so a repeated category keeps its first index, as
-            # tuple.index does; a cell that strip() would change is refused
-            codes[j] = {c: float(i) for i, c in reversed(list(enumerate(col.categories))) if c and c == c.strip()}
+            codes[j] = {c: float(i) for i, c in enumerate(col.categories)}
         else:
             fields.append((f"c{j}", np.float64))
     dtype = np.dtype(fields)

@@ -25,7 +25,6 @@ class TrainConfig:
     eval_interval: int = 100
     seed: int = 0
     sampler: str = "within_batch"
-    task: str = "binary_classification"
     scaling: str = "convex"  # convex: (1-lam)*utility + lam*penalty; plain: utility + lam*penalty
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.sampler not in ("within_batch", "disjoint"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.task not in ("binary_classification", "regression"):
-            raise ConfigError(f"unknown task {self.task!r}")
         if self.scaling not in ("convex", "plain"):
             raise ConfigError(f"unknown scaling {self.scaling!r}")
 
@@ -54,22 +51,11 @@ class Snapshot:
     iteration: int
     split: str
     report: metrics.FairnessReport
-    checkpoint_id: str
 
 
-@dataclass
-class TrainResult:
-    snapshots: list[Snapshot]
-    h: Mlp
-    discriminator: Mlp
-
-
-def _utility_loss(task: str):
-    return bce_loss if task == "binary_classification" else mae_loss
-
-
-def evaluate_snapshot(h: Mlp, dataset: TabularDataset, task: str) -> metrics.FairnessReport:
-    """Utility plus every applicable fairness metric, h in inference mode.
+def evaluate_snapshot(h: Mlp, dataset: TabularDataset) -> metrics.FairnessReport:
+    """Utility plus every applicable fairness metric, h in inference mode:
+    MAE and the Y <= q grid for a continuous outcome, AUC otherwise.
 
     Degenerate groups or rates yield NaN for the affected metric instead of
     an error, so evaluation never aborts a run.
@@ -78,7 +64,7 @@ def evaluate_snapshot(h: Mlp, dataset: TabularDataset, task: str) -> metrics.Fai
     y = dataset.Y
     y_grid = metrics.quantile_grid(y) if dataset.outcome_column.kind == "continuous" else None
 
-    if task == "binary_classification":
+    if y_grid is None:
         try:
             utility = metrics.auc(scores, y)
             threshold = metrics.choose_threshold(scores, y)
@@ -123,22 +109,6 @@ def _snapshot_iterations(T: int, interval: int) -> list[int]:
     return its
 
 
-def _record_snapshots(
-    snapshots: list[Snapshot],
-    h: Mlp,
-    t: int,
-    train_set: TabularDataset,
-    val_set: TabularDataset,
-    task: str,
-    checkpoint_dir,
-) -> None:
-    ckpt_id = f"iter{t:06d}"
-    if checkpoint_dir is not None:
-        h.save(f"{checkpoint_dir}/h_{ckpt_id}.ckpt")
-    for split, data in (("train", train_set), ("validation", val_set)):
-        snapshots.append(Snapshot(t, split, evaluate_snapshot(h, data, task), ckpt_id))
-
-
 def train(
     train_set: TabularDataset,
     val_set: TabularDataset,
@@ -146,10 +116,12 @@ def train(
     D: Mlp,
     config: TrainConfig,
     beta: DensityRatio | None = None,
-    checkpoint_dir=None,
-) -> TrainResult:
+) -> list[Snapshot]:
     """Alternating ascent on the discriminator and descent on the scorer
-    under (1-lam)*utility + lam*penalty (convex scaling).
+    under (1-lam)*utility + lam*penalty (convex scaling), training ``h`` and
+    ``D`` in place; returns the snapshots in iteration order.
+
+    The utility is MAE for a continuous outcome and BCE otherwise.
 
     Without ``beta`` D contrasts (s, a) with (s, a') (independence); with a
     density ratio ``beta(a, y) -> weights`` it contrasts (s, a, y) with
@@ -157,7 +129,7 @@ def train(
     """
     streams = rng_streams(config.seed)
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
-    loss_fn = _utility_loss(config.task)
+    loss_fn = mae_loss if train_set.outcome_column.kind == "continuous" else bce_loss
     lam_m, lam_f = config.weights()
     eval_at = set(_snapshot_iterations(config.T, config.eval_interval))
     snapshots: list[Snapshot] = []
@@ -191,9 +163,10 @@ def train(
         sgd_step(h, "h")
 
         if t in eval_at:
-            _record_snapshots(snapshots, h, t, train_set, val_set, config.task, checkpoint_dir)
+            for split, data in (("train", train_set), ("validation", val_set)):
+                snapshots.append(Snapshot(t, split, evaluate_snapshot(h, data)))
 
-    return TrainResult(snapshots, h, D)
+    return snapshots
 
 
 def snapshot_csv_rows(snapshots: list[Snapshot], attr_names: list[str]):

@@ -24,6 +24,25 @@ def binary_toy_dataset(n: int, seed: int = 0, a_rate: float = 0.5) -> TabularDat
     return TabularDataset(features, a.reshape(-1, 1), a.reshape(-1, 1), y, schema, ["x1", "x2"])
 
 
+def regression_toy_dataset(n: int, seed: int = 0) -> TabularDataset:
+    """Binary A and a continuous outcome, min-max scaled into [0, 1] as
+    ``load_csv`` scales it, with two informative continuous features."""
+    rng = np.random.default_rng(seed)
+    a = (rng.random(n) < 0.5).astype(np.float64)
+    x1 = a + rng.standard_normal(n)
+    x2 = rng.standard_normal(n)
+    y = x1 + 0.5 * x2 + 0.3 * rng.standard_normal(n)
+    y = (y - y.min()) / (y.max() - y.min())
+    schema = [
+        ColumnSchema("x1", "feature", "continuous"),
+        ColumnSchema("x2", "feature", "continuous"),
+        ColumnSchema("a", "sensitive", "binary"),
+        ColumnSchema("y", "outcome", "continuous"),
+    ]
+    features = np.column_stack([x1, x2])
+    return TabularDataset(features, a.reshape(-1, 1), a.reshape(-1, 1), y, schema, ["x1", "x2"])
+
+
 def conditional_independent_toy(n: int, seed: int = 0) -> TabularDataset:
     """Binary feature depending on Y only; A independent of (X, Y).
 

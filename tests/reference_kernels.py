@@ -104,10 +104,10 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
     ``pareto_frontier`` (a second sort) for the top-k. Writes ``out`` and
     returns the top-k line (None without a threshold); raises ConfigError.
     A row whose utility or fairness parses to NaN in any spelling is skipped;
-    an infinite one is an error. The first data row names the utility to
-    pool, even when it is too short to hold a utility_name cell (None)."""
-    unseen = object()
-    header_cols, first_utility = None, unseen
+    an infinite one is an error, as are a header that repeats a name and a
+    record whose cell count differs from the header's. The first data row
+    names the utility to pool."""
+    header_cols, first_utility = None, None
     points, meta = [], []
     for path in paths:
         with open_input(path) as f:
@@ -120,13 +120,23 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
                 for name in ("iteration", "utility_name", "utility_value"):
                     if name not in cols:
                         raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
+                seen = set()
+                for name in cols:
+                    if name in seen:
+                        raise ConfigError(f"{path}: row 1, column {name!r}: repeated in the header")
+                    seen.add(name)
             elif cols != header_cols:
                 extra = sorted(set(cols).symmetric_difference(header_cols))
                 raise ConfigError(f"{path}: snapshot schema mismatch on columns {extra}")
             run_id = Path(path).stem
             for rec in reader:
+                # DictReader keeps a long row's extra cells under None and
+                # fills a short row's missing cells with None
+                cells = len(cols) + len(rec.get(None, ())) - list(rec.values()).count(None)
+                if cells != len(cols):
+                    raise ConfigError(f"{path}: row {reader.line_num}: {cells} cells, but the header has {len(cols)}")
                 fval, uval = rec[column], rec["utility_value"]
-                if first_utility is unseen:
+                if first_utility is None:
                     first_utility = rec["utility_name"]
                 elif rec["utility_name"] != first_utility:
                     raise ConfigError(
@@ -140,7 +150,7 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
                     utility = float(uval)
                     name = column
                     fairness = float(fval)
-                except (TypeError, ValueError):
+                except ValueError:
                     raise ConfigError(
                         f"{path}: row {reader.line_num}, column {name!r}: {rec[name]!r} is not a number"
                     ) from None

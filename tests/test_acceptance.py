@@ -142,7 +142,7 @@ def test_criterion_05_lambda_zero_erm_equivalence():
     streams = rng_streams(config.seed)
     h = mlp(train_set.p, [16, 16], rng=streams["init"], batch_norm=True)
     D = mlp(1 + train_set.l, [16, 16], rng=streams["init"], batch_norm=True)
-    result = train(train_set, val_set, h, D, config)
+    train(train_set, val_set, h, D, config)
 
     streams = rng_streams(config.seed)
     h_erm = mlp(train_set.p, [16, 16], rng=streams["init"], batch_norm=True)
@@ -156,7 +156,7 @@ def test_criterion_05_lambda_zero_erm_equivalence():
         h_erm.sgd_step(config.learning_rate)
 
     identical = all(
-        np.array_equal(pa, pb) for pa, pb in zip(parameters(result.h), parameters(h_erm))
+        np.array_equal(pa, pb) for pa, pb in zip(parameters(h), parameters(h_erm))
     )
     _report("5 lambda=0 equivalence", identical, "h trajectory bit-identical to plain ERM")
 
@@ -169,8 +169,8 @@ def test_criterion_06_fairness_utility_tradeoff():
         h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)
         D = mlp(1 + train_set.l, [64, 64], rng=streams["init"], batch_norm=True)
         config = TrainConfig(lam=lam, T=2000, seed=seed, eval_interval=2000)
-        result = train(train_set, val_set, h, D, config)
-        report = [s for s in result.snapshots if s.split == "validation"][-1].report
+        snapshots = train(train_set, val_set, h, D, config)
+        report = [s for s in snapshots if s.split == "validation"][-1].report
         return report.utility_value, report.attributes["a"].ks_gsp
 
     ks_wins = auc_wins = 0
@@ -289,8 +289,8 @@ def test_criterion_09_beta_robustness_ablation():
         h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)
         D = mlp(1 + train_set.l + 1, [64, 64], rng=streams["init"], batch_norm=True)
         config = TrainConfig(lam=0.5, T=300, seed=0, eval_interval=300)
-        result = train(train_set, val_set, h, D, config, beta=beta)
-        report = [s for s in result.snapshots if s.split == "validation"][-1].report
+        snapshots = train(train_set, val_set, h, D, config, beta=beta)
+        report = [s for s in snapshots if s.split == "validation"][-1].report
         return report.attributes["a"].ks_geo
 
     dataset = conditional_independent_toy(10_000, seed=0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fairpen
-from conftest import binary_toy_dataset, destandardized_features, rewrite_checkpoint_layer
+from conftest import binary_toy_dataset, destandardized_features, regression_toy_dataset, rewrite_checkpoint_layer
 from fairpen import penalties
 from fairpen.cli import default_networks, load_schema, main
 from fairpen.nn import mlp
@@ -140,12 +140,17 @@ def test_train_empty_lambda_grid_writes_nothing(tmp_path):
 
 def test_default_networks_discriminator_width():
     rng = np.random.default_rng(14)
-    rows = np.array([[0.2, 0.0, 1.0, 1.0], [0.8, 1.0, 0.0, 0.0]])
-    for criterion, d_in in (("gsp", 1 + 2), ("geo", 2 + 2)):
-        h, D = default_networks(3, 2, criterion, "binary_classification", rng)
-        assert h.in_dim == 3 and D.in_dim == d_in
-        p = D.forward(rows[:, :d_in])[:, 0]
-        assert p.shape == (2,) and ((0 < p) & (p < 1)).all()
+    rows = np.array([[0.2, 0.0, 1.0], [0.8, 1.0, 0.0]])
+    # the outcome kind picks the width and the scorer's output
+    for toy, width, out_act in ((binary_toy_dataset, 64, "sigmoid"), (regression_toy_dataset, 16, "identity")):
+        dataset = toy(20)
+        for criterion, d_in in (("gsp", 1 + 1), ("geo", 2 + 1)):
+            h, D = default_networks(dataset, criterion, rng)
+            assert h.in_dim == 2 and D.in_dim == d_in
+            assert h.layers[0].weights.shape == (2, width) and h.layers[-1].fn == out_act
+            assert D.layers[0].weights.shape == (d_in, width)
+            p = D.forward(rows[:, :d_in])[:, 0]
+            assert p.shape == (2,) and ((0 < p) & (p < 1)).all()
 
 
 def test_train_rerun_byte_identical(tmp_path):
@@ -155,6 +160,45 @@ def test_train_rerun_byte_identical(tmp_path):
     assert main(_train_args(tmp_path, csv_path, schema_path, "--force")) == 0
     second = (tmp_path / "runs" / "r1" / "lambda=0.5" / "snapshots.csv").read_bytes()
     assert first == second
+
+
+def test_regression_session_scores_mae(tmp_path):
+    """A continuous outcome trains and scores as a regression through the
+    CLI alone: both criteria over lambda in {0, 0.9}, then evaluate."""
+    rng = np.random.default_rng(5)
+    n = 1500
+    a = rng.random(n)
+    x1 = a + rng.standard_normal(n)
+    x2 = rng.standard_normal(n)
+    y = x1 + 0.5 * x2 + 0.3 * rng.standard_normal(n)
+    csv_path = tmp_path / "reg.csv"
+    csv_path.write_text("x1,x2,a,y\n" + "".join(f"{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r}\n"
+                                                 for r in np.column_stack([x1, x2, a, y]).tolist()))
+    schema_path = tmp_path / "reg.json"
+    schema_path.write_text(json.dumps(
+        [{"name": "x1", "role": "feature", "kind": "continuous"},
+         {"name": "x2", "role": "feature", "kind": "continuous"},
+         {"name": "a", "role": "sensitive", "kind": "continuous"},
+         {"name": "y", "role": "outcome", "kind": "continuous"}]))
+    (tmp_path / "train.ini").write_text("[train]\nt = 200\neval_interval = 100\nl = 200\n")
+    outputs = []
+    for criterion in ("gsp", "geo"):
+        args = _train_args(tmp_path, csv_path, schema_path, "--criterion", criterion, "--lambda", "0")
+        args[args.index("--run-id") + 1] = criterion
+        args[args.index("--lambda") + 1] = "0.9"
+        assert main(args) == 0
+        run = tmp_path / "runs" / criterion
+        outputs += [run / "lambda=0" / "snapshots.csv", run / "lambda=0.9" / "snapshots.csv"]
+        outputs.append(tmp_path / f"eval_{criterion}.csv")
+        assert main(["evaluate", "--checkpoint", str(run / "lambda=0.9" / "h_final.ckpt"), "--data", str(csv_path),
+                     "--schema", str(schema_path), "--out", str(outputs[-1])]) == 0
+    for path in outputs:
+        with open(path) as f:
+            records = list(csv.DictReader(f))
+        assert records and all(r["utility_name"] == "mae" for r in records)
+        for r in records:
+            cells = [r[k] for k in ("utility_value", "a_sp", "a_ks_gsp", "a_eo", "a_ks_geo")]
+            assert all(np.isfinite(float(c)) for c in cells), (path, r)
 
 
 def test_evaluate_roundtrip_and_width_mismatch(tmp_path, capsys):
@@ -307,17 +351,17 @@ def test_pareto_skips_nan_in_any_spelling(tmp_path, capsys):
 
 @pytest.mark.parametrize("short_at", [0, 1])
 def test_pareto_row_without_utility_name_cannot_be_pooled(tmp_path, capsys, short_at):
-    # utility_name is the last header column, so a short row has none (None);
-    # wherever that row sits, it cannot be pooled with the rows naming 'mae'
+    # utility_name is the last header column, so a short row has none; wherever
+    # that row sits, its cell count is refused, and blank lines still count as rows
     rows = ["2,0.5,0.2,mae", "3,0.4,0.05,mae"]
     rows.insert(short_at, "1,0.9,0.1")
+    rows.insert(0, "")
     snap = tmp_path / "s1.csv"
     snap.write_text("\n".join(["iteration,utility_value,a_ks_gsp,utility_name", *rows]) + "\n")
     args = ["pareto", str(snap), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv"),
             "--utility-threshold", "-0.45", "--k", "5"]
     assert main(args) == 1
-    named = ("'mae' cannot be pooled with None", "None cannot be pooled with 'mae'")[short_at]
-    assert capsys.readouterr().err == f"error: {snap}: row 3, column 'utility_name': {named}\n"
+    assert capsys.readouterr().err == f"error: {snap}: row {short_at + 3}: 3 cells, but the header has 4\n"
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -439,7 +483,12 @@ def _bad_input(tmp_path, case):
                 "schema_categories_repeated": ["u", "u"], "schema_categories_padded": ["u", " v"]}[case]
         schema_path.write_text(json.dumps([{"name": "a", "role": "sensitive", "kind": "categorical",
                                             "categories": cats}]))
-        return train, [str(schema_path), "entry 0", "'categories'", repr(cats)]
+        return train, [str(schema_path), "entry 0", "'categories'", repr(tuple(cats) if isinstance(cats, list) else cats)]
+    if case == "schema_outcome_three_categories":
+        entries = json.loads(schema_path.read_text())
+        entries[-1] = {"name": "y", "role": "outcome", "kind": "categorical", "categories": ["lo", "mid", "hi"]}
+        schema_path.write_text(json.dumps(entries))
+        return train, [str(schema_path), "entry 3", "'y'", "exactly two categories, got 3"]
     snapshots = tmp_path / "s1.csv"
     pareto = ["pareto", str(snapshots), "--fairness-column", "a_ks_gsp", "--out", str(tmp_path / "p.csv")]
     if case in _FLAG_BELOW_ONE:
@@ -471,6 +520,12 @@ def _bad_input(tmp_path, case):
         column, cells = ("utility_value", ["-inf", "0.1"]) if case == "pareto_inf_utility" else ("a_ks_gsp", ["0.9", "1e999"])
         _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", *cells]])
         return pareto, [str(snapshots), "row 3", column, "non-finite cell", repr(cells[column == "a_ks_gsp"])]
+    if case == "pareto_repeated_header":
+        snapshots.write_text("iteration,split,utility_name,utility_value,a_ks_gsp,split\n1,validation,auc,0.9,0.1,x\n")
+        return pareto, [str(snapshots), "row 1", "'split'", "repeated in the header"]
+    if case == "pareto_long_row":
+        _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", "0.8", "0.2", "9"]])
+        return pareto, [str(snapshots), "row 3", "6 cells, but the header has 5"]
     if case == "pareto_no_utility_column":
         snapshots.write_text("iteration,split,utility_name,a_ks_gsp\n1,validation,auc,0.1\n")
         return pareto, [str(snapshots), "utility_value"]
@@ -487,7 +542,8 @@ def _bad_input(tmp_path, case):
      "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility",
      "pareto_inf_utility", "pareto_inf_fairness", "data_not_utf8", "data_oversized_field",
      "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field", "schema_categories_int",
-     "schema_categories_str", "schema_categories_repeated", "schema_categories_padded", *_FLAG_BELOW_ONE],
+     "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
+     "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -35,6 +35,25 @@ def test_schema_role_and_kind_validation():
         ColumnSchema("x", "feature", "categorical")  # no categories
 
 
+@pytest.mark.parametrize(
+    "categories", [(" p ", "q"), ("u", "u"), ("", "q"), (), ["u", "v"], "uv", ("u", 5)]
+)
+def test_schema_categories_must_be_distinct_unpadded_strings(categories):
+    # a padded, empty or repeated category could never match a cell, which is stripped
+    with pytest.raises(IngestionError, match=r"column 'a': 'categories' must be a non-empty tuple"):
+        ColumnSchema("a", "sensitive", "categorical", categories)
+    with pytest.raises(IngestionError, match="'categories'"):
+        ColumnSchema("a", "sensitive", "binary", categories)
+
+
+@pytest.mark.parametrize("categories", [("lo",), ("lo", "mid", "hi")])
+def test_categorical_outcome_needs_two_categories(categories):
+    with pytest.raises(IngestionError, match=f"column 'y': .* exactly two categories, got {len(categories)}"):
+        ColumnSchema("y", "outcome", "categorical", categories)
+    assert ColumnSchema("y", "outcome", "categorical", ("lo", "hi")).categories == ("lo", "hi")
+    assert ColumnSchema("g", "sensitive", "categorical", categories).categories == categories
+
+
 def test_validate_schema_requires_one_outcome_and_a_sensitive():
     with pytest.raises(IngestionError):
         validate_schema([ColumnSchema("a", "sensitive", "binary")])

@@ -71,7 +71,7 @@ class _NanScorer:
 
 
 def test_evaluate_snapshot_nan_scores_give_nan_cells():
-    report = evaluate_snapshot(_NanScorer(), binary_toy_dataset(60), "binary_classification")
+    report = evaluate_snapshot(_NanScorer(), binary_toy_dataset(60))
     assert np.isnan(report.utility_value) and report.threshold is None
     attr = report.attributes["a"]
     assert np.isnan(attr.ks_gsp) and np.isnan(attr.ks_geo)
