@@ -117,9 +117,16 @@ def cmd_train(args) -> int:
     schema = load_schema(schema_path)
     where = "--lambda" if args.lam else f"{args.config}: [train] lambda"
     lambdas = [_parse(v, float, where) for v in (args.lam or cfg.get("train.lambda", "0.5").split())]
+    if not lambdas:
+        raise ConfigError(f"{where}: no values given")
+    lam_of_dir = {}  # directory name -> the lambda that writes it
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda {lam} outside [0, 1]")
+        name = f"lambda={lam:g}"
+        if name in lam_of_dir:
+            raise ConfigError(f"{where}: {lam_of_dir[name]!r} and {lam!r} would both write {name}")
+        lam_of_dir[name] = lam
     out_dir = Path(args.out or cfg.get("output.dir", "runs"))
     run_id = args.run_id or cfg.get("output.run_id", "run")
 
@@ -133,14 +140,12 @@ def cmd_train(args) -> int:
     if run_root.exists() and not args.force:
         raise ConfigError(f"run directory {run_root} exists (use --force to overwrite)")
     configs = [_train_config(cfg, lam, args) for lam in lambdas]
-    if not configs:
-        return 0
 
     # The split and the density ratio depend on the seed and the data, not
     # on lambda: compute them once and share them across the grid.
     base = configs[0]
     train_set, val_set = split_train_val(dataset, fraction=0.8, seed=base.seed)
-    beta = None
+    beta = beta_rows = None
     if args.criterion == "geo":
         beta = penalties.pretrain_density_ratio(
             train_set,
@@ -150,6 +155,7 @@ def cmd_train(args) -> int:
             seed=base.seed + 1,
             sampler=base.sampler,
         )
+        beta_rows = _beta_table_rows(beta, train_set)
     attr_names = [c.name for c in dataset.sensitive_columns]
     for config in configs:
         init_rng = rng_streams(config.seed)["init"]
@@ -157,8 +163,8 @@ def cmd_train(args) -> int:
         snapshots = training.train(train_set, val_set, h, D, config, beta=beta)
         lam_dir = run_root / f"lambda={config.lam:g}"
         lam_dir.mkdir(parents=True, exist_ok=True)
-        if beta is not None:
-            _maybe_write_beta_table(beta, train_set, lam_dir / "beta_table.csv")
+        if beta_rows is not None:
+            _write_csv(lam_dir / "beta_table.csv", beta_rows)
         _write_csv(lam_dir / "snapshots.csv", training.snapshot_csv_rows(snapshots, attr_names))
         h.save(lam_dir / "h_final.ckpt")
         D.save(lam_dir / "d_final.ckpt")
@@ -166,15 +172,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _maybe_write_beta_table(beta, dataset, path) -> None:
+def _beta_table_rows(beta, dataset) -> list | None:
+    """The rows of ``beta_table.csv``: β of every observed (a, y) cell, one
+    one-row call per cell; None when an attribute or the outcome is
+    continuous."""
     if any(c.kind == "continuous" for c in dataset.schema if c.role in ("sensitive", "outcome")):
-        return
+        return None
     rows = [[f"a{i}" for i in range(dataset.l)] + ["y", "ratio"]]
-    for cell in sorted({tuple(row) + (yv,) for row, yv in zip(dataset.A, dataset.Y)}):
-        a_row = np.array(cell[:-1]).reshape(1, -1)
-        ratio = float(beta(a_row, np.array([cell[-1]]))[0])
-        rows.append([repr(float(v)) for v in cell] + [repr(ratio)])
-    _write_csv(path, rows)
+    for cell in sorted(set(map(tuple, np.column_stack([dataset.A, dataset.Y]).tolist()))):
+        ratio = float(beta(np.array([cell[:-1]]), np.array([cell[-1]]))[0])
+        rows.append([repr(v) for v in cell] + [repr(ratio)])
+    return rows
 
 
 def cmd_evaluate(args) -> int:
@@ -204,9 +212,7 @@ def cmd_pareto(args) -> int:
             cols = tuple(next(reader, ()))
             if header_cols is None:
                 header_cols = cols
-                if column not in cols:
-                    raise ConfigError(f"fairness column {column!r} not in inputs")
-                for name in ("iteration", "utility_name", "utility_value"):
+                for name in (column, "iteration", "utility_name", "utility_value"):
                     if name not in cols:
                         raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
                 for i, name in enumerate(cols):

@@ -170,13 +170,13 @@ def _parse_cell(path, raw: str, col: ColumnSchema, row_no: int) -> float | None:
     return value
 
 
-def _encode_block(values: np.ndarray, cols: list[ColumnSchema], one_hot: bool, minmax_continuous: bool):
+def _encode_block(values: np.ndarray, cols: list[ColumnSchema], minmax_continuous: bool):
     """Expand label-encoded columns into the numeric design block."""
     out_cols: list[np.ndarray] = []
     names: list[str] = []
     for j, col in enumerate(cols):
         v = values[:, j]
-        if col.kind == "categorical" and len(col.categories) > 2 and one_hot:
+        if col.kind == "categorical" and len(col.categories) > 2:
             for k, cat in enumerate(col.categories):
                 out_cols.append((v == k).astype(np.float64))
                 names.append(f"{col.name}={cat}")
@@ -357,8 +357,8 @@ def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
         span = hi - lo if hi > lo else 1.0
         y = (y - lo) / span
 
-    features, feature_names = _encode_block(feat_vals, feat_cols, one_hot=True, minmax_continuous=False)
-    A, a_names = _encode_block(sens_vals, sens_cols, one_hot=True, minmax_continuous=True)
+    features, feature_names = _encode_block(feat_vals, feat_cols, minmax_continuous=False)
+    A, a_names = _encode_block(sens_vals, sens_cols, minmax_continuous=True)
     dataset = TabularDataset(features, A, sens_vals.copy(), y, schema, feature_names)
     # finite cells can still overflow in the z-score or min-max scaling
     for names, block in ((feature_names, dataset.X), (a_names, A), ([out_col.name], y[:, None])):

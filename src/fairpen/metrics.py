@@ -148,25 +148,28 @@ def _conditions(column: np.ndarray, kind: str, grid: QuantileGrid | None = None)
     return [(f"<={q:g}", column <= q) for q in grid.values], len(grid.values)
 
 
-def _sweep(gap, values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
-    """Sum the cell gaps over the (outcome condition x attribute condition)
-    cells in that order, then divide by both divisors.
+def _sweep(values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
+    """Sum |rate(cell)/rate(reference) - 1| over the (outcome condition x
+    attribute condition) cells in that order, then divide by both divisors.
 
-    ``gap(reference)`` prepares one reference and returns the function that
-    scores a cell against it, so each reference is prepared once per outcome
-    condition, not once per cell. Without ``y`` one outcome condition holds
-    every row (the SP and GSP forms). The reference is the outcome
-    condition's rows, narrowed to ``ref_where`` if given (A=0 for the binary
-    rate ratio), or ``values`` itself for the all-rows condition.
+    The reference rate is taken once per outcome condition, not once per
+    cell. Without ``y`` one outcome condition holds every row (the SP
+    form). The reference is the outcome condition's rows, narrowed to
+    ``ref_where`` if given (A=0 for the binary rate ratio), or ``values``
+    itself for the all-rows condition. An empty cell is reported before a
+    zero reference rate.
     """
     a_masks, a_div = a_conds
     y_masks, y_div = _outcome_conditions(y, y_grid)
     total = 0.0
     for y_name, y_mask in y_masks:
         ref_mask = _and(ref_where, y_mask)
-        cell_gap = gap(values if ref_mask is None else _rows(values, ref_mask, f"reference, Y{y_name}"))
+        ref_rate = (values if ref_mask is None else _rows(values, ref_mask, f"reference, Y{y_name}")).mean()
         for a_name, a_mask in a_masks:
-            total += cell_gap(_rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}"))
+            cell = _rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}")
+            if ref_rate == 0.0:
+                raise DegenerateMetricError("zero positive rate in the reference group")
+            total += abs(cell.mean() / ref_rate - 1.0)
     return float(total / a_div / y_div)
 
 
@@ -190,34 +193,22 @@ def _rows(values: np.ndarray, where: np.ndarray, what: str) -> np.ndarray:
     return chosen
 
 
-def _rate_gap(reference: np.ndarray):
-    """cell -> |rate(cell)/rate(reference) - 1|."""
-    ref_rate = reference.mean()
-
-    def cell_gap(cell: np.ndarray) -> float:
-        if ref_rate == 0.0:
-            raise DegenerateMetricError("zero positive rate in the reference group")
-        return abs(cell.mean() / ref_rate - 1.0)
-
-    return cell_gap
-
-
 def sp_discrete(yhat: np.ndarray, a: np.ndarray) -> float:
     """|rate(A=1)/rate(A=0) - 1| for binary A."""
     yhat, a = _columns(yhat, a)
-    return _sweep(_rate_gap, yhat, ([("=1", a == 1)], 1), ref_where=a == 0)
+    return _sweep(yhat, ([("=1", a == 1)], 1), ref_where=a == 0)
 
 
 def sp_continuous(yhat: np.ndarray, a: np.ndarray, grid: QuantileGrid) -> float:
     """Mean over the quantile grid of |rate(A<=a*)/rate(overall) - 1|."""
     yhat, a = _columns(yhat, a)
-    return _sweep(_rate_gap, yhat, _conditions(a, "continuous", grid))
+    return _sweep(yhat, _conditions(a, "continuous", grid))
 
 
 def eo_discrete(yhat: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
     """Sum over y of |rate(A=1, Y=y)/rate(A=0, Y=y) - 1| for binary A, Y."""
     yhat, a, y = _columns(yhat, a, y)
-    return _sweep(_rate_gap, yhat, ([("=1", a == 1)], 1), y, ref_where=a == 0)
+    return _sweep(yhat, ([("=1", a == 1)], 1), y, ref_where=a == 0)
 
 
 def eo_continuous(
@@ -233,12 +224,13 @@ def eo_continuous(
     y_grid the conditioning becomes Y<=y and the outer sum is averaged too.
     """
     yhat, a, y = _columns(yhat, a, y)
-    return _sweep(_rate_gap, yhat, _conditions(a, "continuous", a_grid), y, y_grid)
+    return _sweep(yhat, _conditions(a, "continuous", a_grid), y, y_grid)
 
 
 def _ks_sweep(s, a, a_kind, a_grid, y=None, y_grid=None) -> float:
-    """``_sweep`` with the KS distance as the cell gap, over one ranking of
-    the scores.
+    """Sum the KS distances between each (outcome condition x attribute
+    condition) cell's score CDF and its reference's, in that order, then
+    divide by both divisors, over one ranking of the scores.
 
     The reference of a cell is its outcome condition's rows. Ranking every
     column by score turns each condition into a row mask in score order, so

@@ -1,18 +1,20 @@
 """Minimal feed-forward network engine with manual backprop and SGD.
 
 The layer set is closed: dense, batch-norm, and elementwise activations
-(relu / sigmoid / identity). Each layer class names its trainable arrays in
-``PARAMS``. ``Mlp`` owns one flat parameter buffer and one flat gradient
-buffer and re-homes every such array, and its ``grad_<name>`` twin, as a
-view into them, so ``sgd_step`` is one scaled add, one finiteness check and
-one clear over the whole network. ``backward`` accumulates parameter
-gradients into those views; ``backward(..., params=False)`` returns only the
-input gradient and leaves the gradient buffer untouched. The train-mode
-kernels and the inference batch-norm reuse their temporaries in place, in the
-same operation order as the plain expressions, so results are bit for bit
-those of the textbook forms. An inference pass keeps no layer cache and runs
-a long input in row blocks of ``INFER_BLOCK`` rows, so its transient memory
-does not grow with the number of rows.
+(relu / sigmoid / identity). Each layer class declares what it stores: its
+trainable arrays in ``PARAMS``, its untrained arrays in ``BUFFERS`` and its
+plain values in ``SETTINGS``. That declaration, under the class's ``KIND``,
+is its checkpoint spec. ``Mlp`` owns one flat parameter buffer and one flat
+gradient buffer and re-homes every ``PARAMS`` array, and its ``grad_<name>``
+twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
+check and one clear over the whole network. ``backward`` accumulates
+parameter gradients into those views; ``backward(..., params=False)``
+returns only the input gradient and leaves the gradient buffer untouched.
+The train-mode kernels and the inference batch-norm reuse their temporaries
+in place, in the same operation order as the plain expressions, so results
+are bit for bit those of the textbook forms. An inference pass keeps no
+layer cache and runs a long input in row blocks of ``INFER_BLOCK`` rows, so
+its transient memory does not grow with the number of rows.
 """
 
 from __future__ import annotations
@@ -56,19 +58,49 @@ def _arr_from_spec(d: dict) -> np.ndarray:
 
 
 class _Layer:
+    KIND = ""
     PARAMS: tuple[str, ...] = ()  # trainable arrays; Mlp adds a grad_<name> view for each
+    BUFFERS: tuple[str, ...] = ()  # arrays a checkpoint stores but SGD does not train
+    SETTINGS: tuple[str, ...] = ()  # plain values a checkpoint stores
+
+    def check(self) -> None:
+        """Raise ValueError if the stored values do not fit together."""
+
+    def to_spec(self) -> dict:
+        spec = {"kind": self.KIND}
+        for name in self.PARAMS + self.BUFFERS:
+            spec[name] = _arr_to_spec(getattr(self, name))
+        for name in self.SETTINGS:
+            spec[name] = getattr(self, name)
+        return spec
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "_Layer":
+        layer = cls.__new__(cls)
+        for name in cls.SETTINGS:
+            setattr(layer, name, spec[name])
+        for name in cls.PARAMS + cls.BUFFERS:
+            setattr(layer, name, _arr_from_spec(spec[name]))
+        layer._cache = None
+        layer.check()
+        return layer
 
 
 class DenseLayer(_Layer):
     """Affine layer y = x W + b with cached input for backprop."""
 
+    KIND = "dense"
     PARAMS = ("weights", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weights = rng.uniform(-limit, limit, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
-        self._cached_input: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
+
+    def check(self) -> None:
+        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
+            raise ValueError(f"dense weights {self.weights.shape} and bias {self.bias.shape} do not fit")
 
     @property
     def in_dim(self) -> int:
@@ -79,41 +111,26 @@ class DenseLayer(_Layer):
         return self.weights.shape[1]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._cached_input = x if train else None
+        self._cache = x if train else None
         out = x @ self.weights
         out += self.bias
         return out
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         if params:
-            self.grad_weights += self._cached_input.T @ grad_out
+            self.grad_weights += self._cache.T @ grad_out
             self.grad_bias += grad_out.sum(axis=0)
         return grad_out @ self.weights.T
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "dense",
-            "weights": _arr_to_spec(self.weights),
-            "bias": _arr_to_spec(self.bias),
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "DenseLayer":
-        w = _arr_from_spec(spec["weights"])
-        layer = cls.__new__(cls)
-        layer.weights = w
-        layer.bias = _arr_from_spec(spec["bias"])
-        if w.ndim != 2 or layer.bias.shape != (w.shape[1],):
-            raise ValueError(f"dense weights {w.shape} and bias {layer.bias.shape} do not fit")
-        layer._cached_input = None
-        return layer
 
 
 class BatchNormLayer(_Layer):
     """Batch normalization: batch statistics in train mode, exponential
     running statistics (momentum 0.99) in inference mode."""
 
+    KIND = "batch_norm"
     PARAMS = ("gamma", "beta_shift")
+    BUFFERS = ("running_mean", "running_var")
+    SETTINGS = ("momentum", "epsilon")
 
     def __init__(self, width: int, momentum: float = 0.99, epsilon: float = 1e-5):
         self.gamma = np.ones(width)
@@ -123,6 +140,11 @@ class BatchNormLayer(_Layer):
         self.momentum = momentum
         self.epsilon = epsilon
         self._cache: tuple | None = None
+
+    def check(self) -> None:
+        arrays = [getattr(self, name) for name in self.PARAMS + self.BUFFERS]
+        if any(a.shape != (len(self.gamma),) for a in arrays):
+            raise ValueError(f"batch-norm arrays of shapes {[a.shape for a in arrays]} differ")
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
@@ -164,40 +186,22 @@ class BatchNormLayer(_Layer):
         g *= inv_std / n
         return g
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": "batch_norm",
-            "gamma": _arr_to_spec(self.gamma),
-            "beta_shift": _arr_to_spec(self.beta_shift),
-            "running_mean": _arr_to_spec(self.running_mean),
-            "running_var": _arr_to_spec(self.running_var),
-            "momentum": self.momentum,
-            "epsilon": self.epsilon,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "BatchNormLayer":
-        layer = cls(len(spec["gamma"]["hex"]), spec["momentum"], spec["epsilon"])
-        layer.gamma = _arr_from_spec(spec["gamma"])
-        layer.beta_shift = _arr_from_spec(spec["beta_shift"])
-        layer.running_mean = _arr_from_spec(spec["running_mean"])
-        layer.running_var = _arr_from_spec(spec["running_var"])
-        arrays = (layer.gamma, layer.beta_shift, layer.running_mean, layer.running_var)
-        if any(a.shape != (len(layer.gamma),) for a in arrays):
-            raise ValueError(f"batch-norm arrays of shapes {[a.shape for a in arrays]} differ")
-        return layer
-
 
 class ActivationLayer(_Layer):
     """Elementwise relu / sigmoid / identity."""
 
-    KINDS = ("relu", "sigmoid", "identity")
+    KIND = "activation"
+    SETTINGS = ("fn",)
+    FUNCTIONS = ("relu", "sigmoid", "identity")
 
     def __init__(self, fn: str):
-        if fn not in self.KINDS:
-            raise ValueError(f"unknown activation {fn!r}")
         self.fn = fn
         self._cache: np.ndarray | None = None
+        self.check()
+
+    def check(self) -> None:
+        if self.fn not in self.FUNCTIONS:
+            raise ValueError(f"unknown activation {self.fn!r}")
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if self.fn == "relu":
@@ -219,19 +223,8 @@ class ActivationLayer(_Layer):
             return grad_out * s * (1.0 - s)
         return grad_out
 
-    def to_spec(self) -> dict:
-        return {"kind": "activation", "fn": self.fn}
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "ActivationLayer":
-        return cls(spec["fn"])
-
-
-_LAYER_KINDS = {
-    "dense": DenseLayer,
-    "batch_norm": BatchNormLayer,
-    "activation": ActivationLayer,
-}
+_LAYER_KINDS = {cls.KIND: cls for cls in (DenseLayer, BatchNormLayer, ActivationLayer)}
 
 
 class Mlp:

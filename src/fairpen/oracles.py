@@ -7,8 +7,6 @@ checker stays independent of the code path it validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import ColumnSchema, TabularDataset
@@ -44,28 +42,19 @@ def table5_true_ratios() -> dict[tuple[int, int], float]:
     return out
 
 
-@dataclass(frozen=True)
-class SyntheticBiasSpec:
-    """Synthetic (X, A, Y) with tunable dependence of the informative
-    feature on the sensitive attribute."""
-
-    n: int
-    rho: float
-    noise: float = 1.0
-    seed: int = 0
-
-
-def synth_bias(spec: SyntheticBiasSpec) -> TabularDataset:
-    """A ~ U[0,1]; x1 = rho*(2A - 1) + noise*eps; Y ~ Bern(sigma(3*x1 + x2)).
+def synth_bias(n: int, rho: float, noise: float = 1.0, seed: int = 0) -> TabularDataset:
+    """Synthetic (X, A, Y) with tunable dependence of the informative feature
+    on the sensitive attribute: A ~ U[0,1]; x1 = rho*(2A - 1) + noise*eps;
+    Y ~ Bern(sigma(3*x1 + x2)).
 
     rho = 0 makes x1 (and hence the Bayes score) independent of A; large
     rho makes the optimal unpenalized scorer strongly A-dependent.
     """
-    rng = np.random.default_rng(spec.seed)
-    a = rng.random(spec.n)
-    x1 = spec.rho * (2.0 * a - 1.0) + spec.noise * rng.standard_normal(spec.n)
-    x2 = rng.standard_normal(spec.n)
-    y = (rng.random(spec.n) < sigmoid(3.0 * x1 + x2)).astype(np.float64)
+    rng = np.random.default_rng(seed)
+    a = rng.random(n)
+    x1 = rho * (2.0 * a - 1.0) + noise * rng.standard_normal(n)
+    x2 = rng.standard_normal(n)
+    y = (rng.random(n) < sigmoid(3.0 * x1 + x2)).astype(np.float64)
     schema = [
         ColumnSchema("x1", "feature", "continuous"),
         ColumnSchema("x2", "feature", "continuous"),

@@ -5,7 +5,8 @@ layer kernels and per-array SGD loop, kept as oracles for the in-place,
 flat-buffer versions in ``fairpen.nn``; the original cell-by-cell CSV
 parse, kept as the oracle for the blocked numpy reader in
 ``fairpen.data``; the original KS distance, which merges and sorts the
-cell with its reference for every cell; the original ``fairpen pareto``,
+cell with its reference for every cell, and the original gap-generic
+condition sweep that sums it over the cells; the original ``fairpen pareto``,
 which reads rows with ``csv.DictReader`` and sorts the points twice; and
 the original whole-array inference pass, kept as the oracle for the
 row-blocked one in ``fairpen.nn``; and the original dict-built plug-in
@@ -48,6 +49,25 @@ def ks_distance_concat(sample, reference):
     fs = np.searchsorted(np.sort(sample), ts, side="right") / len(sample)
     fr = np.searchsorted(np.sort(reference), ts, side="right") / len(reference)
     return float(np.abs(fs - fr).max())
+
+
+def sweep_with_gap(gap, values, a_conds, y=None, y_grid=None):
+    """Sum the cell gaps over the (outcome condition x attribute condition)
+    cells in that order, then divide by both divisors.
+
+    ``gap(reference)`` prepares one reference and returns the function that
+    scores a cell against it. Without ``y`` one outcome condition holds
+    every row. The reference is the outcome condition's rows, or ``values``
+    itself for the all-rows condition.
+    """
+    a_masks, a_div = a_conds
+    y_masks, y_div = metrics._outcome_conditions(y, y_grid)
+    total = 0.0
+    for y_name, y_mask in y_masks:
+        cell_gap = gap(values if y_mask is None else metrics._rows(values, y_mask, f"reference, Y{y_name}"))
+        for a_name, a_mask in a_masks:
+            total += cell_gap(metrics._rows(values, metrics._and(a_mask, y_mask), f"A{a_name}, Y{y_name}"))
+    return float(total / a_div / y_div)
 
 
 def choose_threshold_loop(scores, labels):
@@ -115,9 +135,7 @@ def pareto_dictreader(paths, column, out, utility_threshold=None, k=5):
             cols = tuple(reader.fieldnames or ())
             if header_cols is None:
                 header_cols = cols
-                if column not in cols:
-                    raise ConfigError(f"fairness column {column!r} not in inputs")
-                for name in ("iteration", "utility_name", "utility_value"):
+                for name in (column, "iteration", "utility_name", "utility_value"):
                     if name not in cols:
                         raise ConfigError(f"{path}: row 1, column {name!r}: missing from the header")
                 seen = set()

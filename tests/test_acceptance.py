@@ -27,7 +27,6 @@ from fairpen.metrics import (
 )
 from fairpen.nn import bce_loss, mlp
 from fairpen.oracles import (
-    SyntheticBiasSpec,
     brute_force_ks,
     exact_geo_discriminator_oracle,
     optimal_gsp_discriminator_oracle,
@@ -163,7 +162,7 @@ def test_criterion_05_lambda_zero_erm_equivalence():
 
 def test_criterion_06_fairness_utility_tradeoff():
     def run(seed, lam):
-        dataset = synth_bias(SyntheticBiasSpec(n=10_000, rho=1.0, seed=seed))
+        dataset = synth_bias(n=10_000, rho=1.0, seed=seed)
         train_set, val_set = split_train_val(dataset, 0.75, seed=seed)
         streams = rng_streams(seed)
         h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)

@@ -128,16 +128,6 @@ def test_train_geo_pretrains_once_per_grid(tmp_path, monkeypatch):
     assert tables[0] == tables[1]
 
 
-def test_train_empty_lambda_grid_writes_nothing(tmp_path):
-    csv_path, schema_path = _write_dataset(tmp_path)
-    cfg = tmp_path / "empty.ini"
-    cfg.write_text("[train]\nt = 10\nlambda =\n")
-    args = ["train", "--config", str(cfg), "--data", str(csv_path), "--schema", str(schema_path),
-            "--out", str(tmp_path / "runs"), "--criterion", "geo"]
-    assert main(args) == 0
-    assert not (tmp_path / "runs").exists()
-
-
 def test_default_networks_discriminator_width():
     rng = np.random.default_rng(14)
     rows = np.array([[0.2, 0.0, 1.0], [0.8, 1.0, 0.0]])
@@ -442,6 +432,13 @@ def _bad_input(tmp_path, case):
         return train, [str(config), "t", "'abc'"]
     if case == "lambda_value":
         return train + ["--lambda", "abc"], ["--lambda", "'abc'"]
+    if case == "lambda_empty_grid":
+        config.write_text("[train]\nt = 5\nlambda =\n")
+        return train[: train.index("--lambda")], [str(config), "[train] lambda", "no values"]
+    if case == "lambda_same_directory":
+        return train + ["--lambda", "0.1234567", "--lambda", "0.1234568"], ["0.1234567", "0.1234568", "lambda=0.123457"]
+    if case == "lambda_repeated":
+        return train + ["--lambda", "0.5"], ["--lambda", "0.5 and 0.5", "lambda=0.5"]
     if case == "config_key_typo":
         config.write_text("[train]\nt = 5\nlearnig_rate = 5\n")
         return train, [str(config), "learnig_rate"]
@@ -526,6 +523,15 @@ def _bad_input(tmp_path, case):
     if case == "pareto_long_row":
         _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"], ["2", "validation", "auc", "0.8", "0.2", "9"]])
         return pareto, [str(snapshots), "row 3", "6 cells, but the header has 5"]
+    if case == "pareto_empty_first_file":
+        snapshots.write_text("")
+        good = tmp_path / "s2.csv"
+        _snapshot_csv(good, [["1", "validation", "auc", "0.9", "0.1"]])
+        return pareto[:2] + [str(good)] + pareto[2:], [str(snapshots), "row 1", "'a_ks_gsp'", "missing from the header"]
+    if case == "pareto_misspelt_column":
+        _snapshot_csv(snapshots, [["1", "validation", "auc", "0.9", "0.1"]])
+        misspelt = pareto[:3] + ["a_ks_gs"] + pareto[4:]
+        return misspelt, [str(snapshots), "row 1", "'a_ks_gs'", "missing from the header"]
     if case == "pareto_no_utility_column":
         snapshots.write_text("iteration,split,utility_name,a_ks_gsp\n1,validation,auc,0.1\n")
         return pareto, [str(snapshots), "utility_value"]
@@ -543,7 +549,9 @@ def _bad_input(tmp_path, case):
      "pareto_inf_utility", "pareto_inf_fairness", "data_not_utf8", "data_oversized_field",
      "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field", "schema_categories_int",
      "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
-     "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", *_FLAG_BELOW_ONE],
+     "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", "lambda_empty_grid",
+     "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
+     *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

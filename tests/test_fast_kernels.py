@@ -39,6 +39,7 @@ from reference_kernels import (
     pareto_dictreader,
     parse_table_cellwise,
     sgd_step_loop,
+    sweep_with_gap,
 )
 
 
@@ -503,10 +504,10 @@ def test_ks_gaps_equal_concat_reference(data):
     a_grid, y_grid = metrics.quantile_grid(a_cont), metrics.quantile_grid(y_cont)
     for a, kind, grid in ((a_disc, "discrete", None), (a_cont, "continuous", a_grid)):
         conds = metrics._conditions(a, kind, grid)
-        expected = _ks_outcome(metrics._sweep, _ks_concat_gap, s, conds)
+        expected = _ks_outcome(sweep_with_gap, _ks_concat_gap, s, conds)
         assert _ks_outcome(metrics.ks_gsp, s, a, kind, grid) == expected
         for y, yg in ((y_disc, None), (y_cont, y_grid)):
-            expected = _ks_outcome(metrics._sweep, _ks_concat_gap, s, conds, y, yg)
+            expected = _ks_outcome(sweep_with_gap, _ks_concat_gap, s, conds, y, yg)
             assert _ks_outcome(metrics.ks_geo, s, a, y, kind, grid, yg) == expected
 
 
@@ -530,11 +531,11 @@ def test_ks_gaps_equal_concat_reference_at_large_n_with_ties():
     for scores in (s, with_nan):
         for a, kind, grid in ((a_disc, "discrete", None), (a_cont, "continuous", a_grid)):
             conds = metrics._conditions(a, kind, grid)
-            expected = _ks_outcome(metrics._sweep, _ks_concat_gap, scores, conds)
+            expected = _ks_outcome(sweep_with_gap, _ks_concat_gap, scores, conds)
             assert _ks_outcome(metrics.ks_gsp, scores, a, kind, grid) == expected
             outcomes.append(expected)
             for y, yg in ((y_disc, None), (y_cont, y_grid)):
-                expected = _ks_outcome(metrics._sweep, _ks_concat_gap, scores, conds, y, yg)
+                expected = _ks_outcome(sweep_with_gap, _ks_concat_gap, scores, conds, y, yg)
                 assert _ks_outcome(metrics.ks_geo, scores, a, y, kind, grid, yg) == expected
                 outcomes.append(expected)
     # without the NaN every gap has a value; with it only the Y <= q forms do

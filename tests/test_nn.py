@@ -87,7 +87,7 @@ def test_inference_pass_keeps_no_layer_cache():
     net.forward(x, train=True)
     net.forward(x, train=False)
     for layer in net.layers:
-        assert getattr(layer, "_cache", None) is None and getattr(layer, "_cached_input", None) is None
+        assert layer._cache is None
     with pytest.raises(StateError):
         net.backward(np.ones((20, 1)))
 
@@ -228,12 +228,29 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def _layer_arrays(net):
     """Every array a checkpoint stores, batch-norm running statistics included."""
-    return [
-        getattr(layer, name)
-        for layer in net.layers
-        for name in ("weights", "bias", "gamma", "beta_shift", "running_mean", "running_var")
-        if hasattr(layer, name)
-    ]
+    return [getattr(layer, name) for layer in net.layers for name in layer.PARAMS + layer.BUFFERS]
+
+
+def _moved_batch_norm():
+    layer = BatchNormLayer(3, momentum=0.9)
+    layer.forward(np.random.default_rng(0).standard_normal((8, 3)), train=True)  # move the running statistics
+    return layer
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: DenseLayer(3, 2, np.random.default_rng(0)), _moved_batch_norm, lambda: ActivationLayer("relu")],
+    ids=["dense", "batch_norm", "activation"],
+)
+def test_layer_declaration_is_its_checkpoint_spec(make):
+    layer = make()
+    spec = layer.to_spec()
+    assert set(spec) == {"kind", *layer.PARAMS, *layer.BUFFERS, *layer.SETTINGS}
+    assert spec["kind"] == layer.KIND
+    loaded = type(layer).from_spec(json.loads(json.dumps(spec)))
+    assert json.dumps(loaded.to_spec(), sort_keys=True) == json.dumps(spec, sort_keys=True)
+    # settings are read before arrays, so a spec with neither names the first setting
+    with pytest.raises(KeyError, match=repr((layer.SETTINGS + layer.PARAMS)[0])):
+        type(layer).from_spec({"kind": layer.KIND})
 
 
 @settings(deadline=None, max_examples=50)

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import destandardized_features
 from fairpen.oracles import (
-    SyntheticBiasSpec,
     brute_force_ks,
     exact_geo_discriminator_oracle,
     synth_bias,
@@ -37,14 +36,14 @@ def test_table5_toy_deterministic():
 
 
 def test_synth_bias_shapes_and_rho_effect():
-    ds = synth_bias(SyntheticBiasSpec(n=5000, rho=2.0, seed=0))
+    ds = synth_bias(n=5000, rho=2.0, seed=0)
     assert ds.n == 5000 and ds.p == 2
     a = ds.sensitive_raw("a")
     x1 = destandardized_features(ds)[:, 0]
     strong = np.corrcoef(a, x1)[0, 1]
     weak = np.corrcoef(
-        synth_bias(SyntheticBiasSpec(n=5000, rho=0.0, seed=0)).sensitive_raw("a"),
-        destandardized_features(synth_bias(SyntheticBiasSpec(n=5000, rho=0.0, seed=0)))[:, 0],
+        synth_bias(n=5000, rho=0.0, seed=0).sensitive_raw("a"),
+        destandardized_features(synth_bias(n=5000, rho=0.0, seed=0))[:, 0],
     )[0, 1]
     assert strong > 0.5 and abs(weak) < 0.05
 
