@@ -167,7 +167,8 @@ def cmd_train(args) -> int:
             _write_csv(lam_dir / "beta_table.csv", beta_rows)
         _write_csv(lam_dir / "snapshots.csv", training.snapshot_csv_rows(snapshots, attr_names))
         h.save(lam_dir / "h_final.ckpt")
-        D.save(lam_dir / "d_final.ckpt")
+        if config.lam > 0.0:  # at lambda = 0 the penalty has zero weight and train() trains no D
+            D.save(lam_dir / "d_final.ckpt")
         print(f"wrote {lam_dir}/snapshots.csv ({len(snapshots)} snapshots)")
     return 0
 

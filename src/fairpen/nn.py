@@ -20,6 +20,7 @@ its transient memory does not grow with the number of rows.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -145,6 +146,18 @@ class BatchNormLayer(_Layer):
         arrays = [getattr(self, name) for name in self.PARAMS + self.BUFFERS]
         if any(a.shape != (len(self.gamma),) for a in arrays):
             raise ValueError(f"batch-norm arrays of shapes {[a.shape for a in arrays]} differ")
+        for name in self.SETTINGS:
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            # abs(), not math.isfinite, which raises on an int too large for a float
+            if not (real and abs(value) <= sys.float_info.max):
+                raise ValueError(f"batch-norm {name} {value!r} is not a finite real number")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"batch-norm epsilon {self.epsilon!r} is not positive")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"batch-norm momentum {self.momentum!r} is outside [0, 1]")
+        if (self.running_var < 0.0).any():
+            raise ValueError("batch-norm running_var has a negative entry")
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:

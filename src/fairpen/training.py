@@ -123,6 +123,9 @@ def train(
 
     The utility is MAE for a continuous outcome and BCE otherwise.
 
+    At lam = 0 the penalty has zero weight and each step is plain ERM: D is
+    neither trained nor changed and ``beta`` is never called.
+
     Without ``beta`` D contrasts (s, a) with (s, a') (independence); with a
     density ratio ``beta(a, y) -> weights`` it contrasts (s, a, y) with
     (s, a', y) and weights the resampled term by beta(a, y) (separation).
@@ -143,20 +146,18 @@ def train(
     for t in range(1, config.T + 1):
         mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
         s = h.forward(mb.x, train=True)
-        if beta is None:
-            real, fake, w = np.column_stack([s, mb.a]), np.column_stack([s, mb.a_prime]), 1.0
-        else:
-            real = np.column_stack([s, mb.a, mb.y])
-            fake = np.column_stack([s, mb.a_prime, mb.y])
-            w = beta(mb.a, mb.y)
-
-        for _ in range(config.T_prime):
-            contrast(D, real, fake, w)
-            sgd_step(D, "D", maximize=True)
-
         _, grad_p = loss_fn(s[:, 0], mb.y)
         grad_s = lam_m * grad_p.reshape(-1, 1)
-        if lam_f > 0.0:
+        if lam_f > 0.0:  # the adversary exists only where the penalty has weight
+            if beta is None:
+                real, fake, w = np.column_stack([s, mb.a]), np.column_stack([s, mb.a_prime]), 1.0
+            else:
+                real = np.column_stack([s, mb.a, mb.y])
+                fake = np.column_stack([s, mb.a_prime, mb.y])
+                w = beta(mb.a, mb.y)
+            for _ in range(config.T_prime):
+                contrast(D, real, fake, w)
+                sgd_step(D, "D", maximize=True)
             _, pen_grad = contrast(D, real, fake, w, params=False)
             grad_s = grad_s + lam_f * pen_grad[:, :1]
         h.backward(grad_s)

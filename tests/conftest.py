@@ -89,6 +89,14 @@ def rewrite_checkpoint_layer(path, index, **arrays):
     path.write_text(magic + "\n" + json.dumps(spec) + "\n")
 
 
+def set_checkpoint_layer_value(path, index, name, value):
+    """Replace one stored value of one layer in a saved checkpoint file."""
+    magic, body = path.read_text().split("\n", 1)
+    spec = json.loads(body)
+    spec["layers"][index][name] = value
+    path.write_text(magic + "\n" + json.dumps(spec) + "\n")
+
+
 @pytest.fixture
 def toy_dataset():
     return binary_toy_dataset(200, seed=0)

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import fairpen
-from conftest import binary_toy_dataset, destandardized_features, regression_toy_dataset, rewrite_checkpoint_layer
+from conftest import (
+    binary_toy_dataset, destandardized_features, regression_toy_dataset, rewrite_checkpoint_layer,
+    set_checkpoint_layer_value,
+)
 from fairpen import penalties
 from fairpen.cli import default_networks, load_schema, main
 from fairpen.nn import mlp
@@ -108,6 +111,19 @@ def test_train_geo_writes_beta_table(tmp_path):
     assert all(float(r[2]) > 0 for r in rows[1:])
     # every cell is a plain float literal, not a numpy scalar repr such as np.float64(0.0)
     assert all(repr(float(v)) == v for r in rows[1:] for v in r)
+
+
+def test_train_writes_no_discriminator_at_lambda_zero(tmp_path):
+    # at lambda = 0 no adversary is trained, so there is no d_final.ckpt to write
+    csv_path, schema_path = _write_dataset(tmp_path)
+    args = _train_args(tmp_path, csv_path, schema_path, "--criterion", "geo")
+    i = args.index("--lambda")
+    args[i:i + 2] = ["--lambda", "0", "--lambda", "0.5"]
+    assert main(args) == 0
+    run = tmp_path / "runs" / "r1"
+    assert sorted(p.name for p in (run / "lambda=0").iterdir()) == ["beta_table.csv", "h_final.ckpt", "snapshots.csv"]
+    assert sorted(p.name for p in (run / "lambda=0.5").iterdir()) == [
+        "beta_table.csv", "d_final.ckpt", "h_final.ckpt", "snapshots.csv"]
 
 
 def test_train_geo_pretrains_once_per_grid(tmp_path, monkeypatch):
@@ -466,6 +482,13 @@ def _bad_input(tmp_path, case):
         evaluate = ["evaluate", "--checkpoint", str(tmp_path / "h.ckpt"), "--data", str(short),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
         return evaluate, [str(short), "row 3", "'y'", "missing cell"]
+    if case == "checkpoint_bn_epsilon_str":
+        ckpt = tmp_path / "h.ckpt"
+        mlp(2, [4], rng=np.random.default_rng(0), batch_norm=True).save(ckpt)
+        set_checkpoint_layer_value(ckpt, 1, "epsilon", "1e-5")
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(ckpt), "layer 1", "epsilon '1e-5' is not a finite real number"]
     if case == "data_not_utf8":
         csv_path.write_bytes(b"x1,x2,a,y\n0.1,0.3,0,1\n0.2,0.4,\xe9,1\n")  # Latin-1, not UTF-8
         return train, [str(csv_path), "not UTF-8"]
@@ -551,6 +574,7 @@ def _bad_input(tmp_path, case):
      "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
      "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", "lambda_empty_grid",
      "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
+     "checkpoint_bn_epsilon_str",
      *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gradients, parameters, rewrite_checkpoint_layer
+from conftest import gradients, parameters, rewrite_checkpoint_layer, set_checkpoint_layer_value
 from gradcheck import check_network_gradients, random_config
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
@@ -257,6 +257,7 @@ def test_layer_declaration_is_its_checkpoint_spec(make):
 @given(st.data())
 def test_checkpoint_round_trip_bit_exact_property(data):
     finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals, -0.0, +/-1.7e308
+    variance = st.floats(min_value=0.0, allow_infinity=False)  # a checkpoint refuses a negative running_var
     net = mlp(
         data.draw(st.integers(1, 4)),
         data.draw(st.lists(st.integers(1, 5), max_size=3)),
@@ -265,8 +266,10 @@ def test_checkpoint_round_trip_bit_exact_property(data):
         batch_norm=data.draw(st.booleans()),
         output_activation=data.draw(st.sampled_from(["sigmoid", "identity", "relu"])),
     )
-    for arr in _layer_arrays(net):
-        arr[...] = np.reshape(data.draw(st.lists(finite, min_size=arr.size, max_size=arr.size)), arr.shape)
+    for layer in net.layers:
+        for name in layer.PARAMS + layer.BUFFERS:
+            arr, values = getattr(layer, name), variance if name == "running_var" else finite
+            arr[...] = np.reshape(data.draw(st.lists(values, min_size=arr.size, max_size=arr.size)), arr.shape)
     with tempfile.TemporaryDirectory() as tmp:
         path, path2 = Path(tmp) / "net.ckpt", Path(tmp) / "net2.ckpt"
         net.save(path)
@@ -363,6 +366,45 @@ def test_checkpoint_batch_norm_width_mismatch(tmp_path):
     rewrite_checkpoint_layer(path, 1, running_var=np.ones(3))
     with pytest.raises(CheckpointError, match="layer 1"):
         Mlp.load(path)
+
+
+NOT_REAL = "not a finite real number"
+
+
+@pytest.mark.parametrize(
+    "name, value, reason",
+    [("epsilon", "1e-5", NOT_REAL), ("epsilon", float("inf"), NOT_REAL), ("epsilon", float("nan"), NOT_REAL),
+     pytest.param("epsilon", 10**400, NOT_REAL, id="epsilon-10**400"),
+     ("epsilon", -1.0, "not positive"), ("epsilon", 0.0, "not positive"),
+     ("momentum", True, NOT_REAL), ("momentum", None, NOT_REAL), ("momentum", [0.99], NOT_REAL),
+     ("momentum", -0.1, r"outside \[0, 1\]"), ("momentum", 1.5, r"outside \[0, 1\]")],
+)
+def test_checkpoint_batch_norm_setting_is_checked(tmp_path, name, value, reason):
+    path = tmp_path / "net.ckpt"
+    mlp(3, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    set_checkpoint_layer_value(path, 1, name, value)
+    with pytest.raises(CheckpointError, match=rf"layer 1: malformed spec .*batch-norm {name} .*{reason}") as err:
+        Mlp.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_batch_norm_negative_running_var(tmp_path):
+    path = tmp_path / "net.ckpt"
+    mlp(3, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    rewrite_checkpoint_layer(path, 1, running_var=[1.0, -0.5, 1.0, 1.0])
+    with pytest.raises(CheckpointError, match="layer 1: malformed spec .*running_var has a negative entry"):
+        Mlp.load(path)
+
+
+def test_checkpoint_batch_norm_settings_at_their_bounds_load(tmp_path):
+    path = tmp_path / "net.ckpt"
+    for momentum, epsilon in ((0, 1e-300), (1, 2), (0.0, 1e-5)):
+        mlp(3, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+        set_checkpoint_layer_value(path, 1, "momentum", momentum)
+        set_checkpoint_layer_value(path, 1, "epsilon", epsilon)
+        rewrite_checkpoint_layer(path, 1, running_var=[0.0, 1.0, 1.0, 1.0])
+        layer = Mlp.load(path).layers[1]
+        assert (layer.momentum, layer.epsilon) == (momentum, epsilon)
 
 
 def test_checkpoint_non_finite_value(tmp_path):

@@ -100,6 +100,21 @@ def test_geo_lambda_zero_matches_gsp_lambda_zero():
         assert np.array_equal(pa, pb)
 
 
+@pytest.mark.parametrize("criterion", ["gsp", "geo"])
+@pytest.mark.parametrize("scaling", ["convex", "plain"])
+def test_lambda_zero_trains_no_adversary(criterion, scaling):
+    # at lam = 0 the penalty has zero weight: D keeps every stored value,
+    # batch-norm running statistics included, and beta is never called
+    train_set, val, h, D, config = _setup(lam=0.0, T=20, criterion=criterion, scaling=scaling)
+    before = [layer.to_spec() for layer in D.layers]
+
+    def beta(a, y):
+        raise AssertionError("beta called at lambda = 0")
+
+    train(train_set, val, h, D, config, beta=beta if criterion == "geo" else None)
+    assert [layer.to_spec() for layer in D.layers] == before
+
+
 # ------------------------------------------------------------------ mechanics
 
 def test_alternation_order_and_t_prime(monkeypatch):
