@@ -83,6 +83,9 @@ def _train_config(cfg: dict, lam: float, overrides: argparse.Namespace) -> Train
     for name in ("seed", "sampler", "scaling"):  # command-line flags win over the config
         if getattr(overrides, name) is not None:
             fields[name] = getattr(overrides, name)
+    if fields.get("seed", 0) < 0:
+        where = "--seed" if overrides.seed is not None else f"{overrides.config}: [train] seed"
+        raise ConfigError(f"{where}: seed must be >= 0, got {fields['seed']}")
     return TrainConfig(lam=lam, **fields)
 
 
@@ -192,8 +195,10 @@ def cmd_evaluate(args) -> int:
     h = Mlp.load(args.checkpoint)
     if h.in_dim != dataset.p:
         raise ConfigError(
-            f"checkpoint expects {h.in_dim} features but dataset has {dataset.p}"
+            f"{args.checkpoint}: checkpoint expects {h.in_dim} features but dataset has {dataset.p}"
         )
+    if h.out_dim != 1:
+        raise ConfigError(f"{args.checkpoint}: checkpoint scores {h.out_dim} output columns, not 1")
     report = training.evaluate_snapshot(h, dataset)
     attr_names = [c.name for c in dataset.sensitive_columns]
     snap = training.Snapshot(0, "evaluate", report)
@@ -276,6 +281,8 @@ def cmd_ratio_toy(args) -> int:
     for flag in ("n", "iters", "batch"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     dataset = oracles.table5_toy(args.n, seed=args.seed)
     beta = penalties.pretrain_density_ratio(dataset, L=args.iters, n_b=args.batch, seed=args.seed)
     true = oracles.table5_true_ratios()

@@ -10,11 +10,16 @@ twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
 check and one clear over the whole network. ``backward`` accumulates
 parameter gradients into those views; ``backward(..., params=False)``
 returns only the input gradient and leaves the gradient buffer untouched.
-The train-mode kernels and the inference batch-norm reuse their temporaries
-in place, in the same operation order as the plain expressions, so results
-are bit for bit those of the textbook forms. An inference pass keeps no
-layer cache and runs a long input in row blocks of ``INFER_BLOCK`` rows, so
-its transient memory does not grow with the number of rows.
+The dense, activation and inference batch-norm kernels reuse their
+temporaries in place, in the same operation order as the plain expressions,
+so results are bit for bit those of the textbook forms. Train-mode
+batch-norm follows its own fused order: one pass per column sum, and a
+backward that reuses the gamma and beta_shift gradient sums. It differs
+from the textbook forms by rounding only: per call, by a small multiple of
+n * eps times the magnitudes of the summed terms for a batch of n rows.
+An inference pass keeps no layer cache and runs a long input in row blocks
+of ``INFER_BLOCK`` rows, so its transient memory does not grow with the
+number of rows.
 """
 
 from __future__ import annotations
@@ -161,17 +166,19 @@ class BatchNormLayer(_Layer):
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
-            # x.mean and x.var are both a column sum divided by n; centre once
-            # and reuse the centred block for the variance and for x_hat
+            # x.mean is a column sum divided by n; centre once and reuse the
+            # centred block for the variance (one einsum pass) and for x_hat
             n = len(x)
             mean = x.sum(axis=0) / n
             x_hat = x - mean
-            var = np.square(x_hat).sum(axis=0) / n
+            var = np.einsum("ij,ij->j", x_hat, x_hat) / n
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             x_hat *= inv_std
             self._cache = (x_hat, inv_std)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean *= self.momentum
+            self.running_mean += (1 - self.momentum) * mean
+            self.running_var *= self.momentum
+            self.running_var += (1 - self.momentum) * var
             out = self.gamma * x_hat
             out += self.beta_shift
             return out
@@ -184,20 +191,20 @@ class BatchNormLayer(_Layer):
         return out
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
-        # inv_std / n * (n * g - g.sum(0) - x_hat * (g * x_hat).sum(0)), in place
+        # gamma * inv_std * (g - sum(g) / n - x_hat * sum(g * x_hat) / n), in
+        # place; the two column sums are the beta_shift and gamma gradients
         x_hat, inv_std = self._cache
         n = grad_out.shape[0]
+        g_sum = grad_out.sum(axis=0)
+        gx_sum = np.einsum("ij,ij->j", grad_out, x_hat)
         if params:
-            self.grad_gamma += (grad_out * x_hat).sum(axis=0)
-            self.grad_beta_shift += grad_out.sum(axis=0)
-        g = grad_out * self.gamma
-        g_sum = g.sum(axis=0)
-        proj = x_hat * (g * x_hat).sum(axis=0)
-        g *= n
-        g -= g_sum
-        g -= proj
-        g *= inv_std / n
-        return g
+            self.grad_gamma += gx_sum
+            self.grad_beta_shift += g_sum
+        grad_in = x_hat * (gx_sum / n)
+        np.subtract(grad_out, grad_in, out=grad_in)
+        grad_in -= g_sum / n
+        grad_in *= self.gamma * inv_std
+        return grad_in
 
 
 class ActivationLayer(_Layer):
@@ -347,7 +354,9 @@ class Mlp:
             raise CheckpointError(f"{path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON, or an integer past Python's digit
+            # limit; RecursionError: arrays or objects nested too deep
             raise CheckpointError(f"{path}: corrupted checkpoint body") from exc
         if not isinstance(spec, dict) or not isinstance(spec.get("layers"), list):
             raise CheckpointError(f"{path}: checkpoint body has no layer list")

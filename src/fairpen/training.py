@@ -33,6 +33,8 @@ class TrainConfig:
         for name in ("T", "T_prime", "L", "n_b", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.learning_rate < float("inf"):  # also false for nan
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.sampler not in ("within_batch", "disjoint"):

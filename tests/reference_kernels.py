@@ -7,9 +7,11 @@ parse, kept as the oracle for the blocked numpy reader in
 ``fairpen.data``; the original KS distance, which merges and sorts the
 cell with its reference for every cell, and the original gap-generic
 condition sweep that sums it over the cells; the original ``fairpen pareto``,
-which reads rows with ``csv.DictReader`` and sorts the points twice; and
-the original whole-array inference pass, kept as the oracle for the
-row-blocked one in ``fairpen.nn``; and the original dict-built plug-in
+which reads rows with ``csv.DictReader`` and sorts the points twice; the
+original whole-array inference pass, kept as the oracle for the row-blocked
+one in ``fairpen.nn``; the fused train-mode batch-norm kernels in plain
+out-of-place form, kept as oracles for the in-place ones, and the textbook
+batch-norm layer methods they replaced; and the original dict-built plug-in
 density-ratio table, kept as the oracle for the ``np.unique`` lookup in
 ``fairpen.penalties``."""
 
@@ -231,6 +233,51 @@ def batch_norm_backward(grad_out, x_hat, inv_std, gamma):
     g = grad_out * gamma
     grad_in = inv_std / n * (n * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0))
     return grad_in, grad_gamma, grad_beta_shift
+
+
+def batch_norm_forward_train_fused(x, gamma, beta_shift, running_mean, running_var, momentum, epsilon):
+    """The train-mode forward in the fused order: the variance is one einsum
+    pass over the centred block. Returns what ``batch_norm_forward_train`` does."""
+    n = len(x)
+    mean = x.sum(axis=0) / n
+    centred = x - mean
+    var = np.einsum("ij,ij->j", centred, centred) / n
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    x_hat = centred * inv_std
+    running_mean = momentum * running_mean + (1 - momentum) * mean
+    running_var = momentum * running_var + (1 - momentum) * var
+    return gamma * x_hat + beta_shift, (x_hat, inv_std), running_mean, running_var
+
+
+def batch_norm_backward_fused(grad_out, x_hat, inv_std, gamma):
+    """The backward in the fused order: the gamma and beta_shift gradients
+    are the two column sums the input gradient needs. Returns what
+    ``batch_norm_backward`` does."""
+    n = grad_out.shape[0]
+    grad_gamma = np.einsum("ij,ij->j", grad_out, x_hat)
+    grad_beta_shift = grad_out.sum(axis=0)
+    grad_in = (grad_out - x_hat * (grad_gamma / n) - grad_beta_shift / n) * (gamma * inv_std)
+    return grad_in, grad_gamma, grad_beta_shift
+
+
+def batch_norm_layer_forward_textbook(layer, x, train):
+    """``BatchNormLayer.forward`` with the textbook kernels, to be set on the class."""
+    if not train:
+        layer._cache = None
+        return batch_norm_forward_infer(x, layer.gamma, layer.beta_shift, layer.running_mean,
+                                        layer.running_var, layer.epsilon)
+    out, layer._cache, layer.running_mean, layer.running_var = batch_norm_forward_train(
+        x, layer.gamma, layer.beta_shift, layer.running_mean, layer.running_var, layer.momentum, layer.epsilon)
+    return out
+
+
+def batch_norm_layer_backward_textbook(layer, grad_out, params=True):
+    """``BatchNormLayer.backward`` with the textbook kernel, to be set on the class."""
+    grad_in, grad_gamma, grad_beta_shift = batch_norm_backward(grad_out, *layer._cache, layer.gamma)
+    if params:
+        layer.grad_gamma += grad_gamma
+        layer.grad_beta_shift += grad_beta_shift
+    return grad_in
 
 
 def sgd_step_loop(layers, learning_rate, maximize=False):

@@ -489,6 +489,30 @@ def _bad_input(tmp_path, case):
         evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
         return evaluate, [str(ckpt), "layer 1", "epsilon '1e-5' is not a finite real number"]
+    if case in ("checkpoint_huge_int", "checkpoint_deep_nesting"):
+        ckpt = tmp_path / "h.ckpt"
+        body = "[" + "9" * 5001 + "]" if case == "checkpoint_huge_int" else "[" * 100_000
+        ckpt.write_text("FAIRPEN-CKPT-v1\n" + body + "\n")
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(ckpt), "corrupted checkpoint body"]
+    if case in ("checkpoint_two_outputs", "checkpoint_no_outputs"):
+        ckpt = tmp_path / "h.ckpt"
+        out_dim = 2 if case == "checkpoint_two_outputs" else 0
+        mlp(2, [4], out_dim=out_dim, rng=np.random.default_rng(0)).save(ckpt)
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(ckpt), f"{out_dim} output columns, not 1"]
+    if case == "seed_negative_flag":
+        return train + ["--seed", "-1"], ["--seed", "must be >= 0, got -1"]
+    if case == "seed_negative_config":
+        config.write_text("[train]\nt = 5\nseed = -3\n")
+        del train[train.index("--seed"):train.index("--seed") + 2]  # the flag would win
+        return train, [str(config), "[train] seed", "must be >= 0, got -3"]
+    if case == "ratio_toy_seed_negative":
+        args = ["ratio-toy", "--n", "100", "--iters", "5", "--batch", "10", "--seed", "-1",
+                "--out", str(tmp_path / "toy.csv")]
+        return args, ["--seed", "must be >= 0, got -1"]
     if case == "data_not_utf8":
         csv_path.write_bytes(b"x1,x2,a,y\n0.1,0.3,0,1\n0.2,0.4,\xe9,1\n")  # Latin-1, not UTF-8
         return train, [str(csv_path), "not UTF-8"]
@@ -574,7 +598,9 @@ def _bad_input(tmp_path, case):
      "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
      "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", "lambda_empty_grid",
      "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
-     "checkpoint_bn_epsilon_str",
+     "checkpoint_bn_epsilon_str", "checkpoint_huge_int", "checkpoint_deep_nesting",
+     "checkpoint_two_outputs", "checkpoint_no_outputs", "seed_negative_flag", "seed_negative_config",
+     "ratio_toy_seed_negative",
      *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):

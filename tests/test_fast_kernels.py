@@ -3,7 +3,9 @@ flat-buffer network kernels, the row-blocked inference pass, the
 blocked numpy CSV reader, the KS gaps that rank the scores once
 per call and the one-pass ``fairpen pareto`` against the original
 implementations in ``reference_kernels``: results must be equal bit for
-bit, not approximately."""
+bit, not approximately. The fused train-mode batch-norm kernels equal their
+own references bit for bit; against the textbook kernels they replaced they
+are held to a rounding tolerance, per call and over a training run."""
 
 import contextlib
 import csv
@@ -17,18 +19,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gradients, parameters
+from conftest import binary_toy_dataset, gradients, parameters
 from fairpen import metrics
 from fairpen import data
-from fairpen.data import ColumnSchema, TabularDataset, load_csv, minibatch_construct
+from fairpen.data import ColumnSchema, TabularDataset, load_csv, minibatch_construct, rng_streams, split_train_val
 from fairpen.cli import main
 from fairpen.errors import ConfigError, DegenerateMetricError, IngestionError
 from fairpen.nn import INFER_BLOCK, BatchNormLayer, DenseLayer, Mlp, mlp
+from fairpen.training import TrainConfig, snapshot_csv_rows, train
 from reference_kernels import (
     average_ranks_loop,
     batch_norm_backward,
+    batch_norm_backward_fused,
     batch_norm_forward_infer,
     batch_norm_forward_train,
+    batch_norm_forward_train_fused,
+    batch_norm_layer_backward_textbook,
+    batch_norm_layer_forward_textbook,
     choose_threshold_loop,
     dense_forward,
     disjoint_draw_setdiff,
@@ -230,10 +237,10 @@ def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_ra
     grad_out = rng.standard_normal((n, width))
 
     z_ref = dense_forward(x, dense.weights, dense.bias)
-    out_ref, (x_hat, inv_std), mean_ref, var_ref = batch_norm_forward_train(
+    out_ref, (x_hat, inv_std), mean_ref, var_ref = batch_norm_forward_train_fused(
         z_ref, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon
     )
-    g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward(grad_out, x_hat, inv_std, bn.gamma)
+    g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward_fused(grad_out, x_hat, inv_std, bn.gamma)
     g_x_ref = g_z_ref @ dense.weights.T
 
     z = dense.forward(x, train=True)
@@ -251,6 +258,84 @@ def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_ra
     net.sgd_step(learning_rate, maximize)
     assert _bytes(parameters(net)) == _bytes(parameters(ref))
     assert all((g == 0.0).all() for g in gradients(net))
+
+
+def _within(actual, expected, bound):
+    """Elementwise |actual - expected| <= bound, the worst excess in the message."""
+    excess = np.abs(actual - expected) - bound
+    assert (excess <= 0.0).all(), f"worst excess {excess.max()!r} over a bound of {bound.ravel()[excess.argmax()]!r}"
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(1, 257),
+    width=st.integers(1, 80),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_batch_norm_within_rounding_of_textbook(n, width, scale, offset, seed):
+    """The fused order differs from the textbook one by rounding only: each
+    value lies within 4 (n + 4) eps of the textbook value, relative to the
+    magnitudes of the terms summed into it. At n <= 2 the input gradient
+    cancels to about 0, so a bound relative to the result would fail there."""
+    rng = np.random.default_rng(seed)
+    gamma, beta_shift, running_mean = rng.standard_normal((3, width))
+    running_var, momentum, epsilon = rng.random(width) + 0.5, 0.99, 1e-5
+    x = scale * (rng.standard_normal((n, width)) + offset * rng.standard_normal(width))
+    grad_out = rng.standard_normal((n, width))
+    tol = 4 * (n + 4) * np.finfo(np.float64).eps
+
+    args = (x, gamma, beta_shift, running_mean, running_var, momentum, epsilon)
+    out_t, (x_hat, inv_std), mean_t, var_t = batch_norm_forward_train(*args)
+    out_f, (x_hat_f, inv_std_f), mean_f, var_f = batch_norm_forward_train_fused(*args)
+    assert mean_f.tobytes() == mean_t.tobytes()
+    _within(var_f, var_t, tol * var_t)
+    _within(inv_std_f, inv_std, tol * inv_std)
+    _within(x_hat_f, x_hat, tol * np.abs(x_hat))
+    _within(out_f, out_t, tol * (np.abs(gamma * x_hat) + np.abs(beta_shift)))
+
+    g_in_t, g_gamma_t, g_beta_t = batch_norm_backward(grad_out, x_hat, inv_std, gamma)
+    g_in_f, g_gamma_f, g_beta_f = batch_norm_backward_fused(grad_out, x_hat, inv_std, gamma)
+    assert g_beta_f.tobytes() == g_beta_t.tobytes()
+    abs_gx = np.abs(grad_out * x_hat)
+    _within(g_gamma_f, g_gamma_t, tol * abs_gx.sum(axis=0))
+    terms = np.abs(grad_out) + np.abs(grad_out).sum(axis=0) / n + np.abs(x_hat) * abs_gx.sum(axis=0) / n
+    _within(g_in_f, g_in_t, tol * np.abs(gamma) * inv_std * terms)
+
+
+# Drift the fused batch-norm kernels may add to a whole training run: every
+# stored array of h and D, and every snapshot cell, absolutely.
+TRAIN_DRIFT = 1e-12
+
+
+def test_fused_batch_norm_training_drift_is_within_tolerance(monkeypatch):
+    """A criterion-5-sized GSP run at lambda = 0.5, with the textbook batch-norm
+    methods and with the fused ones, ends within TRAIN_DRIFT everywhere."""
+    def run():
+        train_set, val_set = split_train_val(binary_toy_dataset(400, seed=0), seed=0)
+        streams = rng_streams(0)
+        h = mlp(train_set.p, [16, 16], rng=streams["init"], batch_norm=True)
+        D = mlp(1 + train_set.l, [16, 16], rng=streams["init"], batch_norm=True)
+        config = TrainConfig(lam=0.5, T=50, n_b=64, eval_interval=25, seed=0)
+        rows = list(snapshot_csv_rows(train(train_set, val_set, h, D, config), ["a"]))
+        arrays = [getattr(layer, name) for net in (h, D) for layer in net.layers
+                  for name in layer.PARAMS + layer.BUFFERS]
+        return rows, arrays
+
+    rows_fused, arrays_fused = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchNormLayer, "forward", batch_norm_layer_forward_textbook)
+        patch.setattr(BatchNormLayer, "backward", batch_norm_layer_backward_textbook)
+        rows_textbook, arrays_textbook = run()
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(arrays_fused, arrays_textbook))
+    for fused, textbook in zip(arrays_fused, arrays_textbook):
+        assert np.abs(fused - textbook).max() <= TRAIN_DRIFT
+    assert len(rows_fused) == len(rows_textbook) == 5
+    assert rows_fused[0] == rows_textbook[0]
+    for fused, textbook in zip(rows_fused[1:], rows_textbook[1:]):
+        assert fused[:3] == textbook[:3]
+        assert np.allclose(np.array(fused[3:], float), np.array(textbook[3:], float), rtol=0.0, atol=TRAIN_DRIFT)
 
 
 @settings(deadline=None, max_examples=60)

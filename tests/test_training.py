@@ -40,6 +40,8 @@ def test_config_validation():
         TrainConfig(lam=0.5, T=10, sampler="bootstrap")
     with pytest.raises(ConfigError):
         TrainConfig(lam=0.5, T=10, scaling="affine")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(lam=0.5, T=10, seed=-1)
 
 
 def test_config_weights_conventions():
