@@ -148,6 +148,12 @@ def cmd_train(args) -> int:
     # on lambda: compute them once and share them across the grid.
     base = configs[0]
     train_set, val_set = split_train_val(dataset, fraction=0.8, seed=base.seed)
+    where = f"{args.config}: [train] n_b" if "train.n_b" in cfg else "[train] n_b (default)"
+    if base.n_b > train_set.n:
+        raise ConfigError(f"{where}: batch size {base.n_b} exceeds the training split's {train_set.n} rows")
+    if base.sampler == "disjoint" and 2 * base.n_b > train_set.n:
+        raise ConfigError(f"{where}: the disjoint sampler needs 2 * n_b = {2 * base.n_b} rows, "
+                          f"but the training split has {train_set.n}")
     beta = beta_rows = None
     if args.criterion == "geo":
         beta = penalties.pretrain_density_ratio(
@@ -177,14 +183,15 @@ def cmd_train(args) -> int:
 
 
 def _beta_table_rows(beta, dataset) -> list | None:
-    """The rows of ``beta_table.csv``: β of every observed (a, y) cell, one
-    one-row call per cell; None when an attribute or the outcome is
-    continuous."""
+    """The rows of ``beta_table.csv``: β of every observed (a, y) cell, all
+    cells in one call, as the trainer calls β on a batch; None when an
+    attribute or the outcome is continuous."""
     if any(c.kind == "continuous" for c in dataset.schema if c.role in ("sensitive", "outcome")):
         return None
+    cells = sorted(set(map(tuple, np.column_stack([dataset.A, dataset.Y]).tolist())))
+    block = np.array(cells)
     rows = [[f"a{i}" for i in range(dataset.l)] + ["y", "ratio"]]
-    for cell in sorted(set(map(tuple, np.column_stack([dataset.A, dataset.Y]).tolist()))):
-        ratio = float(beta(np.array([cell[:-1]]), np.array([cell[-1]]))[0])
+    for cell, ratio in zip(cells, beta(block[:, :-1], block[:, -1]).tolist()):
         rows.append([repr(v) for v in cell] + [repr(ratio)])
     return rows
 
@@ -283,13 +290,15 @@ def cmd_ratio_toy(args) -> int:
             raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.batch > args.n:
+        raise ConfigError(f"--batch {args.batch} exceeds --n {args.n}, the number of toy rows")
     dataset = oracles.table5_toy(args.n, seed=args.seed)
     beta = penalties.pretrain_density_ratio(dataset, L=args.iters, n_b=args.batch, seed=args.seed)
     true = oracles.table5_true_ratios()
-    cells = [(1, 1), (0, 1), (1, 0), (0, 0)]  # matches the published ordering
+    cells = np.array([(1, 1), (0, 1), (1, 0), (0, 0)])  # matches the published ordering
+    estimates = beta(cells[:, :1], cells[:, 1]).tolist()
     rows = [["cell", "true_ratio", "estimated_ratio", "abs_error"]]
-    for a, y in cells:
-        est = float(beta(np.array([[a]]), np.array([y]))[0])
+    for (a, y), est in zip(cells.tolist(), estimates):
         rows.append(
             [f"p({y}|{a})/p({y})", repr(true[(a, y)]), repr(est), repr(abs(est - true[(a, y)]))]
         )

@@ -10,16 +10,29 @@ twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
 check and one clear over the whole network. ``backward`` accumulates
 parameter gradients into those views; ``backward(..., params=False)``
 returns only the input gradient and leaves the gradient buffer untouched.
-The dense, activation and inference batch-norm kernels reuse their
-temporaries in place, in the same operation order as the plain expressions,
-so results are bit for bit those of the textbook forms. Train-mode
-batch-norm follows its own fused order: one pass per column sum, and a
-backward that reuses the gamma and beta_shift gradient sums. It differs
-from the textbook forms by rounding only: per call, by a small multiple of
-n * eps times the magnitudes of the summed terms for a batch of n rows.
-An inference pass keeps no layer cache and runs a long input in row blocks
-of ``INFER_BLOCK`` rows, so its transient memory does not grow with the
-number of rows.
+The dense and activation kernels reuse their temporaries in place, in the
+same operation order as the plain expressions, so results are bit for bit
+those of the textbook forms. Train-mode batch-norm follows its own fused
+order: one pass per column sum, and a backward that reuses the gamma and
+beta_shift gradient sums. It differs from the textbook forms by rounding
+only: per call, by a small multiple of n * eps times the magnitudes of the
+summed terms for a batch of n rows.
+
+At inference batch-norm is a fixed per-column affine map x * s + shift,
+s = gamma / sqrt(running_var + epsilon), and an inference pass folds each
+batch-norm layer into the dense layer right before it: weights * s and
+(bias - running_mean) * s + beta_shift. A batch-norm layer with no dense
+layer before it applies its affine map on its own; dense layers with no
+batch-norm after them run as in training. The folded pass differs from the
+textbook one (dense, then (x - running_mean) / sqrt(running_var + epsilon)
+* gamma + beta_shift) by rounding only: each output of a folded layer with
+k input columns lies within 4 * (k + 4) * eps of the textbook value,
+relative to |s| * (|x| @ |weights| + |bias| + |running_mean|) +
+|beta_shift| (k = 1 and weights = 1 for a batch-norm layer on its own).
+On a trained scorer that moves scores by under 1e-15. An
+inference pass keeps no layer cache and runs a long input in row blocks of
+``INFER_BLOCK`` rows, so its transient memory does not grow with the number
+of rows; a row's bits do not depend on the block it falls in.
 """
 
 from __future__ import annotations
@@ -37,13 +50,9 @@ INFER_BLOCK = 1024  # rows per block of an inference pass
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable in both tails
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # numerically stable in both tails: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def clamp_prob(p: np.ndarray) -> np.ndarray:
@@ -122,6 +131,13 @@ class DenseLayer(_Layer):
         out += self.bias
         return out
 
+    def fold(self, bn: "BatchNormLayer") -> "DenseLayer":
+        """This layer followed by ``bn`` at inference, as one dense layer."""
+        scale, shift = bn.affine(self.bias)
+        folded = DenseLayer.__new__(DenseLayer)
+        folded.weights, folded.bias, folded._cache = self.weights * scale, shift, None
+        return folded
+
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         if params:
             self.grad_weights += self._cache.T @ grad_out
@@ -183,12 +199,16 @@ class BatchNormLayer(_Layer):
             out += self.beta_shift
             return out
         self._cache = None
-        # gamma * ((x - mean) / std) + beta_shift, in one temporary
-        out = x - self.running_mean
-        out /= np.sqrt(self.running_var + self.epsilon)
-        out *= self.gamma
-        out += self.beta_shift
+        scale, shift = self.affine()
+        out = x * scale
+        out += shift
         return out
+
+    def affine(self, bias=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(s, shift) such that the inference output for input x + bias is
+        x * s + shift, up to rounding."""
+        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+        return scale, (bias - self.running_mean) * scale + self.beta_shift
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         # gamma * inv_std * (g - sum(g) / n - x_hat * sum(g * x_hat) / n), in
@@ -296,23 +316,39 @@ class Mlp:
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
         if train:
-            out = self._forward_layers(x, True)
+            out = self._forward_layers(self.layers, x, True)
         else:
+            layers = self._inference_layers()
+            for layer in self.layers:  # a folded dense layer would keep its training input
+                layer._cache = None
             # Blocks of INFER_BLOCK rows, the remainder folded into the last
             # block. Blocks start at multiples of INFER_BLOCK, so BLAS unrolls
             # a block's rows as it unrolls the whole array's, and no block has
             # one row (numpy would take its vector product, whose bits can
-            # differ). Every row thus gets the bits of the whole-array pass.
+            # differ). Every row thus gets the bits of the whole-array folded
+            # pass, whichever block it falls in.
             out = np.empty((len(x), self.out_dim))
             start = 0
             for stop in [*range(INFER_BLOCK, len(x) - INFER_BLOCK + 1, INFER_BLOCK), len(x)]:
-                out[start:stop] = self._forward_layers(x[start:stop], False)
+                out[start:stop] = self._forward_layers(layers, x[start:stop], False)
                 start = stop
         self._train_cache_ready = train
         return out
 
-    def _forward_layers(self, x: np.ndarray, train: bool) -> np.ndarray:
-        for layer in self.layers:
+    def _inference_layers(self) -> list:
+        """The layers an inference pass runs: each batch-norm layer right
+        after a dense layer is folded into that layer."""
+        layers = []
+        for prev, layer in zip([None, *self.layers], self.layers):
+            if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
+                layers[-1] = prev.fold(layer)
+            else:
+                layers.append(layer)
+        return layers
+
+    @staticmethod
+    def _forward_layers(layers: list, x: np.ndarray, train: bool) -> np.ndarray:
+        for layer in layers:
             x = layer.forward(x, train)
         return x
 

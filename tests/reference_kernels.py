@@ -8,8 +8,9 @@ parse, kept as the oracle for the blocked numpy reader in
 cell with its reference for every cell, and the original gap-generic
 condition sweep that sums it over the cells; the original ``fairpen pareto``,
 which reads rows with ``csv.DictReader`` and sorts the points twice; the
-original whole-array inference pass, kept as the oracle for the row-blocked
-one in ``fairpen.nn``; the fused train-mode batch-norm kernels in plain
+textbook whole-array inference pass and the folded whole-array pass, kept as
+oracles for the row-blocked folded one in ``fairpen.nn``; the masked
+two-branch sigmoid, kept as the oracle for the branch-free one; the fused train-mode batch-norm kernels in plain
 out-of-place form, kept as oracles for the in-place ones, and the textbook
 batch-norm layer methods they replaced; and the original dict-built plug-in
 density-ratio table, kept as the oracle for the ``np.unique`` lookup in
@@ -24,6 +25,7 @@ import numpy as np
 from fairpen import metrics
 from fairpen.data import _parse_cell, open_input
 from fairpen.errors import ConfigError, DegenerateMetricError, DivergenceError
+from fairpen.nn import BatchNormLayer, DenseLayer
 
 
 def parse_table_cellwise(path, schema):
@@ -225,6 +227,22 @@ def batch_norm_forward_infer(x, gamma, beta_shift, running_mean, running_var, ep
     return gamma * x_hat + beta_shift
 
 
+def batch_norm_infer_affine(gamma, beta_shift, running_mean, running_var, epsilon, bias=0.0):
+    """(s, shift): inference batch-norm of x + bias as x * s + shift."""
+    s = gamma / np.sqrt(running_var + epsilon)
+    return s, (bias - running_mean) * s + beta_shift
+
+
+def sigmoid_masked(x):
+    """The logistic function with one masked branch per sign."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def batch_norm_backward(grad_out, x_hat, inv_std, gamma):
     """(input gradient, gamma gradient, beta_shift gradient)."""
     n = grad_out.shape[0]
@@ -306,8 +324,40 @@ def pmf_ratio_table(A, Y):
     return {key: p / (marg_a[key[:-1]] * marg_y[key[-1]]) for key, p in joint.items()}
 
 
+def _bn_args(bn):
+    return bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.epsilon
+
+
 def inference_forward_whole(net, x):
-    """An inference pass over the whole array at once, layer after layer."""
+    """The textbook inference pass over the whole array at once, layer after
+    layer: batch-norm as ``batch_norm_forward_infer``, every other layer by
+    its own inference forward."""
     for layer in net.layers:
-        x = layer.forward(x, train=False)
+        if isinstance(layer, BatchNormLayer):
+            x = batch_norm_forward_infer(x, *_bn_args(layer))
+        else:
+            x = layer.forward(x, train=False)
+    return x
+
+
+def inference_forward_folded(net, x):
+    """The folded inference pass over the whole array at once, out of place:
+    a dense layer followed by a batch-norm layer is one affine map with
+    weights * s and bias (bias - running_mean) * s + beta_shift; a batch-norm
+    layer after any other layer is x * s + shift on its own."""
+    layers = net.layers
+    i = 0
+    while i < len(layers):
+        layer, after = layers[i], layers[i + 1] if i + 1 < len(layers) else None
+        if isinstance(layer, DenseLayer) and isinstance(after, BatchNormLayer):
+            s, shift = batch_norm_infer_affine(*_bn_args(after), bias=layer.bias)
+            x = x @ (layer.weights * s) + shift
+            i += 2
+            continue
+        if isinstance(layer, BatchNormLayer):
+            s, shift = batch_norm_infer_affine(*_bn_args(layer))
+            x = x * s + shift
+        else:
+            x = layer.forward(x, train=False)
+        i += 1
     return x

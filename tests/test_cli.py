@@ -144,6 +144,38 @@ def test_train_geo_pretrains_once_per_grid(tmp_path, monkeypatch):
     assert tables[0] == tables[1]
 
 
+def test_beta_table_and_ratio_toy_call_beta_once(tmp_path, monkeypatch):
+    """Each table holds the values of one batched β call over all its
+    cells, bit for bit."""
+    calls, betas = [], []  # the row count of each β call; each pre-trained β
+    pretrain = penalties.pretrain_density_ratio
+
+    def recording_pretrain(*args, **kwargs):
+        betas.append(pretrain(*args, **kwargs))
+
+        def beta(a, y):
+            calls.append(len(y))
+            return betas[-1](a, y)
+        return beta
+
+    monkeypatch.setattr(penalties, "pretrain_density_ratio", recording_pretrain)
+    csv_path, schema_path = _write_dataset(tmp_path)
+    assert main(_train_args(tmp_path, csv_path, schema_path, "--criterion", "geo")) == 0
+    with open(tmp_path / "runs" / "r1" / "lambda=0.5" / "beta_table.csv") as f:
+        cells = np.array([[float(v) for v in row] for row in list(csv.reader(f))[1:]])
+    assert calls[0] == len(cells) == 4  # the table's call comes before training calls β
+    assert [repr(v) for v in betas[0](cells[:, :1], cells[:, 1]).tolist()] == [repr(v) for v in cells[:, 2].tolist()]
+
+    calls.clear()
+    out = tmp_path / "toy.csv"
+    assert main(["ratio-toy", "--n", "500", "--iters", "50", "--batch", "50", "--seed", "2", "--out", str(out)]) == 0
+    with open(out) as f:
+        estimates = [row[2] for row in list(csv.reader(f))[1:]]
+    assert calls == [4]
+    batched = betas[1](np.array([[1], [0], [1], [0]]), np.array([1, 1, 0, 0])).tolist()
+    assert estimates == [repr(v) for v in batched]
+
+
 def test_default_networks_discriminator_width():
     rng = np.random.default_rng(14)
     rows = np.array([[0.2, 0.0, 1.0], [0.8, 1.0, 0.0]])
@@ -509,6 +541,18 @@ def _bad_input(tmp_path, case):
         config.write_text("[train]\nt = 5\nseed = -3\n")
         del train[train.index("--seed"):train.index("--seed") + 2]  # the flag would win
         return train, [str(config), "[train] seed", "must be >= 0, got -3"]
+    if case == "batch_exceeds_split_config":  # 40 rows split into 32 training rows
+        return train, [str(config), "[train] n_b", "batch size 50", "32 rows"]
+    if case == "batch_exceeds_split_default":
+        config.write_text("[train]\nt = 5\n")
+        return train, ["[train] n_b (default)", "batch size 100", "32 rows"]
+    if case == "batch_exceeds_split_disjoint":
+        config.write_text("[train]\nt = 5\nn_b = 20\n")
+        return train + ["--criterion", "geo", "--sampler", "disjoint"], [
+            str(config), "[train] n_b", "disjoint sampler needs 2 * n_b = 40 rows", "has 32"]
+    if case == "ratio_toy_batch_exceeds_n":
+        args = ["ratio-toy", "--n", "50", "--iters", "5", "--batch", "100", "--out", str(tmp_path / "toy.csv")]
+        return args, ["--batch 100 exceeds --n 50"]
     if case == "ratio_toy_seed_negative":
         args = ["ratio-toy", "--n", "100", "--iters", "5", "--batch", "10", "--seed", "-1",
                 "--out", str(tmp_path / "toy.csv")]
@@ -600,7 +644,8 @@ def _bad_input(tmp_path, case):
      "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
      "checkpoint_bn_epsilon_str", "checkpoint_huge_int", "checkpoint_deep_nesting",
      "checkpoint_two_outputs", "checkpoint_no_outputs", "seed_negative_flag", "seed_negative_config",
-     "ratio_toy_seed_negative",
+     "ratio_toy_seed_negative", "batch_exceeds_split_config", "batch_exceeds_split_default",
+     "batch_exceeds_split_disjoint", "ratio_toy_batch_exceeds_n",
      *_FLAG_BELOW_ONE],
 )
 def test_cli_user_error_exits_cleanly(tmp_path, capsys, case):

@@ -5,11 +5,15 @@ per call and the one-pass ``fairpen pareto`` against the original
 implementations in ``reference_kernels``: results must be equal bit for
 bit, not approximately. The fused train-mode batch-norm kernels equal their
 own references bit for bit; against the textbook kernels they replaced they
-are held to a rounding tolerance, per call and over a training run."""
+are held to a rounding tolerance, per call and over a training run. The
+inference pass, which folds batch-norm into the dense layer before it,
+equals the folded whole-array reference bit for bit and is held to
+``FOLD_TOL`` against the textbook pass."""
 
 import contextlib
 import csv
 import io
+import sys
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -25,7 +29,7 @@ from fairpen import data
 from fairpen.data import ColumnSchema, TabularDataset, load_csv, minibatch_construct, rng_streams, split_train_val
 from fairpen.cli import main
 from fairpen.errors import ConfigError, DegenerateMetricError, IngestionError
-from fairpen.nn import INFER_BLOCK, BatchNormLayer, DenseLayer, Mlp, mlp
+from fairpen.nn import INFER_BLOCK, ActivationLayer, BatchNormLayer, DenseLayer, Mlp, mlp, sigmoid
 from fairpen.training import TrainConfig, snapshot_csv_rows, train
 from reference_kernels import (
     average_ranks_loop,
@@ -34,18 +38,21 @@ from reference_kernels import (
     batch_norm_forward_infer,
     batch_norm_forward_train,
     batch_norm_forward_train_fused,
+    batch_norm_infer_affine,
     batch_norm_layer_backward_textbook,
     batch_norm_layer_forward_textbook,
     choose_threshold_loop,
     dense_forward,
     disjoint_draw_setdiff,
     frontier_flags_pairwise,
+    inference_forward_folded,
     inference_forward_whole,
     ks_distance_concat,
     pareto_frontier_pairwise,
     pareto_dictreader,
     parse_table_cellwise,
     sgd_step_loop,
+    sigmoid_masked,
     sweep_with_gap,
 )
 
@@ -338,6 +345,42 @@ def test_fused_batch_norm_training_drift_is_within_tolerance(monkeypatch):
         assert np.allclose(np.array(fused[3:], float), np.array(textbook[3:], float), rtol=0.0, atol=TRAIN_DRIFT)
 
 
+_EPS = np.finfo(np.float64).eps
+# A folded inference layer with k input columns stays within FOLD_TOL (k + 4)
+# eps of the textbook dense and batch-norm pair, relative to the magnitudes
+# of the terms it sums: the bound the fairpen.nn docstring states.
+FOLD_TOL = 4
+# the smallest and the largest epsilon that a checkpoint may hold
+_EPSILON_BOUNDS = [np.finfo(np.float64).smallest_subnormal, sys.float_info.max]
+# row counts of a few rows and across the first two INFER_BLOCK boundaries
+_infer_rows = st.one_of(st.integers(1, 40), st.integers(INFER_BLOCK - 2, INFER_BLOCK + 2),
+                        st.integers(2 * INFER_BLOCK - 2, 2 * INFER_BLOCK + 3))
+
+
+def _fold_bound(x, bn=None, weights=None, bias=0.0):
+    """FOLD_TOL (k + 4) eps times |s| (|x| @ |weights| + |bias| + |running_mean|)
+    + |beta_shift|: how far a folded layer's output may lie from the textbook
+    one on the same input x of k columns. Without ``bn``, s = 1; without
+    ``weights``, ``bn`` on its own (k = 1, |x| in place of |x| @ |weights|)."""
+    s, mean, beta_shift = 1.0, 0.0, 0.0
+    if bn is not None:
+        s = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
+        mean, beta_shift = bn.running_mean, bn.beta_shift
+    summed, k = (np.abs(x), 1) if weights is None else (np.abs(x) @ np.abs(weights), len(weights))
+    magnitude = np.abs(s) * (summed + np.abs(bias) + np.abs(mean)) + np.abs(beta_shift)
+    return FOLD_TOL * (k + 4) * _EPS * magnitude
+
+
+def _randomize_batch_norm(bn, rng, scale, epsilon, large_var):
+    """gamma 0, negative and positive; running_var 0, moderate and large."""
+    width = len(bn.gamma)
+    bn.gamma[...] = rng.choice([0.0, -1.0, 1.0], width) * rng.lognormal(0.0, 2.0, width)
+    bn.beta_shift[...] = rng.standard_normal(width)
+    bn.running_mean = scale * rng.standard_normal(width)
+    bn.running_var = rng.choice([0.0, scale * scale, large_var], width) * rng.random(width)
+    bn.epsilon = epsilon
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     n=st.integers(1, 300),
@@ -346,16 +389,109 @@ def test_fused_batch_norm_training_drift_is_within_tolerance(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_inference_batch_norm_equals_reference(n, width, scale, seed):
+    """A batch-norm layer run on its own at inference is x * s + shift, bit
+    for bit, and within the stated bound of the textbook form."""
     rng = np.random.default_rng(seed)
     bn = BatchNormLayer(width)
     for arr in (bn.gamma, bn.beta_shift, bn.running_mean):
         arr[...] = scale * rng.standard_normal(width)
     bn.running_var = scale * rng.random(width)
     x = scale * rng.standard_normal((n, width))
-    expected = batch_norm_forward_infer(x, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.epsilon)
+    args = (bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.epsilon)
+    s, shift = batch_norm_infer_affine(*args)
     x_before = x.copy()
-    assert bn.forward(x, train=False).tobytes() == expected.tobytes()
+    got = bn.forward(x, train=False)
+    assert got.tobytes() == (x * s + shift).tobytes()
     assert x.tobytes() == x_before.tobytes()
+    _within(got, batch_norm_forward_infer(x, *args), _fold_bound(x, bn))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=_infer_rows,
+    in_dim=st.integers(1, 20),
+    width=st.integers(1, 80),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    epsilon=st.sampled_from([*_EPSILON_BOUNDS, 1e-5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_layer_within_tolerance_of_textbook(n, in_dim, width, scale, epsilon, seed):
+    """A dense layer and the batch-norm layer after it, folded into one map,
+    stay within the stated bound of the textbook pair."""
+    rng = np.random.default_rng(seed)
+    net = Mlp([DenseLayer(in_dim, width, rng), BatchNormLayer(width)])
+    dense, bn = net.layers
+    dense.weights *= scale
+    dense.bias[...] = scale * rng.standard_normal(width)
+    _randomize_batch_norm(bn, rng, scale, epsilon, large_var=1e280)  # 1e280 + epsilon stays finite
+    x = scale * rng.standard_normal((n, in_dim))
+    got = net.forward(x)
+    expected = batch_norm_forward_infer(dense_forward(x, dense.weights, dense.bias), bn.gamma, bn.beta_shift,
+                                        bn.running_mean, bn.running_var, bn.epsilon)
+    assert np.isfinite(expected).all()
+    _within(got, expected, _fold_bound(x, bn, dense.weights, dense.bias))
+
+
+def _textbook_pass_bound(net, x):
+    """Per output, how far the folded pass over x may lie from the textbook
+    pass: each dense or batch-norm step carries the incoming bound through
+    |weights| |s| and adds its own ``_fold_bound`` on inputs as large as
+    |x| + bound; relu carries the bound as it is, sigmoid a quarter of it
+    (its slope is at most 1/4) plus 8 eps for its own rounding on both sides."""
+    bound = np.zeros_like(x)
+    for prev, layer, after in zip([None, *net.layers], net.layers, [*net.layers[1:], None]):
+        if isinstance(layer, DenseLayer):
+            bn = after if isinstance(after, BatchNormLayer) else None
+            s = 1.0 if bn is None else np.abs(bn.gamma) / np.sqrt(bn.running_var + bn.epsilon)
+            bound = (bound @ np.abs(layer.weights)) * s + _fold_bound(np.abs(x) + bound, bn, layer.weights,
+                                                                      layer.bias)
+            x = dense_forward(x, layer.weights, layer.bias)
+        elif isinstance(layer, BatchNormLayer):
+            if not isinstance(prev, DenseLayer):  # else folded into it above
+                s = np.abs(layer.gamma) / np.sqrt(layer.running_var + layer.epsilon)
+                bound = bound * s + _fold_bound(np.abs(x) + bound, layer)
+            x = batch_norm_forward_infer(x, layer.gamma, layer.beta_shift, layer.running_mean,
+                                         layer.running_var, layer.epsilon)
+        elif layer.fn == "sigmoid":
+            x, bound = sigmoid_masked(x), bound / 4 + 8 * _EPS
+        else:
+            x = layer.forward(x, train=False)
+    return bound
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=_infer_rows,
+    in_dim=st.integers(1, 16),
+    width=st.integers(1, 64),
+    layout=st.sampled_from(["scorer", "discriminator", "batch-norm after relu"]),
+    epsilon=st.sampled_from([_EPSILON_BOUNDS[1], 1e-5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_pass_within_tolerance_of_textbook_pass(n, in_dim, width, layout, epsilon, seed):
+    """Whole networks, folded and row-blocked, stay within the bound that
+    each folded layer's rounding carries forward through the textbook pass.
+    (The smallest epsilon over a zero running variance scales a column by
+    about 1e161; two such layers in a row overflow, so only the per-layer
+    test takes it.)"""
+    rng = np.random.default_rng(seed)
+    if layout == "scorer":
+        net = mlp(in_dim, [width] * 3, rng=rng)
+    elif layout == "discriminator":
+        net = mlp(in_dim, [width] * 2, out_dim=2, rng=rng, output_activation="identity")
+    else:
+        net = Mlp([DenseLayer(in_dim, width, rng), ActivationLayer("relu"), BatchNormLayer(width),
+                   DenseLayer(width, 1, rng), ActivationLayer("sigmoid")])
+    for layer in net.layers:
+        if isinstance(layer, BatchNormLayer):
+            _randomize_batch_norm(layer, rng, 1.0, epsilon, large_var=1e6)
+        elif isinstance(layer, DenseLayer):
+            layer.bias[...] = rng.standard_normal(layer.out_dim)
+    x = 3.0 * rng.standard_normal((n, in_dim))
+    got = net.forward(x)
+    expected = inference_forward_whole(net, x)
+    assert np.isfinite(expected).all()
+    _within(got, expected, _textbook_pass_bound(net, x))
 
 
 # Header order differs from schema order, and one header column is unused, so
@@ -555,13 +691,41 @@ def test_blocked_inference_equals_whole_array_pass(n):
     rng = np.random.default_rng(n)
     scorer = mlp(13, [64] * 3, rng=rng)  # the CLI's scorer: a sigmoid on one output
     discriminator = mlp(3, [16] * 2, out_dim=2, rng=rng, output_activation="identity")
-    for net in (scorer, discriminator):
+    bn_after_relu = Mlp([DenseLayer(4, 8, rng), ActivationLayer("relu"), BatchNormLayer(8),
+                         DenseLayer(8, 1, rng), ActivationLayer("sigmoid")])
+    ratio_net = mlp(3, [64] * 2, rng=rng, batch_norm=False)  # the density-ratio net's layout
+    for net in (scorer, discriminator, bn_after_relu, ratio_net):
+        for param in parameters(net):  # nonzero biases and shifts, gamma off 1
+            param += 0.5 * rng.standard_normal(param.shape)
         for _ in range(3):  # move the batch-norm running statistics off their start
             net.forward(rng.standard_normal((50, net.in_dim)) * 2.0 + 0.5, train=True)
         x = rng.standard_normal((n, net.in_dim)) * 3.0
         got = net.forward(x, train=False)
-        expected = inference_forward_whole(net, x)
+        expected = inference_forward_folded(net, x)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    # with no batch-norm layer nothing is folded: the textbook pass's bits
+    assert got.tobytes() == inference_forward_whole(ratio_net, x).tobytes()
+
+
+# 2**-1074, the smallest normal, ln of the largest and smallest doubles, and
+# the arguments where exp(-|x|) turns subnormal and reaches 0
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  -2.2250738585072014e-308, 709.78, -709.78, 708.4, -708.4, 745.2, -745.2, 745.13, -745.13,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(deadline=None, max_examples=200)
+@given(values=st.lists(st.floats(width=64), max_size=50), seed=st.integers(0, 2**32 - 1))
+@example(values=_SIGMOID_EDGES, seed=0)
+def test_sigmoid_equals_masked_reference(values, seed):
+    """The branch-free sigmoid has the bits of the masked two-branch one on
+    every non-NaN input, random bit patterns included; NaN stays NaN."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=4096, dtype=np.uint64, endpoint=False)
+    x = np.concatenate([np.array(values, dtype=np.float64), bits.view(np.float64)])
+    got, expected = sigmoid(x), sigmoid_masked(x)
+    nan = np.isnan(x)
+    assert np.isnan(got[nan]).all()
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def _ks_outcome(fn, *args):
