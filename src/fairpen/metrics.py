@@ -24,6 +24,7 @@ binary-search: O(n log n) in their rows or points.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,10 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """tau maximizing Youden's J = TPR - FPR for yhat = 1(score > tau).
 
     Candidates are midpoints of consecutive distinct sorted scores plus
-    +/-inf sentinels; ties break toward the smallest tau. O(n log n): the
+    +/-inf sentinels; ties break toward the smallest tau. Where (a + b) / 2
+    is not finite (a sum past the largest float, or an infinite score), the
+    midpoint is a / 2 + min(b, largest float) / 2: finite for a finite a,
+    and -inf, which still splits -inf from b, for a = -inf. O(n log n): the
     positive and the negative scores are sorted once, and a binary search
     per candidate counts the scores above it in each class (a ROC sweep).
     Counting against each candidate itself, not against its rank among the
@@ -126,7 +130,14 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     if np.isnan(s).any():
         raise UndefinedMetricError("threshold undefined with NaN scores")
     distinct = np.unique(s)
-    candidates = np.concatenate(([-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]))
+    lo, hi = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (lo + hi) / 2.0
+    finite = np.isfinite(mid)
+    if not finite.all():
+        wide = ~finite
+        mid[wide] = lo[wide] / 2.0 + np.minimum(hi[wide], sys.float_info.max) / 2.0
+    candidates = np.concatenate(([-np.inf], mid, [np.inf]))
     tp = n1 - np.searchsorted(np.sort(s[y == 1]), candidates, side="right")
     fp = n0 - np.searchsorted(np.sort(s[y == 0]), candidates, side="right")
     # argmax returns the first maximum, i.e. the smallest tau

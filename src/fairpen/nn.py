@@ -10,13 +10,26 @@ twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
 check and one clear over the whole network. ``backward`` accumulates
 parameter gradients into those views; ``backward(..., params=False)``
 returns only the input gradient and leaves the gradient buffer untouched.
-The dense and activation kernels reuse their temporaries in place, in the
-same operation order as the plain expressions, so results are bit for bit
-those of the textbook forms. Train-mode batch-norm follows its own fused
-order: one pass per column sum, and a backward that reuses the gamma and
-beta_shift gradient sums. It differs from the textbook forms by rounding
-only: per call, by a small multiple of n * eps times the magnitudes of the
-summed terms for a batch of n rows.
+In train mode a batch-norm layer subtracts the batch mean, which removes
+the bias of a dense layer right before it. So that dense layer computes
+x W alone, adds nothing to its bias gradient, and leaves its bias as
+stored; the batch-norm layer adds that bias to the batch mean for its
+running mean only, so the running mean still tracks the biased input and
+the inference fold below keeps its meaning. Train-mode batch-norm takes the
+variance in one pass over the centred block, caches that block and inv_std
+(not x_hat), writes centred * (gamma * inv_std) + beta_shift, and its
+backward reuses the gamma and beta_shift gradient sums. A relu writes
+max(x, 0) into x, and masks its gradient in place, wherever that array is
+a temporary of the stack: never into an array the caller passed to
+``Mlp.forward`` or ``Mlp.backward``. Relu, sigmoid, identity and a dense
+layer with no batch-norm after it give bit for bit the textbook forms. A
+dense layer and the batch-norm layer after it differ from the textbook
+pair (x W + b, then batch-norm) by rounding only: for a batch of n rows,
+the centred block lies within 4 * (n + 4) * eps of the textbook one times
+|x| @ |W| + |b| plus its column mean, and every other value within
+4 * (n + 4) * eps times the magnitudes of the terms summed into it, plus
+that error carried through. Over a whole training run every stored array
+and snapshot cell stays within 1e-12 of the textbook run.
 
 At inference batch-norm is a fixed per-column affine map x * s + shift,
 s = gamma / sqrt(running_var + epsilon), and an inference pass folds each
@@ -102,10 +115,13 @@ class _Layer:
 
 
 class DenseLayer(_Layer):
-    """Affine layer y = x W + b with cached input for backprop."""
+    """Affine layer y = x W + b with cached input for backprop. When ``Mlp``
+    puts a batch-norm layer right after it, train mode computes x W alone:
+    the batch mean removes b, so b is neither applied nor trained there."""
 
     KIND = "dense"
     PARAMS = ("weights", "bias")
+    feeds_batch_norm = False  # set by Mlp
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -128,7 +144,8 @@ class DenseLayer(_Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._cache = x if train else None
         out = x @ self.weights
-        out += self.bias
+        if not (train and self.feeds_batch_norm):
+            out += self.bias
         return out
 
     def fold(self, bn: "BatchNormLayer") -> "DenseLayer":
@@ -141,7 +158,8 @@ class DenseLayer(_Layer):
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         if params:
             self.grad_weights += self._cache.T @ grad_out
-            self.grad_bias += grad_out.sum(axis=0)
+            if not self.feeds_batch_norm:  # else every column of grad_out sums to 0
+                self.grad_bias += grad_out.sum(axis=0)
         return grad_out @ self.weights.T
 
 
@@ -153,6 +171,7 @@ class BatchNormLayer(_Layer):
     PARAMS = ("gamma", "beta_shift")
     BUFFERS = ("running_mean", "running_var")
     SETTINGS = ("momentum", "epsilon")
+    input_bias = None  # set by Mlp: the bias a dense layer before it leaves out in train mode
 
     def __init__(self, width: int, momentum: float = 0.99, epsilon: float = 1e-5):
         self.gamma = np.ones(width)
@@ -179,23 +198,27 @@ class BatchNormLayer(_Layer):
             raise ValueError(f"batch-norm momentum {self.momentum!r} is outside [0, 1]")
         if (self.running_var < 0.0).any():
             raise ValueError("batch-norm running_var has a negative entry")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.running_var + self.epsilon).all():
+                raise ValueError("batch-norm running_var + epsilon overflows")
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
-            # x.mean is a column sum divided by n; centre once and reuse the
-            # centred block for the variance (one einsum pass) and for x_hat
+            # centre once; the centred block gives the variance (one einsum
+            # pass) and the output, and the backward reads it for x_hat
             n = len(x)
             mean = x.sum(axis=0) / n
-            x_hat = x - mean
-            var = np.einsum("ij,ij->j", x_hat, x_hat) / n
+            centred = x - mean
+            var = np.einsum("ij,ij->j", centred, centred) / n
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat *= inv_std
-            self._cache = (x_hat, inv_std)
+            self._cache = (centred, inv_std)
+            if self.input_bias is not None:  # the running mean tracks the biased input
+                mean += self.input_bias
             self.running_mean *= self.momentum
             self.running_mean += (1 - self.momentum) * mean
             self.running_var *= self.momentum
             self.running_var += (1 - self.momentum) * var
-            out = self.gamma * x_hat
+            out = centred * (self.gamma * inv_std)
             out += self.beta_shift
             return out
         self._cache = None
@@ -212,15 +235,17 @@ class BatchNormLayer(_Layer):
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         # gamma * inv_std * (g - sum(g) / n - x_hat * sum(g * x_hat) / n), in
-        # place; the two column sums are the beta_shift and gamma gradients
-        x_hat, inv_std = self._cache
+        # place, with x_hat = centred * inv_std; the two column sums are the
+        # beta_shift and gamma gradients
+        centred, inv_std = self._cache
         n = grad_out.shape[0]
         g_sum = grad_out.sum(axis=0)
-        gx_sum = np.einsum("ij,ij->j", grad_out, x_hat)
+        gx_sum = np.einsum("ij,ij->j", grad_out, centred)
+        gx_sum *= inv_std
         if params:
             self.grad_gamma += gx_sum
             self.grad_beta_shift += g_sum
-        grad_in = x_hat * (gx_sum / n)
+        grad_in = centred * (gx_sum * inv_std / n)
         np.subtract(grad_out, grad_in, out=grad_in)
         grad_in -= g_sum / n
         grad_in *= self.gamma * inv_std
@@ -233,6 +258,9 @@ class ActivationLayer(_Layer):
     KIND = "activation"
     SETTINGS = ("fn",)
     FUNCTIONS = ("relu", "sigmoid", "identity")
+    # set by Mlp where the relu's input (forward) or incoming gradient
+    # (backward) is always a temporary of the stack, never the caller's array
+    forward_in_place = backward_in_place = False
 
     def __init__(self, fn: str):
         self.fn = fn
@@ -245,8 +273,9 @@ class ActivationLayer(_Layer):
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if self.fn == "relu":
-            out = np.maximum(x, 0.0)
-            self._cache = x if train else None
+            # out > 0 exactly where x > 0 (NaN stays NaN), so out is the mask's cache
+            out = np.maximum(x, 0.0, out=x if self.forward_in_place else None)
+            self._cache = out if train else None
         elif self.fn == "sigmoid":
             out = sigmoid(x)
             self._cache = out if train else None
@@ -257,7 +286,7 @@ class ActivationLayer(_Layer):
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         if self.fn == "relu":
-            return grad_out * (self._cache > 0)
+            return np.multiply(grad_out, self._cache > 0, out=grad_out if self.backward_in_place else None)
         if self.fn == "sigmoid":
             s = self._cache
             return grad_out * s * (1.0 - s)
@@ -287,6 +316,15 @@ class Mlp:
             setattr(layer, "grad_" + name, self._grads[start:stop].reshape(value.shape))
             self._spans.append((i, start, stop))
             start = stop
+        for prev, layer in zip([None, *layers], layers):
+            if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
+                prev.feeds_batch_norm, layer.input_bias = True, prev.bias
+        # every layer but identity returns a new array, so a relu's input is a
+        # temporary after any such layer and its gradient before one
+        makes_new = [not (isinstance(layer, ActivationLayer) and layer.fn == "identity") for layer in layers]
+        for i, layer in enumerate(layers):
+            if isinstance(layer, ActivationLayer):
+                layer.forward_in_place, layer.backward_in_place = any(makes_new[:i]), any(makes_new[i + 1:])
         width = None  # output width of the last dense or batch-norm layer so far
         for i, layer in enumerate(layers):
             if isinstance(layer, DenseLayer):

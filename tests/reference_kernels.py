@@ -10,14 +10,18 @@ condition sweep that sums it over the cells; the original ``fairpen pareto``,
 which reads rows with ``csv.DictReader`` and sorts the points twice; the
 textbook whole-array inference pass and the folded whole-array pass, kept as
 oracles for the row-blocked folded one in ``fairpen.nn``; the masked
-two-branch sigmoid, kept as the oracle for the branch-free one; the fused train-mode batch-norm kernels in plain
-out-of-place form, kept as oracles for the in-place ones, and the textbook
-batch-norm layer methods they replaced; and the original dict-built plug-in
+two-branch sigmoid, kept as the oracle for the branch-free one; the
+train-mode batch-norm kernels that cache the centred block, in plain
+out-of-place form, kept as oracles for the in-place ones; the out-of-place
+relu; the textbook dense and batch-norm layer methods, which apply and train
+a bias that feeds batch-norm; and the original dict-built plug-in
 density-ratio table, kept as the oracle for the ``np.unique`` lookup in
 ``fairpen.penalties``."""
 
 import csv
 import itertools
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +78,21 @@ def sweep_with_gap(gap, values, a_conds, y=None, y_grid=None):
     return float(total / a_div / y_div)
 
 
+def _midpoint(a, b):
+    """(a + b) / 2 of two Python floats, or a / 2 + min(b, largest float) / 2
+    where that is not finite."""
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + min(b, sys.float_info.max) / 2.0
+
+
 def choose_threshold_loop(scores, labels):
     """Rescan every row for every candidate tau: O(n^2)."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     n1 = int((y == 1).sum())
     n0 = len(y) - n1
-    distinct = np.unique(s)
-    candidates = np.concatenate(([-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]))
+    distinct = np.unique(s).tolist()
+    candidates = [-np.inf, *map(_midpoint, distinct[:-1], distinct[1:]), np.inf]
     best_tau, best_j = None, -np.inf
     for tau in candidates:
         yhat = s > tau
@@ -253,29 +264,57 @@ def batch_norm_backward(grad_out, x_hat, inv_std, gamma):
     return grad_in, grad_gamma, grad_beta_shift
 
 
-def batch_norm_forward_train_fused(x, gamma, beta_shift, running_mean, running_var, momentum, epsilon):
-    """The train-mode forward in the fused order: the variance is one einsum
-    pass over the centred block. Returns what ``batch_norm_forward_train`` does."""
+def batch_norm_forward_train_centred(x, gamma, beta_shift, running_mean, running_var, momentum, epsilon,
+                                     input_bias=None):
+    """The train-mode forward in the order ``BatchNormLayer`` runs it: the
+    variance is one einsum pass over the centred block, which is cached with
+    inv_std and scaled by gamma * inv_std for the output. ``input_bias``, the
+    bias of a dense layer before it that train mode leaves out, is added to
+    the batch mean for the running mean only. Returns (output, (centred,
+    inv_std), new running mean, new running variance)."""
     n = len(x)
     mean = x.sum(axis=0) / n
     centred = x - mean
     var = np.einsum("ij,ij->j", centred, centred) / n
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    x_hat = centred * inv_std
-    running_mean = momentum * running_mean + (1 - momentum) * mean
+    tracked = mean if input_bias is None else mean + input_bias
+    running_mean = momentum * running_mean + (1 - momentum) * tracked
     running_var = momentum * running_var + (1 - momentum) * var
-    return gamma * x_hat + beta_shift, (x_hat, inv_std), running_mean, running_var
+    return centred * (gamma * inv_std) + beta_shift, (centred, inv_std), running_mean, running_var
 
 
-def batch_norm_backward_fused(grad_out, x_hat, inv_std, gamma):
-    """The backward in the fused order: the gamma and beta_shift gradients
-    are the two column sums the input gradient needs. Returns what
-    ``batch_norm_backward`` does."""
+def batch_norm_backward_centred(grad_out, centred, inv_std, gamma):
+    """The backward from the centred cache: sum(g * centred) scaled by
+    inv_std is the gamma gradient, and the input gradient reuses it and the
+    beta_shift gradient. Returns what ``batch_norm_backward`` does."""
     n = grad_out.shape[0]
-    grad_gamma = np.einsum("ij,ij->j", grad_out, x_hat)
+    grad_gamma = np.einsum("ij,ij->j", grad_out, centred) * inv_std
     grad_beta_shift = grad_out.sum(axis=0)
-    grad_in = (grad_out - x_hat * (grad_gamma / n) - grad_beta_shift / n) * (gamma * inv_std)
+    grad_in = (grad_out - centred * (grad_gamma * inv_std / n) - grad_beta_shift / n) * (gamma * inv_std)
     return grad_in, grad_gamma, grad_beta_shift
+
+
+def relu_forward(x):
+    return np.maximum(x, 0.0)
+
+
+def relu_backward(grad_out, x):
+    """The relu gradient masked by the layer's input x."""
+    return grad_out * (x > 0)
+
+
+def dense_layer_forward_textbook(layer, x, train):
+    """``DenseLayer.forward`` that always adds the bias, to be set on the class."""
+    layer._cache = x if train else None
+    return dense_forward(x, layer.weights, layer.bias)
+
+
+def dense_layer_backward_textbook(layer, grad_out, params=True):
+    """``DenseLayer.backward`` that always trains the bias, to be set on the class."""
+    if params:
+        layer.grad_weights += layer._cache.T @ grad_out
+        layer.grad_bias += grad_out.sum(axis=0)
+    return grad_out @ layer.weights.T
 
 
 def batch_norm_layer_forward_textbook(layer, x, train):

@@ -3,9 +3,10 @@ flat-buffer network kernels, the row-blocked inference pass, the
 blocked numpy CSV reader, the KS gaps that rank the scores once
 per call and the one-pass ``fairpen pareto`` against the original
 implementations in ``reference_kernels``: results must be equal bit for
-bit, not approximately. The fused train-mode batch-norm kernels equal their
-own references bit for bit; against the textbook kernels they replaced they
-are held to a rounding tolerance, per call and over a training run. The
+bit, not approximately. The train-mode dense and batch-norm kernels (no
+bias before batch-norm, the centred cache) and the in-place relu equal their
+own references bit for bit; against the textbook dense and batch-norm pair
+they are held to a rounding tolerance, per call and over a training run. The
 inference pass, which folds batch-norm into the dense layer before it,
 equals the folded whole-array reference bit for bit and is held to
 ``FOLD_TOL`` against the textbook pass."""
@@ -34,15 +35,17 @@ from fairpen.training import TrainConfig, snapshot_csv_rows, train
 from reference_kernels import (
     average_ranks_loop,
     batch_norm_backward,
-    batch_norm_backward_fused,
+    batch_norm_backward_centred,
     batch_norm_forward_infer,
     batch_norm_forward_train,
-    batch_norm_forward_train_fused,
+    batch_norm_forward_train_centred,
     batch_norm_infer_affine,
     batch_norm_layer_backward_textbook,
     batch_norm_layer_forward_textbook,
     choose_threshold_loop,
     dense_forward,
+    dense_layer_backward_textbook,
+    dense_layer_forward_textbook,
     disjoint_draw_setdiff,
     frontier_flags_pairwise,
     inference_forward_folded,
@@ -51,6 +54,8 @@ from reference_kernels import (
     pareto_frontier_pairwise,
     pareto_dictreader,
     parse_table_cellwise,
+    relu_backward,
+    relu_forward,
     sgd_step_loop,
     sigmoid_masked,
     sweep_with_gap,
@@ -181,11 +186,30 @@ def test_auc_row_permutation_invariant(rows):
     assert metrics.auc(s[perm], y[perm]) == metrics.auc(s, y)
 
 
+_EPS = np.finfo(np.float64).eps
+_FMAX = sys.float_info.max
+# two scores whose sum overflows, and -inf with +inf, whose sum is NaN
+_EXTREME_PAIRS = [[0.75 * _FMAX, _FMAX], [-np.inf, np.inf]]
+
+
 @settings(deadline=None)
 @given(_scored_rows())
+@example((np.array(_EXTREME_PAIRS[0]), np.array([0, 1]), np.array([1, 0])))
+@example((np.array(_EXTREME_PAIRS[1]), np.array([0, 1]), np.array([1, 0])))
 def test_choose_threshold_row_permutation_invariant(rows):
     s, y, perm = rows
     assert metrics.choose_threshold(s[perm], y[perm]) == metrics.choose_threshold(s, y)
+
+
+@pytest.mark.parametrize("pair", [*_EXTREME_PAIRS, [-_FMAX, _FMAX], [0.0, np.inf], [_FMAX, np.inf],
+                                  [-np.inf, -_FMAX], [-np.inf, 0.0]])
+def test_choose_threshold_splits_two_scores_at_the_float_extremes(pair):
+    """A negative below a positive: the chosen tau splits them (J = 1), as
+    the loop reference's does."""
+    s, y = np.array(pair), np.array([0, 1])
+    tau = metrics.choose_threshold(s, y)
+    assert tau == choose_threshold_loop(s, y)
+    assert list(s > tau) == [False, True]
 
 
 @settings(deadline=None)
@@ -209,13 +233,14 @@ def test_ks_gap_of_every_group_in_unit_interval(data):
         assert 0.0 <= metrics.ks_gsp(scores, outside, "continuous", metrics.QuantileGrid((0.0,))) <= 1.0
 
 
-def _dense_bn_net(seed, in_dim, width, scale):
+def _dense_bn_net(seed, in_dim, width, scale, bias_scale=1.0):
     """Dense -> batch-norm with every parameter and running statistic random."""
     rng = np.random.default_rng(seed)
     net = Mlp([DenseLayer(in_dim, width, rng), BatchNormLayer(width)])
     dense, bn = net.layers
     dense.weights *= scale
-    for arr in (dense.bias, bn.gamma, bn.beta_shift, bn.running_mean):
+    dense.bias[...] = bias_scale * rng.standard_normal(width)
+    for arr in (bn.gamma, bn.beta_shift, bn.running_mean):
         arr[...] = rng.standard_normal(width)
     bn.running_var = rng.random(width) + 0.5
     return net
@@ -236,27 +261,33 @@ def _bytes(arrays):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_rate, maximize, seed):
+    """A dense layer that feeds batch-norm computes x W alone and leaves its
+    bias gradient at 0; batch-norm caches the centred block and adds the
+    bias to the batch mean for its running mean. Every array equals the
+    out-of-place reference bit for bit, through the SGD step."""
     net = _dense_bn_net(seed, in_dim, width, scale)
     ref = _dense_bn_net(seed, in_dim, width, scale)
     dense, bn = net.layers
+    bias = dense.bias.copy()
     rng = np.random.default_rng(seed + 1)
     x = scale * rng.standard_normal((n, in_dim))
     grad_out = rng.standard_normal((n, width))
 
-    z_ref = dense_forward(x, dense.weights, dense.bias)
-    out_ref, (x_hat, inv_std), mean_ref, var_ref = batch_norm_forward_train_fused(
-        z_ref, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon
+    z_ref = x @ dense.weights
+    out_ref, (centred, inv_std), mean_ref, var_ref = batch_norm_forward_train_centred(
+        z_ref, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon, dense.bias
     )
-    g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward_fused(grad_out, x_hat, inv_std, bn.gamma)
+    g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward_centred(grad_out, centred, inv_std, bn.gamma)
     g_x_ref = g_z_ref @ dense.weights.T
 
     z = dense.forward(x, train=True)
     out = bn.forward(z, train=True)
+    assert _bytes(bn._cache) == _bytes([centred, inv_std])
     g_z = bn.backward(grad_out)
     g_x = dense.backward(g_z)
     assert _bytes([z, out, bn.running_mean, bn.running_var]) == _bytes([z_ref, out_ref, mean_ref, var_ref])
     assert _bytes([g_z, g_x]) == _bytes([g_z_ref, g_x_ref])
-    grads_ref = [x.T @ g_z_ref, g_z_ref.sum(axis=0), g_gamma_ref, g_beta_ref]
+    grads_ref = [x.T @ g_z_ref, np.zeros(width), g_gamma_ref, g_beta_ref]
     assert _bytes(gradients(net)) == _bytes(grads_ref)
 
     for g_ref, g in zip(gradients(ref), gradients(net)):
@@ -264,7 +295,33 @@ def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_ra
     sgd_step_loop(ref.layers, learning_rate, maximize)
     net.sgd_step(learning_rate, maximize)
     assert _bytes(parameters(net)) == _bytes(parameters(ref))
+    assert dense.bias.tobytes() == bias.tobytes()
     assert all((g == 0.0).all() for g in gradients(net))
+
+
+_RELU_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(values=_RELU_EDGES, seed=0)
+def test_relu_in_place_equals_reference(values, seed):
+    """The relu that writes into its input and masks its gradient in place,
+    caching its output, has the bits of the out-of-place relu that caches its
+    input, NaN, infinities and signed zeros included."""
+    rng = np.random.default_rng(seed)
+    x = np.array(values).reshape(-1, 1) * np.ones(3)
+    grad_out = np.array([np.nan, np.inf, -1.5])[rng.integers(0, 3, x.shape)]
+    layer = ActivationLayer("relu")
+    layer.forward_in_place = layer.backward_in_place = True
+    x_in, g_in = x.copy(), grad_out.copy()
+    with np.errstate(invalid="ignore"):  # inf * 0
+        out = layer.forward(x_in, train=True)
+        grad = layer.backward(g_in)
+        expected = relu_backward(grad_out, x)
+    assert out is x_in and grad is g_in
+    assert out.tobytes() == relu_forward(x).tobytes()
+    assert grad.tobytes() == expected.tobytes()
 
 
 def _within(actual, expected, bound):
@@ -277,48 +334,75 @@ def _within(actual, expected, bound):
 @given(
     n=st.integers(1, 257),
     width=st.integers(1, 80),
+    in_dim=st.integers(1, 6),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
     offset=st.sampled_from([0.0, 1.0, 1e3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fused_batch_norm_within_rounding_of_textbook(n, width, scale, offset, seed):
-    """The fused order differs from the textbook one by rounding only: each
-    value lies within 4 (n + 4) eps of the textbook value, relative to the
-    magnitudes of the terms summed into it. At n <= 2 the input gradient
-    cancels to about 0, so a bound relative to the result would fail there."""
-    rng = np.random.default_rng(seed)
-    gamma, beta_shift, running_mean = rng.standard_normal((3, width))
-    running_var, momentum, epsilon = rng.random(width) + 0.5, 0.99, 1e-5
-    x = scale * (rng.standard_normal((n, width)) + offset * rng.standard_normal(width))
+def test_fused_batch_norm_within_rounding_of_textbook(n, width, in_dim, scale, offset, seed):
+    """The train-mode dense and batch-norm pair (no bias, the centred cache)
+    differs from the textbook pair (x W + b, then batch-norm) by rounding
+    only. With t = 4 (n + 4) eps, the centred block lies within t (A + mean A)
+    of the textbook one, for A = |x| @ |W| + |b|, the magnitudes summed into
+    it; every other value lies within t of the textbook one, relative to the
+    magnitudes of its terms, plus that error carried through. The bias and
+    the inputs sit up to 1e3 times their spread off 0. At n <= 2 the input
+    gradient cancels to about 0, so a bound relative to the result would
+    fail there."""
+    net = _dense_bn_net(seed, in_dim, width, scale, bias_scale=scale * offset)
+    dense, bn = net.layers
+    weights, bias, gamma, beta_shift = dense.weights, dense.bias, bn.gamma, bn.beta_shift
+    momentum, mean0, var0 = bn.momentum, bn.running_mean.copy(), bn.running_var.copy()
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal((n, in_dim)) + offset * rng.standard_normal(in_dim)
     grad_out = rng.standard_normal((n, width))
-    tol = 4 * (n + 4) * np.finfo(np.float64).eps
+    t = 4 * (n + 4) * _EPS
 
-    args = (x, gamma, beta_shift, running_mean, running_var, momentum, epsilon)
-    out_t, (x_hat, inv_std), mean_t, var_t = batch_norm_forward_train(*args)
-    out_f, (x_hat_f, inv_std_f), mean_f, var_f = batch_norm_forward_train_fused(*args)
-    assert mean_f.tobytes() == mean_t.tobytes()
-    _within(var_f, var_t, tol * var_t)
-    _within(inv_std_f, inv_std, tol * inv_std)
-    _within(x_hat_f, x_hat, tol * np.abs(x_hat))
-    _within(out_f, out_t, tol * (np.abs(gamma * x_hat) + np.abs(beta_shift)))
+    z_t = dense_forward(x, weights, bias)
+    out_t, (x_hat, inv_std), mean_t, var_t = batch_norm_forward_train(z_t, gamma, beta_shift, mean0, var0,
+                                                                      momentum, bn.epsilon)
+    g_z_t, g_gamma_t, g_beta_t = batch_norm_backward(grad_out, x_hat, inv_std, gamma)
+    out = bn.forward(dense.forward(x, train=True), train=True)
+    g_z = bn.backward(grad_out)
+    g_x = dense.backward(g_z)
+    g_weights, g_bias, g_gamma, g_beta = gradients(net)
 
-    g_in_t, g_gamma_t, g_beta_t = batch_norm_backward(grad_out, x_hat, inv_std, gamma)
-    g_in_f, g_gamma_f, g_beta_f = batch_norm_backward_fused(grad_out, x_hat, inv_std, gamma)
-    assert g_beta_f.tobytes() == g_beta_t.tobytes()
-    abs_gx = np.abs(grad_out * x_hat)
-    _within(g_gamma_f, g_gamma_t, tol * abs_gx.sum(axis=0))
-    terms = np.abs(grad_out) + np.abs(grad_out).sum(axis=0) / n + np.abs(x_hat) * abs_gx.sum(axis=0) / n
-    _within(g_in_f, g_in_t, tol * np.abs(gamma) * inv_std * terms)
+    summed = np.abs(x) @ np.abs(weights) + np.abs(bias)
+    d_centred = t * (summed + summed.mean(axis=0))
+    ax = np.abs(x_hat)
+    d_inv_std = t * (inv_std * (ax * d_centred / t).mean(axis=0) + 1.0)  # relative to inv_std
+    d_x_hat = inv_std * d_centred + ax * d_inv_std
+    _within(out, out_t, np.abs(gamma) * d_x_hat + t * (np.abs(gamma) * ax + np.abs(beta_shift)))
+    _within(bn.running_mean, mean_t, t * (momentum * np.abs(mean0) + 2 * (1 - momentum) * summed.mean(axis=0)))
+    var = z_t.var(axis=0)
+    d_var = t * var + 2 * (ax * d_centred).mean(axis=0) / inv_std
+    _within(bn.running_var, var_t, t * momentum * var0 + (1 - momentum) * d_var)
+
+    ag = np.abs(grad_out)
+    assert g_beta.tobytes() == g_beta_t.tobytes()
+    d_gamma = (ag * d_x_hat).sum(axis=0) + t * (ag * ax).sum(axis=0)
+    _within(g_gamma, g_gamma_t, d_gamma)
+    terms = ag + ag.sum(axis=0) / n + ax * (ag * ax).sum(axis=0) / n
+    d_g_z = np.abs(gamma) * inv_std * ((d_inv_std + t) * terms + (d_x_hat * np.abs(g_gamma_t) + ax * d_gamma) / n)
+    _within(g_z, g_z_t, d_g_z)
+    ag_z = np.abs(g_z_t)
+    _within(g_weights, x.T @ g_z_t, np.abs(x).T @ (d_g_z + t * ag_z))
+    assert (g_bias == 0.0).all()  # the textbook bias gradient sums a column that is 0 but for rounding
+    _within(g_bias, g_z_t.sum(axis=0), (d_g_z + t * ag_z).sum(axis=0))
+    _within(g_x, g_z_t @ weights.T, (d_g_z + 4 * (width + 4) * _EPS * ag_z) @ np.abs(weights).T)
 
 
-# Drift the fused batch-norm kernels may add to a whole training run: every
-# stored array of h and D, and every snapshot cell, absolutely.
+# Drift the train-mode dense and batch-norm kernels may add to a whole
+# training run: every stored array of h and D, and every snapshot cell,
+# absolutely.
 TRAIN_DRIFT = 1e-12
 
 
 def test_fused_batch_norm_training_drift_is_within_tolerance(monkeypatch):
-    """A criterion-5-sized GSP run at lambda = 0.5, with the textbook batch-norm
-    methods and with the fused ones, ends within TRAIN_DRIFT everywhere."""
+    """A criterion-5-sized GSP run at lambda = 0.5, with the textbook dense
+    and batch-norm methods and with the ones that leave out the bias before
+    batch-norm and cache the centred block, ends within TRAIN_DRIFT
+    everywhere."""
     def run():
         train_set, val_set = split_train_val(binary_toy_dataset(400, seed=0), seed=0)
         streams = rng_streams(0)
@@ -332,6 +416,8 @@ def test_fused_batch_norm_training_drift_is_within_tolerance(monkeypatch):
 
     rows_fused, arrays_fused = run()
     with monkeypatch.context() as patch:
+        patch.setattr(DenseLayer, "forward", dense_layer_forward_textbook)
+        patch.setattr(DenseLayer, "backward", dense_layer_backward_textbook)
         patch.setattr(BatchNormLayer, "forward", batch_norm_layer_forward_textbook)
         patch.setattr(BatchNormLayer, "backward", batch_norm_layer_backward_textbook)
         rows_textbook, arrays_textbook = run()
@@ -345,7 +431,6 @@ def test_fused_batch_norm_training_drift_is_within_tolerance(monkeypatch):
         assert np.allclose(np.array(fused[3:], float), np.array(textbook[3:], float), rtol=0.0, atol=TRAIN_DRIFT)
 
 
-_EPS = np.finfo(np.float64).eps
 # A folded inference layer with k input columns stays within FOLD_TOL (k + 4)
 # eps of the textbook dense and batch-norm pair, relative to the magnitudes
 # of the terms it sums: the bound the fairpen.nn docstring states.

@@ -1,11 +1,12 @@
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gradients, parameters, rewrite_checkpoint_layer, set_checkpoint_layer_value
@@ -107,6 +108,40 @@ def test_inference_memory_is_bounded_by_the_block():
     block_bytes = 2 * INFER_BLOCK * 64 * 8  # the largest block, one layer's output
     assert out.shape == (50_000, 1)
     assert peak < out.nbytes + 6 * block_bytes, peak
+
+
+_LAYER_KINDS = ["dense", "batch_norm", "relu", "sigmoid", "identity"]
+_BETA_NET = ["dense", "relu", "dense", "relu", "dense", "sigmoid"]  # the density-ratio net: no batch-norm
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    kinds=st.lists(st.sampled_from(_LAYER_KINDS), min_size=1, max_size=7).filter(lambda k: "dense" in k),
+    n=st.integers(1, 20),
+    width=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=_BETA_NET, n=8, width=4, seed=0)
+@example(kinds=["relu", "dense", "batch_norm", "relu", "dense", "relu"], n=8, width=4, seed=0)
+@example(kinds=["identity", "relu", "dense", "relu", "batch_norm", "relu", "identity"], n=8, width=4, seed=0)
+def test_forward_and_backward_never_write_into_the_callers_arrays(kinds, n, width, seed):
+    """In train and inference mode, whatever the layout: a relu first or
+    last, behind an identity, before or after batch-norm, or no batch-norm
+    at all. A relu that works in place must do so only on the stack's own
+    temporaries."""
+    rng = np.random.default_rng(seed)
+    make = {"dense": lambda: DenseLayer(width, width, rng), "batch_norm": lambda: BatchNormLayer(width)}
+    net = Mlp([make[kind]() if kind in make else ActivationLayer(kind) for kind in kinds])
+    for param in parameters(net):
+        param += rng.standard_normal(param.shape)
+    x, grad_out = rng.standard_normal((2, n, width))  # about half of each below 0
+    x_before, grad_before = x.copy(), grad_out.copy()
+    net.forward(x, train=True)
+    net.backward(grad_out)
+    net.backward(grad_out, params=False)
+    net.forward(x, train=False)
+    assert x.tobytes() == x_before.tobytes()
+    assert grad_out.tobytes() == grad_before.tobytes()
 
 
 def test_forward_width_mismatch_raises():
@@ -405,6 +440,19 @@ def test_checkpoint_batch_norm_settings_at_their_bounds_load(tmp_path):
         rewrite_checkpoint_layer(path, 1, running_var=[0.0, 1.0, 1.0, 1.0])
         layer = Mlp.load(path).layers[1]
         assert (layer.momentum, layer.epsilon) == (momentum, epsilon)
+
+
+def test_checkpoint_batch_norm_variance_plus_epsilon_must_not_overflow(tmp_path):
+    path = tmp_path / "net.ckpt"
+    mlp(3, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    set_checkpoint_layer_value(path, 1, "epsilon", sys.float_info.max)
+    rewrite_checkpoint_layer(path, 1, running_var=[1.0, 1e300, 0.0, 1.0])
+    with pytest.raises(CheckpointError, match="layer 1: malformed spec .*running_var \\+ epsilon overflows"):
+        Mlp.load(path)
+    # the same epsilon over a variance whose sum with it stays finite loads and scores
+    rewrite_checkpoint_layer(path, 1, running_var=[1.0, 1e280, 0.0, 1.0])
+    net = Mlp.load(path)
+    assert np.isfinite(net.forward(np.ones((3, 3)))).all()
 
 
 def test_checkpoint_non_finite_value(tmp_path):
