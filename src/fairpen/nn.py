@@ -7,9 +7,11 @@ plain values in ``SETTINGS``. That declaration, under the class's ``KIND``,
 is its checkpoint spec. ``Mlp`` owns one flat parameter buffer and one flat
 gradient buffer and re-homes every ``PARAMS`` array, and its ``grad_<name>``
 twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
-check and one clear over the whole network. ``backward`` accumulates
-parameter gradients into those views; ``backward(..., params=False)``
-returns only the input gradient and leaves the gradient buffer untouched.
+check and one clear over the whole network. ``backward`` either
+accumulates the parameter gradients into those views and returns None (no
+caller reads the input gradient of a parameter pass, so the first dense
+layer does not form it), or, with ``params=False``, returns the input
+gradient and leaves the gradient buffer untouched.
 In train mode a batch-norm layer subtracts the batch mean, which removes
 the bias of a dense layer right before it. So that dense layer computes
 x W alone, adds nothing to its bias gradient, and leaves its bias as
@@ -28,8 +30,25 @@ pair (x W + b, then batch-norm) by rounding only: for a batch of n rows,
 the centred block lies within 4 * (n + 4) * eps of the textbook one times
 |x| @ |W| + |b| plus its column mean, and every other value within
 4 * (n + 4) * eps times the magnitudes of the terms summed into it, plus
-that error carried through. Over a whole training run every stored array
-and snapshot cell stays within 1e-12 of the textbook run.
+that error carried through.
+
+A narrow pair, whose dense layer maps k columns to m >= 2 k (at the CLI's
+width 64 only the first hidden block of h and of D), never forms x W in
+train mode. Its statistics follow from the k x k covariance of the centred
+input x_c = x - mean(x): the variance of x W is the quadratic form
+colsum(W * (x_c^T x_c W)) / n, clamped at 0, and the output is
+x_c (W * gamma * inv_std) + beta_shift. Its backward forms x_c^T g once and
+gives the weights gradient (x_c^T g - x_c^T x_c W * c) * gamma * inv_std
+with c = sum(g * x_hat) * inv_std / n, and the input gradient, where one is
+read, from products with W. Above k = m / 2 the wider products cost more
+than the passes they save, so those pairs keep the kernels above. The
+narrow pair obeys the same bound with 4 * (n + k + 4) * eps, with the sums
+over the terms of |x_c| @ |W| in place of the centred block, and with the
+variance off by up to that factor times mean((|x_c| @ |W|)^2), the
+magnitude the quadratic form sums; its input gradient and weights gradient
+are bounded by the magnitudes of the terms the gradient w.r.t. x W would
+sum. Over a whole training run every stored array and snapshot cell stays
+within 1e-12 of the textbook run.
 
 At inference batch-norm is a fixed per-column affine map x * s + shift,
 s = gamma / sqrt(running_var + epsilon), and an inference pass folds each
@@ -45,7 +64,10 @@ relative to |s| * (|x| @ |weights| + |bias| + |running_mean|) +
 On a trained scorer that moves scores by under 1e-15. An
 inference pass keeps no layer cache and runs a long input in row blocks of
 ``INFER_BLOCK`` rows, so its transient memory does not grow with the number
-of rows; a row's bits do not depend on the block it falls in.
+of rows; a row's bits do not depend on the block it falls in. A row
+scored in a call of fewer than ``INFER_BLOCK`` rows can differ from the same
+row in a longer call by a few ulps, within the bound above. ``Mlp.load``
+refuses a checkpoint whose folded scale, weights or shift is not finite.
 """
 
 from __future__ import annotations
@@ -117,17 +139,23 @@ class _Layer:
 class DenseLayer(_Layer):
     """Affine layer y = x W + b with cached input for backprop. When ``Mlp``
     puts a batch-norm layer right after it, train mode computes x W alone:
-    the batch mean removes b, so b is neither applied nor trained there."""
+    the batch mean removes b, so b is neither applied nor trained there. A
+    narrow such layer does not form x W in train mode at all: it hands
+    batch-norm x W in factored form, and its backward takes batch-norm's
+    gradient in factored form."""
 
     KIND = "dense"
     PARAMS = ("weights", "bias")
-    feeds_batch_norm = False  # set by Mlp
+    # set by Mlp: a batch-norm layer follows; it is at least twice as wide as
+    # the input (narrow); no layer before this one has parameters, so a
+    # parameter pass reads no input gradient from it
+    feeds_batch_norm = narrow = input_grad_unread = False
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weights = rng.uniform(-limit, limit, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
-        self._cache: np.ndarray | None = None
+        self._cache: np.ndarray | tuple | None = None
 
     def check(self) -> None:
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
@@ -141,7 +169,17 @@ class DenseLayer(_Layer):
     def out_dim(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool):
+        if train and self.narrow:
+            # x W as (centred, W, mean W, var): its rows are centred W + mean W,
+            # and var, its column variance, is a quadratic form in the k x k
+            # covariance of x
+            n = len(x)
+            mean = x.sum(axis=0) / n
+            centred = x - mean
+            cw = (centred.T @ centred) @ self.weights
+            self._cache = (centred, cw)
+            return centred, self.weights, mean @ self.weights, np.einsum("ij,ij->j", self.weights, cw) / n
         self._cache = x if train else None
         out = x @ self.weights
         if not (train and self.feeds_batch_norm):
@@ -155,12 +193,33 @@ class DenseLayer(_Layer):
         folded.weights, folded.bias, folded._cache = self.weights * scale, shift, None
         return folded
 
-    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
+    def backward(self, grad_out, params: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients with ``params``; return the
+        input gradient, or None in a parameter pass that reads none."""
+        if self.narrow:
+            return self._backward_narrow(*grad_out, params)
         if params:
             self.grad_weights += self._cache.T @ grad_out
             if not self.feeds_batch_norm:  # else every column of grad_out sums to 0
                 self.grad_bias += grad_out.sum(axis=0)
+            if self.input_grad_unread:
+                return None
         return grad_out @ self.weights.T
+
+    def _backward_narrow(self, g, g_proj, g_sum, scale, c, params):
+        # batch-norm's gradient w.r.t. x W is (g - g_sum / n) * scale -
+        # centred W * (scale * c). Its columns sum to 0, as do centred's, so
+        # x^T of it is (centred^T g - cw * c) * scale; g_proj = centred^T g.
+        centred, cw = self._cache
+        if params:
+            self.grad_weights += (g_proj - cw * c) * scale
+            if self.input_grad_unread:
+                return None
+        scaled = self.weights * scale
+        grad_in = g @ scaled.T
+        grad_in -= (g_sum * scale / len(g)) @ self.weights.T
+        grad_in -= centred @ ((scaled * c) @ self.weights.T)
+        return grad_in
 
 
 class BatchNormLayer(_Layer):
@@ -202,23 +261,31 @@ class BatchNormLayer(_Layer):
             if not np.isfinite(self.running_var + self.epsilon).all():
                 raise ValueError("batch-norm running_var + epsilon overflows")
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x, train: bool) -> np.ndarray:
+        """``x`` is the batch, or, after a narrow dense layer in train mode,
+        that layer's output in factored form (centred, W, mean, var)."""
         if train:
-            # centre once; the centred block gives the variance (one einsum
-            # pass) and the output, and the backward reads it for x_hat
-            n = len(x)
-            mean = x.sum(axis=0) / n
-            centred = x - mean
-            var = np.einsum("ij,ij->j", centred, centred) / n
+            if isinstance(x, tuple):
+                centred, weights, mean, var = x
+                np.maximum(var, 0.0, out=var)  # rounding can take the quadratic form below 0
+            else:
+                # centre once; the centred block gives the variance (one
+                # einsum pass) and the output, and the backward reads it
+                n = len(x)
+                mean = x.sum(axis=0) / n
+                centred = x - mean
+                var = np.einsum("ij,ij->j", centred, centred) / n
+                weights = None
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            self._cache = (centred, inv_std)
+            self._cache = (centred, weights, inv_std)
             if self.input_bias is not None:  # the running mean tracks the biased input
                 mean += self.input_bias
             self.running_mean *= self.momentum
             self.running_mean += (1 - self.momentum) * mean
             self.running_var *= self.momentum
             self.running_var += (1 - self.momentum) * var
-            out = centred * (self.gamma * inv_std)
+            scale = self.gamma * inv_std
+            out = centred * scale if weights is None else centred @ (weights * scale)
             out += self.beta_shift
             return out
         self._cache = None
@@ -233,19 +300,28 @@ class BatchNormLayer(_Layer):
         scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
         return scale, (bias - self.running_mean) * scale + self.beta_shift
 
-    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, params: bool = True):
         # gamma * inv_std * (g - sum(g) / n - x_hat * sum(g * x_hat) / n), in
         # place, with x_hat = centred * inv_std; the two column sums are the
-        # beta_shift and gamma gradients
-        centred, inv_std = self._cache
+        # beta_shift and gamma gradients. After a narrow dense layer, x_hat
+        # is centred W * inv_std, and that layer finishes the gradient from
+        # (g, centred^T g, sum(g), gamma * inv_std, c).
+        centred, weights, inv_std = self._cache
         n = grad_out.shape[0]
         g_sum = grad_out.sum(axis=0)
-        gx_sum = np.einsum("ij,ij->j", grad_out, centred)
+        if weights is None:
+            gx_sum = np.einsum("ij,ij->j", grad_out, centred)
+        else:
+            g_proj = centred.T @ grad_out
+            gx_sum = np.einsum("ij,ij->j", weights, g_proj)
         gx_sum *= inv_std
         if params:
             self.grad_gamma += gx_sum
             self.grad_beta_shift += g_sum
-        grad_in = centred * (gx_sum * inv_std / n)
+        c = gx_sum * inv_std / n
+        if weights is not None:
+            return grad_out, g_proj, g_sum, self.gamma * inv_std, c
+        grad_in = centred * c
         np.subtract(grad_out, grad_in, out=grad_in)
         grad_in -= g_sum / n
         grad_in *= self.gamma * inv_std
@@ -319,6 +395,10 @@ class Mlp:
         for prev, layer in zip([None, *layers], layers):
             if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
                 prev.feeds_batch_norm, layer.input_bias = True, prev.bias
+                prev.narrow = 2 * prev.in_dim <= prev.out_dim
+        first = next((layer for layer in layers if layer.PARAMS), None)
+        if isinstance(first, DenseLayer):
+            first.input_grad_unread = True
         # every layer but identity returns a new array, so a relu's input is a
         # temporary after any such layer and its gradient before one
         makes_new = [not (isinstance(layer, ActivationLayer) and layer.fn == "identity") for layer in layers]
@@ -390,15 +470,18 @@ class Mlp:
             x = layer.forward(x, train)
         return x
 
-    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
-        """Return the gradient w.r.t. the input; with ``params`` also
-        accumulate parameter gradients, else leave the gradient buffer as is."""
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray | None:
+        """With ``params``, accumulate the parameter gradients and return
+        None; without, return the gradient w.r.t. the input and leave the
+        gradient buffer as is."""
         if not self._train_cache_ready:
             raise StateError("backward called without a prior train-mode forward")
         grad = np.asarray(grad_out, dtype=np.float64)
         for layer in reversed(self.layers):
             grad = layer.backward(grad, params)
-        return grad
+            if grad is None:  # the first layer with parameters, in a parameter pass
+                break
+        return None if params else grad
 
     def sgd_step(self, learning_rate: float, maximize: bool = False) -> None:
         """param += ±learning_rate * grad over the whole network, then clear
@@ -443,9 +526,24 @@ class Mlp:
         if not any(isinstance(layer, DenseLayer) for layer in layers):
             raise CheckpointError(f"{path}: checkpoint has no dense layer")
         try:
-            return cls(layers)
+            net = cls(layers)
         except DimensionError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
+        # the inference map of each batch-norm layer, folded as an inference
+        # pass folds it, must be finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (prev, layer) in enumerate(zip([None, *layers], layers)):
+                if not isinstance(layer, BatchNormLayer):
+                    continue
+                dense = prev if isinstance(prev, DenseLayer) else None
+                scale, shift = layer.affine(0.0 if dense is None else dense.bias)
+                if not np.isfinite(scale).all():
+                    raise CheckpointError(f"{path}: layer {i}: batch-norm scale gamma / sqrt(running_var + epsilon) "
+                                          "is not finite")
+                if not (np.isfinite(shift).all() and (dense is None or np.isfinite(dense.weights * scale).all())):
+                    raise CheckpointError(f"{path}: layer {i}: batch-norm folded into the dense layer before it "
+                                          "is not finite")
+        return net
 
 
 def mlp(

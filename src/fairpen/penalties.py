@@ -28,16 +28,17 @@ def contrast(
     fake: np.ndarray,
     w=1.0,
     params: bool = True,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray | None]:
     """mean[log D(real) + w log(1 - D(fake))], the real-vs-resampled objective.
 
     ``real`` and ``fake`` are row-aligned blocks of D's input columns; ``w``
-    is a scalar or one weight per row and receives no gradient. Returns
-    (value, gradient w.r.t. the columns the two blocks share, summed over
-    both halves). With ``params`` (the D step) the gradient w.r.t. D's
-    parameters is accumulated into D's flat gradient buffer for the next
-    ``sgd_step``; ``params=False`` (the scorer step, which needs only the
-    input gradient) skips that work and leaves the buffer untouched.
+    is a scalar or one weight per row and receives no gradient. With
+    ``params`` (the D step and the density-ratio pre-training) the gradient
+    w.r.t. D's parameters is accumulated into D's flat gradient buffer for
+    the next ``sgd_step``, and the call returns (value, None).
+    ``params=False`` (the scorer step, which needs only the input gradient)
+    leaves the buffer untouched and returns (value, gradient w.r.t. the
+    columns the two blocks share, summed over both halves).
     """
     real = np.asarray(real, dtype=np.float64)
     fake = np.asarray(fake, dtype=np.float64)
@@ -55,7 +56,7 @@ def contrast(
     grad_in = net.backward(upstream, params)
 
     value = float(np.mean(np.log(p_real) + w * np.log(1.0 - p_fake)))
-    return value, grad_in[:n] + grad_in[n:]
+    return value, None if params else grad_in[:n] + grad_in[n:]
 
 
 def pretrain_density_ratio(

@@ -1,10 +1,18 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fairpen.data import ColumnSchema, TabularDataset
 from fairpen.nn import sigmoid
+
+# CI (GitHub Actions sets CI) draws the same examples on every run, so a
+# red run can be rerun as it was; a local run keeps exploring new ones.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def binary_toy_dataset(n: int, seed: int = 0, a_rate: float = 0.5) -> TabularDataset:

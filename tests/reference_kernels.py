@@ -12,8 +12,9 @@ textbook whole-array inference pass and the folded whole-array pass, kept as
 oracles for the row-blocked folded one in ``fairpen.nn``; the masked
 two-branch sigmoid, kept as the oracle for the branch-free one; the
 train-mode batch-norm kernels that cache the centred block, in plain
-out-of-place form, kept as oracles for the in-place ones; the out-of-place
-relu; the textbook dense and batch-norm layer methods, which apply and train
+out-of-place form, kept as oracles for the in-place ones; the narrow dense
+and batch-norm pair, which works on the centred input and its covariance,
+in out-of-place form; the out-of-place relu; the textbook dense and batch-norm layer methods, which apply and train
 a bias that feeds batch-norm; and the original dict-built plug-in
 density-ratio table, kept as the oracle for the ``np.unique`` lookup in
 ``fairpen.penalties``."""
@@ -292,6 +293,40 @@ def batch_norm_backward_centred(grad_out, centred, inv_std, gamma):
     grad_beta_shift = grad_out.sum(axis=0)
     grad_in = (grad_out - centred * (grad_gamma * inv_std / n) - grad_beta_shift / n) * (gamma * inv_std)
     return grad_in, grad_gamma, grad_beta_shift
+
+
+def dense_batch_norm_forward_narrow(x, weights, gamma, beta_shift, running_mean, running_var, momentum, epsilon,
+                                    bias):
+    """The train-mode forward of a narrow dense layer and the batch-norm
+    layer after it, out of place, in the order the pair runs it: centre x,
+    take the column variance of x W as a quadratic form in the covariance of
+    x (clamped at 0), and apply W scaled by gamma * inv_std to the centred
+    block. The running mean tracks mean(x) W + bias. Returns (output,
+    (centred, covariance @ W, inv_std), new running mean, new running
+    variance)."""
+    n = len(x)
+    mean = x.sum(axis=0) / n
+    centred = x - mean
+    cw = (centred.T @ centred) @ weights
+    var = np.maximum(np.einsum("ij,ij->j", weights, cw) / n, 0.0)
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    running_mean = momentum * running_mean + (1 - momentum) * (mean @ weights + bias)
+    running_var = momentum * running_var + (1 - momentum) * var
+    return centred @ (weights * (gamma * inv_std)) + beta_shift, (centred, cw, inv_std), running_mean, running_var
+
+
+def dense_batch_norm_backward_narrow(grad_out, centred, cw, inv_std, weights, gamma):
+    """The narrow pair's backward from the forward's cache, out of place:
+    (input gradient, weights gradient, gamma gradient, beta_shift gradient)."""
+    n = len(grad_out)
+    g_sum = grad_out.sum(axis=0)
+    g_proj = centred.T @ grad_out
+    grad_gamma = np.einsum("ij,ij->j", weights, g_proj) * inv_std
+    scale = gamma * inv_std
+    c = grad_gamma * inv_std / n
+    scaled = weights * scale
+    grad_in = grad_out @ scaled.T - (g_sum * scale / n) @ weights.T - centred @ ((scaled * c) @ weights.T)
+    return grad_in, (g_proj - cw * c) * scale, grad_gamma, g_sum
 
 
 def relu_forward(x):

@@ -529,6 +529,14 @@ def _bad_input(tmp_path, case):
         evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
         return evaluate, [str(ckpt), "layer 1", "running_var + epsilon overflows"]
+    if case == "checkpoint_bn_fold_overflow":
+        ckpt = tmp_path / "h.ckpt"
+        mlp(2, [4], rng=np.random.default_rng(0), batch_norm=True).save(ckpt)
+        set_checkpoint_layer_value(ckpt, 1, "epsilon", 5e-324)
+        rewrite_checkpoint_layer(ckpt, 1, gamma=[1e160] * 4, running_var=[0.0] * 4)
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(ckpt), "layer 1", "scale gamma / sqrt(running_var + epsilon) is not finite"]
     if case in ("checkpoint_huge_int", "checkpoint_deep_nesting"):
         ckpt = tmp_path / "h.ckpt"
         body = "[" + "9" * 5001 + "]" if case == "checkpoint_huge_int" else "[" * 100_000
@@ -650,7 +658,8 @@ def _bad_input(tmp_path, case):
      "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
      "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", "lambda_empty_grid",
      "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
-     "checkpoint_bn_epsilon_str", "checkpoint_bn_epsilon_overflow", "checkpoint_huge_int", "checkpoint_deep_nesting",
+     "checkpoint_bn_epsilon_str", "checkpoint_bn_epsilon_overflow", "checkpoint_bn_fold_overflow",
+     "checkpoint_huge_int", "checkpoint_deep_nesting",
      "checkpoint_two_outputs", "checkpoint_no_outputs", "seed_negative_flag", "seed_negative_config",
      "ratio_toy_seed_negative", "batch_exceeds_split_config", "batch_exceeds_split_default",
      "batch_exceeds_split_disjoint", "ratio_toy_batch_exceeds_n",

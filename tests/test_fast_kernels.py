@@ -43,6 +43,8 @@ from reference_kernels import (
     batch_norm_layer_backward_textbook,
     batch_norm_layer_forward_textbook,
     choose_threshold_loop,
+    dense_batch_norm_backward_narrow,
+    dense_batch_norm_forward_narrow,
     dense_forward,
     dense_layer_backward_textbook,
     dense_layer_forward_textbook,
@@ -254,41 +256,56 @@ def _bytes(arrays):
 @given(
     n=st.integers(1, 257),
     width=st.integers(1, 80),
-    in_dim=st.integers(1, 6),
+    in_dim=st.integers(1, 40),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
     learning_rate=st.floats(1e-4, 1.0),
     maximize=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=7, width=8, in_dim=4, scale=1.0, learning_rate=0.1, maximize=False, seed=0)  # narrow at 2 k = m
+@example(n=7, width=7, in_dim=4, scale=1.0, learning_rate=0.1, maximize=False, seed=0)  # wide at 2 k = m + 1
 def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_rate, maximize, seed):
     """A dense layer that feeds batch-norm computes x W alone and leaves its
     bias gradient at 0; batch-norm caches the centred block and adds the
-    bias to the batch mean for its running mean. Every array equals the
-    out-of-place reference bit for bit, through the SGD step."""
+    bias to the batch mean for its running mean. A narrow pair (2 k <= m)
+    works on the centred input and its covariance instead. Every array
+    equals the out-of-place reference for its path bit for bit, through the
+    SGD step; the parameter pass returns no input gradient, and a pass
+    without parameters returns the reference's."""
     net = _dense_bn_net(seed, in_dim, width, scale)
     ref = _dense_bn_net(seed, in_dim, width, scale)
     dense, bn = net.layers
+    assert dense.narrow == (2 * in_dim <= width) and dense.input_grad_unread
     bias = dense.bias.copy()
     rng = np.random.default_rng(seed + 1)
     x = scale * rng.standard_normal((n, in_dim))
     grad_out = rng.standard_normal((n, width))
+    bn_args = (bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon)
 
-    z_ref = x @ dense.weights
-    out_ref, (centred, inv_std), mean_ref, var_ref = batch_norm_forward_train_centred(
-        z_ref, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon, dense.bias
-    )
-    g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward_centred(grad_out, centred, inv_std, bn.gamma)
-    g_x_ref = g_z_ref @ dense.weights.T
+    if dense.narrow:
+        out_ref, (centred, cw, inv_std), mean_ref, var_ref = dense_batch_norm_forward_narrow(
+            x, dense.weights, *bn_args, dense.bias)
+        g_x_ref, g_w_ref, g_gamma_ref, g_beta_ref = dense_batch_norm_backward_narrow(
+            grad_out, centred, cw, inv_std, dense.weights, bn.gamma)
+        caches_ref = [centred, cw, centred, dense.weights, inv_std]
+    else:
+        z_ref = x @ dense.weights
+        out_ref, (centred, inv_std), mean_ref, var_ref = batch_norm_forward_train_centred(z_ref, *bn_args, dense.bias)
+        g_z_ref, g_gamma_ref, g_beta_ref = batch_norm_backward_centred(grad_out, centred, inv_std, bn.gamma)
+        g_x_ref, g_w_ref = g_z_ref @ dense.weights.T, x.T @ g_z_ref
+        caches_ref = [x, centred, inv_std]
 
-    z = dense.forward(x, train=True)
-    out = bn.forward(z, train=True)
-    assert _bytes(bn._cache) == _bytes([centred, inv_std])
-    g_z = bn.backward(grad_out)
-    g_x = dense.backward(g_z)
-    assert _bytes([z, out, bn.running_mean, bn.running_var]) == _bytes([z_ref, out_ref, mean_ref, var_ref])
-    assert _bytes([g_z, g_x]) == _bytes([g_z_ref, g_x_ref])
-    grads_ref = [x.T @ g_z_ref, np.zeros(width), g_gamma_ref, g_beta_ref]
-    assert _bytes(gradients(net)) == _bytes(grads_ref)
+    out = net.forward(x, train=True)
+    caches = [dense._cache] if not dense.narrow else list(dense._cache)
+    caches += [c for c in bn._cache if c is not None]
+    assert _bytes(caches) == _bytes(caches_ref)
+    assert _bytes([out, bn.running_mean, bn.running_var]) == _bytes([out_ref, mean_ref, var_ref])
+    assert net.backward(grad_out) is None
+    # accumulated into a zero buffer: 0.0 + g, which turns -0.0 into 0.0
+    assert _bytes(gradients(net)) == _bytes([0.0 + g for g in (g_w_ref, np.zeros(width), g_gamma_ref, g_beta_ref)])
+    grads = [g.copy() for g in gradients(net)]
+    assert net.backward(grad_out, params=False).tobytes() == g_x_ref.tobytes()
+    assert _bytes(gradients(net)) == _bytes(grads)
 
     for g_ref, g in zip(gradients(ref), gradients(net)):
         g_ref[...] = g
@@ -330,6 +347,75 @@ def _within(actual, expected, bound):
     assert (excess <= 0.0).all(), f"worst excess {excess.max()!r} over a bound of {bound.ravel()[excess.argmax()]!r}"
 
 
+def _pair_within_rounding_of_textbook(net, x, grad_out):
+    """Check a train-mode dense and batch-norm pair against the textbook
+    pair (x W + b, then batch-norm) on one batch, forward and backward.
+
+    With t = 4 (n + 4) eps, the centred block of the pair lies within
+    t (A + mean A) of the textbook one, for A = |x| @ |W| + |b|, the
+    magnitudes summed into it; every other value lies within t of the
+    textbook one, relative to the magnitudes of its terms, plus that error
+    carried through. A narrow pair never forms the centred block: it sums
+    the centred input against W, so t counts the k input columns too, t =
+    4 (n + k + 4) eps, and every sum runs over the terms of
+    P = |x - mean x| @ |W| in place of |centred|. Its variance is a quadratic
+    form in the covariance of x, whose terms sum to mean(P^2), not to the
+    variance: it adds t mean(P^2), which a batch with (nearly) collinear
+    centred columns shows. The weights gradient drops the term that the
+    centred input's zero column sums remove, so it is bounded relative to
+    |x| + mean |x|; at n <= 2 the input gradient cancels to about 0, so a
+    bound relative to the result would fail there."""
+    dense, bn = net.layers
+    weights, bias, gamma, beta_shift = dense.weights, dense.bias, bn.gamma, bn.beta_shift
+    momentum, mean0, var0 = bn.momentum, bn.running_mean.copy(), bn.running_var.copy()
+    (n, k), width, narrow = x.shape, dense.out_dim, dense.narrow
+    t = 4 * (n + (k if narrow else 0) + 4) * _EPS
+
+    z_t = dense_forward(x, weights, bias)
+    out_t, (x_hat, inv_std), mean_t, var_t = batch_norm_forward_train(z_t, gamma, beta_shift, mean0, var0,
+                                                                      momentum, bn.epsilon)
+    g_z_t, g_gamma_t, g_beta_t = batch_norm_backward(grad_out, x_hat, inv_std, gamma)
+    out = net.forward(x, train=True)
+    assert net.backward(grad_out) is None
+    g_x = net.backward(grad_out, params=False)
+    g_weights, g_bias, g_gamma, g_beta = gradients(net)
+
+    summed = np.abs(x) @ np.abs(weights) + np.abs(bias)
+    d_centred = t * (summed + summed.mean(axis=0))
+    ax = np.abs(x_hat)
+    # the magnitudes the pair's sums run over, relative to the scale of x_hat,
+    # and the quadratic form's own rounding
+    if narrow:
+        px = (np.abs(x - x.mean(axis=0)) @ np.abs(weights)) * inv_std
+        quad = t * (px * px).mean(axis=0) / (inv_std * inv_std)
+    else:
+        px, quad = ax, 0.0
+    d_inv_std = t * (inv_std * (ax * d_centred / t).mean(axis=0) + 1.0) + inv_std * inv_std * quad / 2
+    d_x_hat = inv_std * d_centred + ax * d_inv_std
+    _within(out, out_t, np.abs(gamma) * d_x_hat + t * (np.abs(gamma) * ax + np.abs(beta_shift)))
+    _within(bn.running_mean, mean_t, t * (momentum * np.abs(mean0) + 2 * (1 - momentum) * summed.mean(axis=0)))
+    var = z_t.var(axis=0)
+    d_var = t * var + 2 * (ax * d_centred).mean(axis=0) / inv_std + quad
+    _within(bn.running_var, var_t, t * momentum * var0 + (1 - momentum) * d_var)
+
+    ag = np.abs(grad_out)
+    assert g_beta.tobytes() == g_beta_t.tobytes()
+    d_gamma = (ag * d_x_hat).sum(axis=0) + t * (ag * px).sum(axis=0)
+    _within(g_gamma, g_gamma_t, d_gamma)
+    terms = ag + ag.sum(axis=0) / n + px * (ag * px).sum(axis=0) / n
+    d_g_z = np.abs(gamma) * inv_std * ((d_inv_std + t) * terms + (d_x_hat * np.abs(g_gamma_t) + px * d_gamma) / n)
+    if narrow:  # the gradient w.r.t. x W is never formed: bound by its terms
+        ag_z, ax_in = np.abs(gamma) * inv_std * terms, np.abs(x) + np.abs(x).mean(axis=0)
+    else:
+        _within(bn.backward(grad_out, params=False), g_z_t, d_g_z)
+        ag_z, ax_in = np.abs(g_z_t), np.abs(x)
+    _within(g_weights, x.T @ g_z_t, ax_in.T @ (d_g_z + t * ag_z))
+    assert (g_bias == 0.0).all()  # the textbook bias gradient sums a column that is 0 but for rounding
+    _within(g_bias, g_z_t.sum(axis=0), (d_g_z + t * ag_z).sum(axis=0))
+    t_in = 4 * (width + (k if narrow else 0) + 4) * _EPS
+    _within(g_x, g_z_t @ weights.T, (d_g_z + t_in * ag_z) @ np.abs(weights).T)
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     n=st.integers(1, 257),
@@ -341,55 +427,69 @@ def _within(actual, expected, bound):
 )
 def test_fused_batch_norm_within_rounding_of_textbook(n, width, in_dim, scale, offset, seed):
     """The train-mode dense and batch-norm pair (no bias, the centred cache)
-    differs from the textbook pair (x W + b, then batch-norm) by rounding
-    only. With t = 4 (n + 4) eps, the centred block lies within t (A + mean A)
-    of the textbook one, for A = |x| @ |W| + |b|, the magnitudes summed into
-    it; every other value lies within t of the textbook one, relative to the
-    magnitudes of its terms, plus that error carried through. The bias and
-    the inputs sit up to 1e3 times their spread off 0. At n <= 2 the input
-    gradient cancels to about 0, so a bound relative to the result would
-    fail there."""
+    differs from the textbook pair by rounding only, within the bound of
+    ``_pair_within_rounding_of_textbook``. The bias and the inputs sit up to
+    1e3 times their spread off 0. Most of these shapes are narrow, so the
+    pair is set to the kernel of the wider ones."""
     net = _dense_bn_net(seed, in_dim, width, scale, bias_scale=scale * offset)
-    dense, bn = net.layers
-    weights, bias, gamma, beta_shift = dense.weights, dense.bias, bn.gamma, bn.beta_shift
-    momentum, mean0, var0 = bn.momentum, bn.running_mean.copy(), bn.running_var.copy()
+    net.layers[0].narrow = False
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, in_dim)) + offset * rng.standard_normal(in_dim)
-    grad_out = rng.standard_normal((n, width))
-    t = 4 * (n + 4) * _EPS
+    _pair_within_rounding_of_textbook(net, x, rng.standard_normal((n, width)))
 
-    z_t = dense_forward(x, weights, bias)
-    out_t, (x_hat, inv_std), mean_t, var_t = batch_norm_forward_train(z_t, gamma, beta_shift, mean0, var0,
-                                                                      momentum, bn.epsilon)
-    g_z_t, g_gamma_t, g_beta_t = batch_norm_backward(grad_out, x_hat, inv_std, gamma)
-    out = bn.forward(dense.forward(x, train=True), train=True)
-    g_z = bn.backward(grad_out)
-    g_x = dense.backward(g_z)
-    g_weights, g_bias, g_gamma, g_beta = gradients(net)
 
-    summed = np.abs(x) @ np.abs(weights) + np.abs(bias)
-    d_centred = t * (summed + summed.mean(axis=0))
-    ax = np.abs(x_hat)
-    d_inv_std = t * (inv_std * (ax * d_centred / t).mean(axis=0) + 1.0)  # relative to inv_std
-    d_x_hat = inv_std * d_centred + ax * d_inv_std
-    _within(out, out_t, np.abs(gamma) * d_x_hat + t * (np.abs(gamma) * ax + np.abs(beta_shift)))
-    _within(bn.running_mean, mean_t, t * (momentum * np.abs(mean0) + 2 * (1 - momentum) * summed.mean(axis=0)))
-    var = z_t.var(axis=0)
-    d_var = t * var + 2 * (ax * d_centred).mean(axis=0) / inv_std
-    _within(bn.running_var, var_t, t * momentum * var0 + (1 - momentum) * d_var)
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(1, 257),
+    width=st.integers(1, 80),
+    in_dim=st.integers(1, 8),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 1.0, 1e3]),
+    one_hot=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, width=16, in_dim=3, scale=1.0, offset=1.0, one_hot=False, seed=0)
+@example(n=200, width=64, in_dim=7, scale=1.0, offset=1e3, one_hot=True, seed=0)
+def test_narrow_pair_within_rounding_of_textbook(n, width, in_dim, scale, offset, one_hot, seed):
+    """The narrow dense and batch-norm pair, which works on the centred
+    input and its covariance, differs from the textbook pair by rounding
+    only, within the bound of ``_pair_within_rounding_of_textbook``, on any
+    shape. The bias and the inputs sit up to 1e3 times their spread off 0.
+    A one-hot input block has exactly collinear centred columns, and one
+    constant weights column then gives a column of zero variance."""
+    net = _dense_bn_net(seed, in_dim, width, scale, bias_scale=scale * offset)
+    dense = net.layers[0]
+    dense.narrow = True
+    rng = np.random.default_rng(seed + 1)
+    if one_hot:
+        x = np.eye(in_dim)[rng.integers(0, in_dim, n)]
+        dense.weights[:, 0] = dense.weights[0, 0]
+    else:
+        x = rng.standard_normal((n, in_dim))
+    x += offset * rng.standard_normal(in_dim)
+    _pair_within_rounding_of_textbook(net, x, rng.standard_normal((n, width)))
 
-    ag = np.abs(grad_out)
-    assert g_beta.tobytes() == g_beta_t.tobytes()
-    d_gamma = (ag * d_x_hat).sum(axis=0) + t * (ag * ax).sum(axis=0)
-    _within(g_gamma, g_gamma_t, d_gamma)
-    terms = ag + ag.sum(axis=0) / n + ax * (ag * ax).sum(axis=0) / n
-    d_g_z = np.abs(gamma) * inv_std * ((d_inv_std + t) * terms + (d_x_hat * np.abs(g_gamma_t) + ax * d_gamma) / n)
-    _within(g_z, g_z_t, d_g_z)
-    ag_z = np.abs(g_z_t)
-    _within(g_weights, x.T @ g_z_t, np.abs(x).T @ (d_g_z + t * ag_z))
-    assert (g_bias == 0.0).all()  # the textbook bias gradient sums a column that is 0 but for rounding
-    _within(g_bias, g_z_t.sum(axis=0), (d_g_z + t * ag_z).sum(axis=0))
-    _within(g_x, g_z_t @ weights.T, (d_g_z + 4 * (width + 4) * _EPS * ag_z) @ np.abs(weights).T)
+
+def test_narrow_running_var_stays_non_negative(tmp_path):
+    """Where a column of x W is constant (a one-hot input block against a
+    constant weights column), the narrow pair's quadratic form can round
+    below 0. The batch variance is clamped at 0, so the running variance,
+    which a checkpoint may not hold below 0, stays >= 0 and the net saves
+    and loads."""
+    negative = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        net = Mlp([DenseLayer(4, 16, rng), BatchNormLayer(16, momentum=0.0)])  # running_var = batch variance
+        dense, bn = net.layers
+        dense.weights[:, 0] = dense.weights[0, 0]
+        bn.running_var[...] = 0.0
+        x = np.eye(4)[rng.integers(0, 4, 100)] + 3.0 * rng.standard_normal(4)
+        net.forward(x, train=True)
+        negative += np.einsum("ij,ij->j", dense.weights, dense._cache[1])[0] < 0.0
+        assert (bn.running_var >= 0.0).all()
+        net.save(tmp_path / "net.ckpt")
+        Mlp.load(tmp_path / "net.ckpt")
+    assert negative  # the unclamped form did go below 0
 
 
 # Drift the train-mode dense and batch-norm kernels may add to a whole
@@ -577,6 +677,42 @@ def test_folded_pass_within_tolerance_of_textbook_pass(n, in_dim, width, layout,
     expected = inference_forward_whole(net, x)
     assert np.isfinite(expected).all()
     _within(got, expected, _textbook_pass_bound(net, x))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    m=st.integers(1, 299),
+    in_dim=st.integers(1, 16),
+    width=st.integers(1, 64),
+    layout=st.sampled_from(["scorer", "density ratio"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_in_a_short_batch_within_tolerance_of_textbook_pass(m, in_dim, width, layout, seed):
+    """A batch of fewer than INFER_BLOCK rows runs as one block, and BLAS
+    may unroll its rows unlike a longer array's, so a row's bits can depend
+    on the batch it is scored in (measured: up to 8 ulps on the scorer and 3
+    on the density ratio's output). Rows scored in a batch of m rows at any
+    offset stay within the carried-through bound of the textbook pass, as
+    the whole array's rows do, so the two differ by at most twice that
+    bound."""
+    rng = np.random.default_rng(seed)
+    if layout == "scorer":
+        net = mlp(in_dim, [width] * 3, rng=rng)
+    else:  # the density-ratio net: no batch-norm
+        net = mlp(in_dim, [width] * 2, rng=rng, batch_norm=False)
+    for layer in net.layers:
+        if isinstance(layer, BatchNormLayer):
+            _randomize_batch_norm(layer, rng, 1.0, 1e-5, large_var=1e6)
+        elif isinstance(layer, DenseLayer):
+            layer.bias[...] = rng.standard_normal(layer.out_dim)
+    x = 3.0 * rng.standard_normal((600, in_dim))
+    offset = int(rng.integers(0, len(x) - m + 1))
+    rows = slice(offset, offset + m)
+    bound = _textbook_pass_bound(net, x)[rows]
+    expected = inference_forward_whole(net, x)[rows]
+    short = net.forward(x[rows])
+    _within(short, expected, bound)
+    _within(short, net.forward(x)[rows], 2 * bound)
 
 
 # Header order differs from schema order, and one header column is unused, so

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import gradients, parameters, rewrite_checkpoint_layer, set_checkpoint_layer_value
 from gradcheck import check_network_gradients, random_config
+from reference_kernels import batch_norm_infer_affine
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
     INFER_BLOCK,
@@ -110,13 +112,14 @@ def test_inference_memory_is_bounded_by_the_block():
     assert peak < out.nbytes + 6 * block_bytes, peak
 
 
-_LAYER_KINDS = ["dense", "batch_norm", "relu", "sigmoid", "identity"]
+_LAYER_KINDS = ["dense", "narrow", "batch_norm", "relu", "sigmoid", "identity"]
 _BETA_NET = ["dense", "relu", "dense", "relu", "dense", "sigmoid"]  # the density-ratio net: no batch-norm
 
 
 @settings(deadline=None, max_examples=100)
 @given(
-    kinds=st.lists(st.sampled_from(_LAYER_KINDS), min_size=1, max_size=7).filter(lambda k: "dense" in k),
+    kinds=st.lists(st.sampled_from(_LAYER_KINDS), min_size=1, max_size=7).filter(
+        lambda k: "dense" in k or "narrow" in k),
     n=st.integers(1, 20),
     width=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -124,14 +127,21 @@ _BETA_NET = ["dense", "relu", "dense", "relu", "dense", "sigmoid"]  # the densit
 @example(kinds=_BETA_NET, n=8, width=4, seed=0)
 @example(kinds=["relu", "dense", "batch_norm", "relu", "dense", "relu"], n=8, width=4, seed=0)
 @example(kinds=["identity", "relu", "dense", "relu", "batch_norm", "relu", "identity"], n=8, width=4, seed=0)
+@example(kinds=["narrow", "relu", "narrow", "sigmoid"], n=8, width=4, seed=0)
+@example(kinds=["relu", "narrow", "batch_norm", "relu", "dense"], n=8, width=4, seed=0)
 def test_forward_and_backward_never_write_into_the_callers_arrays(kinds, n, width, seed):
     """In train and inference mode, whatever the layout: a relu first or
     last, behind an identity, before or after batch-norm, or no batch-norm
     at all. A relu that works in place must do so only on the stack's own
-    temporaries."""
+    temporaries. A "narrow" kind adds a narrow dense and batch-norm pair and
+    a dense layer back to the width: as the first block it reads the
+    caller's x, and after other layers it passes its input gradient down."""
     rng = np.random.default_rng(seed)
-    make = {"dense": lambda: DenseLayer(width, width, rng), "batch_norm": lambda: BatchNormLayer(width)}
-    net = Mlp([make[kind]() if kind in make else ActivationLayer(kind) for kind in kinds])
+    make = {"dense": lambda: [DenseLayer(width, width, rng)], "batch_norm": lambda: [BatchNormLayer(width)],
+            "narrow": lambda: [DenseLayer(width, 2 * width, rng), BatchNormLayer(2 * width),
+                               DenseLayer(2 * width, width, rng)]}
+    net = Mlp([layer for kind in kinds for layer in (make[kind]() if kind in make else [ActivationLayer(kind)])])
+    assert any(getattr(layer, "narrow", False) for layer in net.layers) == ("narrow" in kinds)
     for param in parameters(net):
         param += rng.standard_normal(param.shape)
     x, grad_out = rng.standard_normal((2, n, width))  # about half of each below 0
@@ -221,8 +231,39 @@ def test_backward_without_params_leaves_gradients_zero():
     upstream = rng.standard_normal((16, 1))
     grad_in = net.backward(upstream, params=False)
     assert all((g == 0.0).all() for g in gradients(net))
-    assert grad_in.tobytes() == net.backward(upstream).tobytes()
-    assert any((g != 0.0).any() for g in gradients(net))
+    assert net.backward(upstream) is None  # a parameter pass returns no input gradient
+    grads = [g.copy() for g in gradients(net)]
+    assert any((g != 0.0).any() for g in grads)
+    assert net.backward(upstream, params=False).tobytes() == grad_in.tobytes()
+    assert all(g.tobytes() == g0.tobytes() for g, g0 in zip(gradients(net), grads))
+
+
+@pytest.mark.parametrize("in_dim", [2, 3, 5, 7])
+def test_shape_rule_picks_the_first_block_only(in_dim):
+    """At the CLI's width 64, h (7 features) and D (the score and 2 to 6
+    attribute and outcome columns) run their first dense and batch-norm
+    pair on the narrow path and their 64 -> 64 pairs on the other; a pair
+    is narrow up to an input half as wide as its output."""
+    net = mlp(in_dim, [64, 64], rng=np.random.default_rng(0))
+    dense = [layer for layer in net.layers if isinstance(layer, DenseLayer)]
+    assert [layer.narrow for layer in dense] == [True, False, False]
+    assert [layer.input_grad_unread for layer in dense] == [True, False, False]
+    rng = np.random.default_rng(1)
+    for k, narrow in ((32, True), (33, False)):
+        assert Mlp([DenseLayer(k, 64, rng), BatchNormLayer(64)]).layers[0].narrow is narrow
+    assert not mlp(2, [64], rng=rng, batch_norm=False).layers[0].narrow  # no batch-norm after it
+
+
+def test_narrow_pair_after_the_first_block_trains_through_a_parameter_pass():
+    """A narrow pair that is not the first block (3 -> 8 after 4 -> 3) must
+    pass its input gradient down to the layers before it in a parameter
+    pass: every parameter gradient matches central differences."""
+    rng = np.random.default_rng(21)
+    net = mlp(4, [3, 8], rng=rng)
+    assert [layer.narrow for layer in net.layers if isinstance(layer, DenseLayer)] == [False, True, False]
+    x = rng.standard_normal((12, 4)) + 0.1
+    y = rng.integers(0, 2, 12).astype(np.float64)
+    assert check_network_gradients(net, bce_loss, x, y) < 1e-5
 
 
 def test_parameter_views_alias_the_flat_buffers(tmp_path):
@@ -288,6 +329,20 @@ def test_layer_declaration_is_its_checkpoint_spec(make):
         type(layer).from_spec({"kind": layer.KIND})
 
 
+def _inference_maps_finite(net):
+    """Whether every batch-norm layer's inference map, folded into the dense
+    layer before it as an inference pass folds it, is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, layer in zip([None, *net.layers], net.layers):
+            if isinstance(layer, BatchNormLayer):
+                bias, weights = (prev.bias, prev.weights) if isinstance(prev, DenseLayer) else (0.0, 1.0)
+                s, shift = batch_norm_infer_affine(layer.gamma, layer.beta_shift, layer.running_mean,
+                                                   layer.running_var, layer.epsilon, bias)
+                if not all(np.isfinite(a).all() for a in (s, shift, weights * s)):
+                    return False
+    return True
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_checkpoint_round_trip_bit_exact_property(data):
@@ -308,6 +363,10 @@ def test_checkpoint_round_trip_bit_exact_property(data):
     with tempfile.TemporaryDirectory() as tmp:
         path, path2 = Path(tmp) / "net.ckpt", Path(tmp) / "net2.ckpt"
         net.save(path)
+        if not _inference_maps_finite(net):  # refused by the one check that reads across layers
+            with pytest.raises(CheckpointError, match="is not finite"):
+                Mlp.load(path)
+            return
         loaded = Mlp.load(path)
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -453,6 +512,32 @@ def test_checkpoint_batch_norm_variance_plus_epsilon_must_not_overflow(tmp_path)
     rewrite_checkpoint_layer(path, 1, running_var=[1.0, 1e280, 0.0, 1.0])
     net = Mlp.load(path)
     assert np.isfinite(net.forward(np.ones((3, 3)))).all()
+
+
+@pytest.mark.parametrize(
+    "epsilon, dense, bn, reason",
+    [(5e-324, {}, {"gamma": [1e160] * 4, "running_var": [0.0] * 4}, "scale"),  # s near 4.5e321
+     (1.0, {"weights": [[2.0] * 4] * 3}, {"gamma": [1e308] * 4, "running_var": [0.0] * 4}, "folded"),  # 2 s
+     (1e-5, {"bias": [1e308] * 4}, {"running_mean": [-1e308] * 4}, "folded")],  # bias - running_mean
+    ids=["scale", "weights", "shift"],
+)
+def test_checkpoint_batch_norm_fold_must_be_finite(tmp_path, epsilon, dense, bn, reason):
+    """A batch-norm layer whose inference scale, or whose fold into the dense
+    layer before it, overflows is refused at load, with no numpy warning
+    (pytest turns one into an error)."""
+    path = tmp_path / "net.ckpt"
+    mlp(3, [4], rng=np.random.default_rng(0), batch_norm=True).save(path)
+    set_checkpoint_layer_value(path, 1, "epsilon", epsilon)
+    rewrite_checkpoint_layer(path, 1, **bn)
+    for name, values in dense.items():
+        values = np.array(values, dtype=float)
+        set_checkpoint_layer_value(path, 0, name, {"shape": list(values.shape),
+                                                  "hex": [v.hex() for v in values.ravel().tolist()]})
+    message = ("batch-norm scale gamma / sqrt(running_var + epsilon) is not finite" if reason == "scale"
+               else "batch-norm folded into the dense layer before it is not finite")
+    with pytest.raises(CheckpointError, match=rf"layer 1: {re.escape(message)}") as err:
+        Mlp.load(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_non_finite_value(tmp_path):

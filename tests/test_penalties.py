@@ -26,9 +26,11 @@ def test_gsp_penalty_value_at_half():
     D = _half_net(2)
     s = np.array([0.3, 0.7, 0.5])
     a = np.array([[0.0], [1.0], [1.0]])
-    value, grad_in = contrast(D, np.column_stack([s, a]), np.column_stack([s, a[::-1]]))
+    real, fake = np.column_stack([s, a]), np.column_stack([s, a[::-1]])
+    value, grad_in = contrast(D, real, fake, params=False)
     assert value == pytest.approx(-2.0 * np.log(2.0), abs=1e-12)
     assert grad_in[:, :1].shape == (3, 1)
+    assert contrast(D, real, fake) == (value, None)  # a parameter pass returns no input gradient
 
 
 def test_gsp_penalty_length_mismatch():
@@ -39,14 +41,16 @@ def test_gsp_penalty_length_mismatch():
 
 def _worst_fd_error(net, penalty, s):
     """Worst relative error of contrast's parameter and score gradients
-    against central differences; ``penalty(s)`` calls contrast on ``net``."""
-    _, grad_in = penalty(s)
+    against central differences; ``penalty(s, params)`` calls contrast on
+    ``net``. The parameter gradients come from a parameter pass, the score
+    gradient from a pass without parameters."""
+    penalty(s, True)
     analytic = [g.copy() for g in gradients(net)]
     zero_gradients(net)
+    _, grad_in = penalty(s, False)
 
     def value(s_):
-        v, _ = penalty(s_)
-        zero_gradients(net)
+        v, _ = penalty(s_, False)
         return v
 
     eps = 1e-6
@@ -79,8 +83,8 @@ def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
     a = rng.integers(0, 2, n).astype(float).reshape(-1, 1)
     a_prime = a[rng.permutation(n)]
 
-    def penalty(s_):
-        return contrast(net, np.column_stack([s_, a]), np.column_stack([s_, a_prime]))
+    def penalty(s_, params):
+        return contrast(net, np.column_stack([s_, a]), np.column_stack([s_, a_prime]), params=params)
 
     assert _worst_fd_error(net, penalty, s) < 1e-4
 
@@ -96,9 +100,9 @@ def test_geo_penalty_gradients_match_finite_differences():
     a_prime = a[rng.permutation(n)]
     for w in (np.array([table[(av, yv)] for av, yv in zip(a[:, 0], y)]), np.full(n, 0.7)):
 
-        def penalty(s_):
+        def penalty(s_, params):
             real = np.column_stack([s_, a, y])
-            return contrast(net, real, np.column_stack([s_, a_prime, y]), w)
+            return contrast(net, real, np.column_stack([s_, a_prime, y]), w, params)
 
         assert _worst_fd_error(net, penalty, s) < 1e-4
 
