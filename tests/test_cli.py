@@ -536,7 +536,7 @@ def _bad_input(tmp_path, case):
         rewrite_checkpoint_layer(ckpt, 1, gamma=[1e160] * 4, running_var=[0.0] * 4)
         evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
-        return evaluate, [str(ckpt), "layer 1", "scale gamma / sqrt(running_var + epsilon) is not finite"]
+        return evaluate, [str(ckpt), "layer 1", "scale gamma / sqrt(running_var + epsilon)", "is not finite"]
     if case in ("checkpoint_huge_int", "checkpoint_deep_nesting"):
         ckpt = tmp_path / "h.ckpt"
         body = "[" + "9" * 5001 + "]" if case == "checkpoint_huge_int" else "[" * 100_000

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import gradients, parameters, rewrite_checkpoint_layer, set_checkpoint_layer_value
 from gradcheck import check_network_gradients, random_config
-from reference_kernels import batch_norm_infer_affine
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
     INFER_BLOCK,
@@ -330,17 +329,16 @@ def test_layer_declaration_is_its_checkpoint_spec(make):
 
 
 def _inference_maps_finite(net):
-    """Whether every batch-norm layer's inference map, folded into the dense
-    layer before it as an inference pass folds it, is finite."""
+    """Whether every array an inference pass runs on is finite: each layer's
+    parameters, with batch-norm maps folded in, and a batch-norm map left
+    alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, layer in zip([None, *net.layers], net.layers):
-            if isinstance(layer, BatchNormLayer):
-                bias, weights = (prev.bias, prev.weights) if isinstance(prev, DenseLayer) else (0.0, 1.0)
-                s, shift = batch_norm_infer_affine(layer.gamma, layer.beta_shift, layer.running_mean,
-                                                   layer.running_var, layer.epsilon, bias)
-                if not all(np.isfinite(a).all() for a in (s, shift, weights * s)):
-                    return False
-    return True
+        return all(
+            np.isfinite(a).all()
+            for _, layer in net._inference_layers()
+            for a in (layer.affine() if isinstance(layer, BatchNormLayer) else
+                      [getattr(layer, name) for name in layer.PARAMS])
+        )
 
 
 @settings(deadline=None, max_examples=50)
@@ -515,13 +513,13 @@ def test_checkpoint_batch_norm_variance_plus_epsilon_must_not_overflow(tmp_path)
 
 
 @pytest.mark.parametrize(
-    "epsilon, dense, bn, reason",
-    [(5e-324, {}, {"gamma": [1e160] * 4, "running_var": [0.0] * 4}, "scale"),  # s near 4.5e321
-     (1.0, {"weights": [[2.0] * 4] * 3}, {"gamma": [1e308] * 4, "running_var": [0.0] * 4}, "folded"),  # 2 s
-     (1e-5, {"bias": [1e308] * 4}, {"running_mean": [-1e308] * 4}, "folded")],  # bias - running_mean
+    "epsilon, dense, bn",
+    [(5e-324, {}, {"gamma": [1e160] * 4, "running_var": [0.0] * 4}),  # s near 4.5e321
+     (1.0, {"weights": [[2.0] * 4] * 3}, {"gamma": [1e308] * 4, "running_var": [0.0] * 4}),  # 2 s
+     (1e-5, {"bias": [1e308] * 4}, {"running_mean": [-1e308] * 4})],  # bias - running_mean
     ids=["scale", "weights", "shift"],
 )
-def test_checkpoint_batch_norm_fold_must_be_finite(tmp_path, epsilon, dense, bn, reason):
+def test_checkpoint_batch_norm_fold_must_be_finite(tmp_path, epsilon, dense, bn):
     """A batch-norm layer whose inference scale, or whose fold into the dense
     layer before it, overflows is refused at load, with no numpy warning
     (pytest turns one into an error)."""
@@ -533,8 +531,8 @@ def test_checkpoint_batch_norm_fold_must_be_finite(tmp_path, epsilon, dense, bn,
         values = np.array(values, dtype=float)
         set_checkpoint_layer_value(path, 0, name, {"shape": list(values.shape),
                                                   "hex": [v.hex() for v in values.ravel().tolist()]})
-    message = ("batch-norm scale gamma / sqrt(running_var + epsilon) is not finite" if reason == "scale"
-               else "batch-norm folded into the dense layer before it is not finite")
+    message = ("batch-norm scale gamma / sqrt(running_var + epsilon), or its fold into the dense layer "
+               "before it, is not finite")
     with pytest.raises(CheckpointError, match=rf"layer 1: {re.escape(message)}") as err:
         Mlp.load(path)
     assert str(path) in str(err.value)
