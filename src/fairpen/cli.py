@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics, oracles, penalties, training
 from .data import ColumnSchema, csv_reader, load_csv, open_input, rng_streams, split_train_val
-from .errors import ConfigError, FairpenError, IngestionError
+from .errors import ConfigError, DivergenceError, FairpenError, IngestionError
 from .nn import Mlp, mlp
 from .training import TrainConfig
 
@@ -206,7 +206,10 @@ def cmd_evaluate(args) -> int:
         )
     if h.out_dim != 1:
         raise ConfigError(f"{args.checkpoint}: checkpoint scores {h.out_dim} output columns, not 1")
-    report = training.evaluate_snapshot(h, dataset)
+    try:
+        report = training.evaluate_snapshot(h, dataset)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{args.checkpoint}: {exc}") from exc
     attr_names = [c.name for c in dataset.sensitive_columns]
     snap = training.Snapshot(0, "evaluate", report)
     _write_csv(args.out, training.snapshot_csv_rows([snap], attr_names))

@@ -369,18 +369,17 @@ def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
 
 
 def split_train_val(dataset: TabularDataset, fraction: float = 0.8, seed: int = 0):
-    """Seeded shuffle split; feature scaling refit on the training part."""
+    """Seeded shuffle split, the first floor(fraction * n) rows of the
+    shuffle for training; feature scaling refit on the training part."""
     if dataset.n < 2:
         raise DimensionError("need at least 2 rows to split")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(dataset.n)
-    n_train = int(np.floor(fraction * dataset.n))
-    train_idx, val_idx = order[:n_train], order[n_train:]
-    raw_train = dataset._raw_features[train_idx]
-    mean = raw_train.mean(axis=0)
-    std = raw_train.std(axis=0)
-    scaling = FeatureScaling(mean, np.where(std > 0, std, 1.0))
-    return dataset.take(train_idx, scaling), dataset.take(val_idx, scaling)
+    n_train = int(np.floor(fraction * dataset.n)) if 0.0 < fraction < 1.0 else 0
+    if not 0 < n_train < dataset.n:
+        raise DimensionError(f"fraction={fraction!r} of n={dataset.n} rows leaves the training or "
+                             "the validation part empty")
+    order = np.random.default_rng(seed).permutation(dataset.n)
+    train = dataset.take(order[:n_train])
+    return train, dataset.take(order[n_train:], train.scaling)
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:

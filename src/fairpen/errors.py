@@ -34,5 +34,6 @@ class CheckpointError(FairpenError):
 
 
 class DivergenceError(FairpenError, FloatingPointError):
-    """Training produced a non-finite parameter; message names the layer
-    (and, from the trainer, the iteration and lambda)."""
+    """Training produced a non-finite parameter, or a scorer a non-finite
+    score; message names the layer or the number of rows (and, from the
+    trainer, the iteration and lambda)."""

@@ -9,23 +9,30 @@ gradient buffer and re-homes every ``PARAMS`` array, and its ``grad_<name>``
 twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
 check and one clear over the whole network. ``backward`` either
 accumulates the parameter gradients into those views and returns None (no
-caller reads the input gradient of a parameter pass, so the first dense
-layer does not form it), or, with ``params=False``, returns the input
-gradient and leaves the gradient buffer untouched.
-In train mode a batch-norm layer subtracts the batch mean, which removes
-the bias of a dense layer right before it. So that dense layer computes
-x W alone, adds nothing to its bias gradient, and leaves its bias as
-stored; the batch-norm layer adds that bias to the batch mean for its
-running mean only, so the running mean still tracks the biased input and
-the inference fold below keeps its meaning. Train-mode batch-norm takes the
-variance in one pass over the centred block, caches that block and inv_std
-(not x_hat), writes centred * (gamma * inv_std) + beta_shift, and its
-backward reuses the gamma and beta_shift gradient sums. A relu writes
+caller reads the input gradient of a parameter pass, so the first stage
+with parameters does not form it), or, with ``params=False``, returns the
+input gradient and leaves the gradient buffer untouched. A relu writes
 max(x, 0) into x, and masks its gradient in place, wherever that array is
 a temporary of the stack: never into an array the caller passed to
-``Mlp.forward`` or ``Mlp.backward``. Relu, sigmoid, identity and a dense
-layer with no batch-norm after it give bit for bit the textbook forms. A
-dense layer and the batch-norm layer after it differ from the textbook
+``Mlp.forward`` or ``Mlp.backward``.
+
+``Mlp`` runs the layer list as stages: a batch-norm layer right after a
+dense layer takes that dense layer's place and runs it, in train mode and
+at inference, so the pair's kernels live on the batch-norm layer. Every
+other layer, a dense layer with no batch-norm after it among them, runs on
+its own; a dense layer is x W + b in both modes. Relu, sigmoid, identity
+and a dense layer with no batch-norm after it give bit for bit the textbook
+forms.
+
+In train mode a batch-norm stage subtracts the batch mean, which removes
+the bias of the dense layer it runs. So the stage computes x W alone, adds
+nothing to the bias gradient, and leaves the bias as stored; it adds that
+bias to the batch mean for its running mean only, so the running mean
+still tracks the biased input and the inference fold below keeps its
+meaning. It takes the variance in one pass over the centred block, caches
+that block and inv_std (not x_hat), writes centred * (gamma * inv_std) +
+beta_shift, and its backward reuses the gamma and beta_shift gradient sums.
+A dense layer and the batch-norm layer after it differ from the textbook
 pair (x W + b, then batch-norm) by rounding only: for a batch of n rows,
 the centred block lies within 4 * (n + 4) * eps of the textbook one times
 |x| @ |W| + |b| plus its column mean, and every other value within
@@ -34,8 +41,9 @@ that error carried through.
 
 A narrow pair, whose dense layer maps k columns to m >= 2 k (at the CLI's
 width 64 only the first hidden block of h and of D), never forms x W in
-train mode. Its statistics follow from the k x k covariance of the centred
-input x_c = x - mean(x): the variance of x W is the quadratic form
+train mode; its batch-norm layer picks that kernel by this rule. Its
+statistics follow from the k x k covariance of the centred input
+x_c = x - mean(x): the variance of x W is the quadratic form
 colsum(W * (x_c^T x_c W)) / n, clamped at 0, and the output is
 x_c (W * gamma * inv_std) + beta_shift. Its backward forms x_c^T g once and
 gives the weights gradient (x_c^T g - x_c^T x_c W * c) * gamma * inv_std
@@ -56,11 +64,11 @@ sum. Over a whole training run every stored array and snapshot cell stays
 within 1e-12 of the textbook run.
 
 At inference batch-norm is a fixed per-column affine map x * s + shift,
-s = gamma / sqrt(running_var + epsilon), and an inference pass folds each
-batch-norm layer into the dense layer right before it: weights * s and
-(bias - running_mean) * s + beta_shift. A batch-norm layer with no dense
-layer before it applies its affine map on its own; dense layers with no
-batch-norm after them run as in training. The folded pass differs from the
+s = gamma / sqrt(running_var + epsilon), and a batch-norm stage folds the
+dense layer it runs into that map: weights * s and
+(bias - running_mean) * s + beta_shift, folded once per ``Mlp.forward``
+call. A batch-norm layer with no dense layer before it applies its affine
+map on its own. The folded pass differs from the
 textbook one (dense, then (x - running_mean) / sqrt(running_var + epsilon)
 * gamma + beta_shift) by rounding only: each output of a folded layer with
 k input columns lies within 4 * (k + 4) * eps of the textbook value,
@@ -117,6 +125,9 @@ class _Layer:
     PARAMS: tuple[str, ...] = ()  # trainable arrays; Mlp adds a grad_<name> view for each
     BUFFERS: tuple[str, ...] = ()  # arrays a checkpoint stores but SGD does not train
     SETTINGS: tuple[str, ...] = ()  # plain values a checkpoint stores
+    # set by Mlp on the first stage with parameters: a parameter pass reads no
+    # input gradient from it
+    input_grad_unread = False
 
     def check(self) -> None:
         """Raise ValueError if the stored values do not fit together."""
@@ -142,25 +153,16 @@ class _Layer:
 
 
 class DenseLayer(_Layer):
-    """Affine layer y = x W + b with cached input for backprop. When ``Mlp``
-    puts a batch-norm layer right after it, train mode computes x W alone:
-    the batch mean removes b, so b is neither applied nor trained there. A
-    narrow such layer does not form x W in train mode at all: it hands
-    batch-norm x W in factored form, and its backward takes batch-norm's
-    gradient in factored form."""
+    """Affine layer y = x W + b with cached input for backprop."""
 
     KIND = "dense"
     PARAMS = ("weights", "bias")
-    # set by Mlp: a batch-norm layer follows; it is at least twice as wide as
-    # the input (narrow); no layer before this one has parameters, so a
-    # parameter pass reads no input gradient from it
-    feeds_batch_norm = narrow = input_grad_unread = False
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weights = rng.uniform(-limit, limit, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
-        self._cache: np.ndarray | tuple | None = None
+        self._cache: np.ndarray | None = None
 
     def check(self) -> None:
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
@@ -174,68 +176,37 @@ class DenseLayer(_Layer):
     def out_dim(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, x: np.ndarray, train: bool):
-        if train and self.narrow:
-            # x W as (centred, W, mean W, var): its rows are centred W + mean W,
-            # and var, its column variance, is a quadratic form in the k x k
-            # covariance of x
-            n = len(x)
-            mean = x.sum(axis=0) / n
-            centred = x - mean
-            cw = (centred.T @ centred) @ self.weights
-            self._cache = (centred, cw)
-            return centred, self.weights, mean @ self.weights, np.einsum("ij,ij->j", self.weights, cw) / n
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._cache = x if train else None
         out = x @ self.weights
-        if not (train and self.feeds_batch_norm):
-            out += self.bias
+        out += self.bias
         return out
 
-    def fold(self, bn: "BatchNormLayer") -> "DenseLayer":
-        """This layer followed by ``bn`` at inference, as one dense layer."""
-        scale, shift = bn.affine(self.bias)
-        folded = DenseLayer.__new__(DenseLayer)
-        folded.weights, folded.bias, folded._cache = self.weights * scale, shift, None
-        return folded
-
-    def backward(self, grad_out, params: bool = True) -> np.ndarray | None:
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray | None:
         """Accumulate the parameter gradients with ``params``; return the
         input gradient, or None in a parameter pass that reads none."""
-        if self.narrow:
-            return self._backward_narrow(*grad_out, params)
         if params:
             self.grad_weights += self._cache.T @ grad_out
-            if not self.feeds_batch_norm:  # else every column of grad_out sums to 0
-                self.grad_bias += grad_out.sum(axis=0)
+            self.grad_bias += grad_out.sum(axis=0)
             if self.input_grad_unread:
                 return None
         return grad_out @ self.weights.T
 
-    def _backward_narrow(self, g, g_proj, g_sum, scale, c, params):
-        # batch-norm's gradient w.r.t. x W is (g - g_sum / n) * scale -
-        # centred W * (scale * c). Its columns sum to 0, as do centred's, so
-        # x^T of it is (centred^T g - cw * c) * scale; g_proj = centred^T g.
-        centred, cw = self._cache
-        if params:
-            self.grad_weights += (g_proj - cw * c) * scale
-            if self.input_grad_unread:
-                return None
-        scaled = self.weights * scale
-        grad_in = g @ scaled.T
-        grad_in -= (g_sum * scale / len(g)) @ self.weights.T
-        grad_in -= centred @ ((scaled * c) @ self.weights.T)
-        return grad_in
-
 
 class BatchNormLayer(_Layer):
     """Batch normalization: batch statistics in train mode, exponential
-    running statistics (momentum 0.99) in inference mode."""
+    running statistics (momentum 0.99) in inference mode. When ``Mlp`` puts
+    it right after a dense layer, it runs that layer too: its input is the
+    dense layer's input."""
 
     KIND = "batch_norm"
     PARAMS = ("gamma", "beta_shift")
     BUFFERS = ("running_mean", "running_var")
     SETTINGS = ("momentum", "epsilon")
-    input_bias = None  # set by Mlp: the bias a dense layer before it leaves out in train mode
+    # set by Mlp: the dense layer right before this one, which it runs, and
+    # whether that layer is at least twice as wide as its input (narrow)
+    dense: DenseLayer | None = None
+    narrow = False
 
     def __init__(self, width: int, momentum: float = 0.99, epsilon: float = 1e-5):
         self.gamma = np.ones(width)
@@ -266,71 +237,98 @@ class BatchNormLayer(_Layer):
             if not np.isfinite(self.running_var + self.epsilon).all():
                 raise ValueError("batch-norm running_var + epsilon overflows")
 
-    def forward(self, x, train: bool) -> np.ndarray:
-        """``x`` is the batch, or, after a narrow dense layer in train mode,
-        that layer's output in factored form (centred, W, mean, var)."""
-        if train:
-            if isinstance(x, tuple):
-                centred, weights, mean, var = x
-                np.maximum(var, 0.0, out=var)  # rounding can take the quadratic form below 0
-            else:
-                # centre once; the centred block gives the variance (one
-                # einsum pass) and the output, and the backward reads it
-                n = len(x)
-                mean = x.sum(axis=0) / n
-                centred = x - mean
-                var = np.einsum("ij,ij->j", centred, centred) / n
-                weights = None
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            self._cache = (centred, weights, inv_std)
-            if self.input_bias is not None:  # the running mean tracks the biased input
-                mean += self.input_bias
-            self.running_mean *= self.momentum
-            self.running_mean += (1 - self.momentum) * mean
-            self.running_var *= self.momentum
-            self.running_var += (1 - self.momentum) * var
-            scale = self.gamma * inv_std
-            out = centred * scale if weights is None else centred @ (weights * scale)
-            out += self.beta_shift
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, shift) of the inference map: x @ weights + shift, with
+        the dense layer this layer runs folded in, or x * weights + shift,
+        with none."""
+        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+        bias = 0.0 if self.dense is None else self.dense.bias
+        shift = (bias - self.running_mean) * scale + self.beta_shift
+        return (scale if self.dense is None else self.dense.weights * scale), shift
+
+    def forward(self, x: np.ndarray, train: bool, fold: tuple | None = None) -> np.ndarray:
+        """``fold``, at inference: this layer's ``fold()``, so that a pass
+        over many row blocks folds once."""
+        dense = self.dense
+        if not train:
+            self._cache = None
+            weights, shift = self.fold() if fold is None else fold
+            out = x * weights if dense is None else x @ weights
+            out += shift
             return out
-        self._cache = None
-        scale, shift = self.affine()
-        out = x * scale
-        out += shift
+        n = len(x)
+        if self.narrow:
+            # x W is centred W + mean W, centred = x - mean(x); its column
+            # variance is a quadratic form in the k x k covariance of x, which
+            # rounding can take below 0
+            mean = x.sum(axis=0) / n
+            centred = x - mean
+            cw = (centred.T @ centred) @ dense.weights
+            mean = mean @ dense.weights
+            var = np.einsum("ij,ij->j", dense.weights, cw) / n
+            np.maximum(var, 0.0, out=var)
+        else:
+            # centre once; the centred block gives the variance (one einsum
+            # pass) and the output, and the backward reads it
+            z = x if dense is None else x @ dense.weights
+            mean = z.sum(axis=0) / n
+            centred = z - mean
+            var = np.einsum("ij,ij->j", centred, centred) / n
+            cw = None
+        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        self._cache = (x, centred, cw, inv_std)
+        if dense is not None:  # the running mean tracks the biased input
+            mean += dense.bias
+        self.running_mean *= self.momentum
+        self.running_mean += (1 - self.momentum) * mean
+        self.running_var *= self.momentum
+        self.running_var += (1 - self.momentum) * var
+        scale = self.gamma * inv_std
+        out = centred @ (dense.weights * scale) if self.narrow else centred * scale
+        out += self.beta_shift
         return out
 
-    def affine(self, bias=0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(s, shift) such that the inference output for input x + bias is
-        x * s + shift, up to rounding."""
-        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
-        return scale, (bias - self.running_mean) * scale + self.beta_shift
-
-    def backward(self, grad_out: np.ndarray, params: bool = True):
+    def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray | None:
         # gamma * inv_std * (g - sum(g) / n - x_hat * sum(g * x_hat) / n), in
         # place, with x_hat = centred * inv_std; the two column sums are the
-        # beta_shift and gamma gradients. After a narrow dense layer, x_hat
-        # is centred W * inv_std, and that layer finishes the gradient from
-        # (g, centred^T g, sum(g), gamma * inv_std, c).
-        centred, weights, inv_std = self._cache
-        n = grad_out.shape[0]
+        # beta_shift and gamma gradients. A narrow pair's x_hat is
+        # centred W * inv_std, so it reads sum(g * x_hat) off centred^T g.
+        x, centred, cw, inv_std = self._cache
+        dense, n = self.dense, len(grad_out)
         g_sum = grad_out.sum(axis=0)
-        if weights is None:
+        if cw is None:
             gx_sum = np.einsum("ij,ij->j", grad_out, centred)
         else:
             g_proj = centred.T @ grad_out
-            gx_sum = np.einsum("ij,ij->j", weights, g_proj)
+            gx_sum = np.einsum("ij,ij->j", dense.weights, g_proj)
         gx_sum *= inv_std
         if params:
             self.grad_gamma += gx_sum
             self.grad_beta_shift += g_sum
         c = gx_sum * inv_std / n
-        if weights is not None:
-            return grad_out, g_proj, g_sum, self.gamma * inv_std, c
+        scale = self.gamma * inv_std
+        if cw is not None:
+            # the gradient w.r.t. x W is (g - g_sum / n) * scale -
+            # centred W * (scale * c). Its columns sum to 0, as do centred's,
+            # so x^T of it is (centred^T g - cw * c) * scale.
+            if params:
+                dense.grad_weights += (g_proj - cw * c) * scale
+                if self.input_grad_unread:
+                    return None
+            scaled = dense.weights * scale
+            grad_in = grad_out @ scaled.T
+            grad_in -= (g_sum * scale / n) @ dense.weights.T
+            grad_in -= centred @ ((scaled * c) @ dense.weights.T)
+            return grad_in
         grad_in = centred * c
         np.subtract(grad_out, grad_in, out=grad_in)
         grad_in -= g_sum / n
-        grad_in *= self.gamma * inv_std
-        return grad_in
+        grad_in *= scale
+        if params and dense is not None:
+            dense.grad_weights += x.T @ grad_in
+        if params and self.input_grad_unread:
+            return None
+        return grad_in if dense is None else grad_in @ dense.weights.T
 
 
 class ActivationLayer(_Layer):
@@ -397,12 +395,15 @@ class Mlp:
             setattr(layer, "grad_" + name, self._grads[start:stop].reshape(value.shape))
             self._spans.append((i, start, stop))
             start = stop
+        self._stages = []  # the layers a pass runs: a batch-norm layer runs the dense layer before it
         for prev, layer in zip([None, *layers], layers):
             if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
-                prev.feeds_batch_norm, layer.input_bias = True, prev.bias
-                prev.narrow = 2 * prev.in_dim <= prev.out_dim
-        first = next((layer for layer in layers if layer.PARAMS), None)
-        if isinstance(first, DenseLayer):
+                layer.dense, layer.narrow = prev, 2 * prev.in_dim <= prev.out_dim
+                self._stages[-1] = layer
+            else:
+                self._stages.append(layer)
+        first = next((stage for stage in self._stages if stage.PARAMS), None)
+        if first is not None:
             first.input_grad_unread = True
         # every layer but identity returns a new array, so a relu's input is a
         # temporary after any such layer and its gradient before one
@@ -439,11 +440,13 @@ class Mlp:
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
         if train:
-            out = self._forward_layers(self.layers, x, True)
+            out = x
+            for stage in self._stages:
+                out = stage.forward(out, True)
         else:
-            layers = [layer for _, layer in self._inference_layers()]
-            for layer in self.layers:  # a folded dense layer would keep its training input
-                layer._cache = None
+            # a batch-norm stage folds its map, and the dense layer it runs,
+            # once per call, not once per block
+            stages = [(stage, stage.fold() if isinstance(stage, BatchNormLayer) else None) for stage in self._stages]
             # Blocks of INFER_BLOCK rows, the remainder folded into the last
             # block. Blocks start at multiples of INFER_BLOCK, so BLAS unrolls
             # a block's rows as it unrolls the whole array's, and no block has
@@ -453,28 +456,13 @@ class Mlp:
             out = np.empty((len(x), self.out_dim))
             start = 0
             for stop in [*range(INFER_BLOCK, len(x) - INFER_BLOCK + 1, INFER_BLOCK), len(x)]:
-                out[start:stop] = self._forward_layers(layers, x[start:stop], False)
+                block = x[start:stop]
+                for stage, fold in stages:
+                    block = stage.forward(block, False) if fold is None else stage.forward(block, False, fold)
+                out[start:stop] = block
                 start = stop
         self._train_cache_ready = train
         return out
-
-    def _inference_layers(self) -> list:
-        """(index, layer) of the layers an inference pass runs: each
-        batch-norm layer right after a dense layer is folded into that
-        layer, under the batch-norm layer's index."""
-        layers = []
-        for i, (prev, layer) in enumerate(zip([None, *self.layers], self.layers)):
-            if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
-                layers[-1] = i, prev.fold(layer)
-            else:
-                layers.append((i, layer))
-        return layers
-
-    @staticmethod
-    def _forward_layers(layers: list, x: np.ndarray, train: bool) -> np.ndarray:
-        for layer in layers:
-            x = layer.forward(x, train)
-        return x
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray | None:
         """With ``params``, accumulate the parameter gradients and return
@@ -483,9 +471,9 @@ class Mlp:
         if not self._train_cache_ready:
             raise StateError("backward called without a prior train-mode forward")
         grad = np.asarray(grad_out, dtype=np.float64)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad, params)
-            if grad is None:  # the first layer with parameters, in a parameter pass
+        for stage in reversed(self._stages):
+            grad = stage.backward(grad, params)
+            if grad is None:  # the first stage with parameters, in a parameter pass
                 break
         return None if params else grad
 
@@ -538,12 +526,8 @@ class Mlp:
         # every array an inference pass runs on must be finite; the stored
         # ones are, so only a batch-norm map, folded or alone, can fail
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, layer in net._inference_layers():
-                if isinstance(layer, BatchNormLayer):
-                    arrays = layer.affine()
-                else:
-                    arrays = [getattr(layer, name) for name in layer.PARAMS]
-                if not all(np.isfinite(a).all() for a in arrays):
+            for i, layer in enumerate(net.layers):
+                if isinstance(layer, BatchNormLayer) and not all(np.isfinite(a).all() for a in layer.fold()):
                     raise CheckpointError(f"{path}: layer {i}: batch-norm scale gamma / sqrt(running_var + epsilon), "
                                           "or its fold into the dense layer before it, is not finite")
         return net

@@ -60,9 +60,14 @@ def evaluate_snapshot(h: Mlp, dataset: TabularDataset) -> metrics.FairnessReport
     MAE and the Y <= q grid for a continuous outcome, AUC otherwise.
 
     Degenerate groups or rates yield NaN for the affected metric instead of
-    an error, so evaluation never aborts a run.
+    an error, so evaluation never aborts a run for them. A score that is not
+    finite (h's inference pass overflows) raises ``DivergenceError``.
     """
-    scores = h.forward(dataset.X, train=False)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is reported below
+        scores = h.forward(dataset.X, train=False)[:, 0]
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise DivergenceError(f"{bad} of {len(scores)} rows scored non-finite")
     y = dataset.Y
     y_grid = metrics.quantile_grid(y) if dataset.outcome_column.kind == "continuous" else None
 
@@ -167,7 +172,11 @@ def train(
 
         if t in eval_at:
             for split, data in (("train", train_set), ("validation", val_set)):
-                snapshots.append(Snapshot(t, split, evaluate_snapshot(h, data)))
+                try:
+                    snapshots.append(Snapshot(t, split, evaluate_snapshot(h, data)))
+                except DivergenceError as exc:
+                    where = f"lambda={config.lam:g}, iteration {t}, h on the {split} split"
+                    raise DivergenceError(f"{where}: {exc}") from exc
 
     return snapshots
 

@@ -352,8 +352,12 @@ def dense_layer_backward_textbook(layer, grad_out, params=True):
     return grad_out @ layer.weights.T
 
 
-def batch_norm_layer_forward_textbook(layer, x, train):
-    """``BatchNormLayer.forward`` with the textbook kernels, to be set on the class."""
+def batch_norm_layer_forward_textbook(layer, x, train, fold=None):
+    """``BatchNormLayer.forward`` with the textbook kernels, to be set on the
+    class: the dense layer it runs, if any, by its own forward, then
+    batch-norm, unfolded at inference."""
+    if layer.dense is not None:
+        x = layer.dense.forward(x, train)
     if not train:
         layer._cache = None
         return batch_norm_forward_infer(x, layer.gamma, layer.beta_shift, layer.running_mean,
@@ -364,12 +368,13 @@ def batch_norm_layer_forward_textbook(layer, x, train):
 
 
 def batch_norm_layer_backward_textbook(layer, grad_out, params=True):
-    """``BatchNormLayer.backward`` with the textbook kernel, to be set on the class."""
+    """``BatchNormLayer.backward`` with the textbook kernel, to be set on the
+    class; the dense layer it runs, if any, takes the gradient on."""
     grad_in, grad_gamma, grad_beta_shift = batch_norm_backward(grad_out, *layer._cache, layer.gamma)
     if params:
         layer.grad_gamma += grad_gamma
         layer.grad_beta_shift += grad_beta_shift
-    return grad_in
+    return grad_in if layer.dense is None else layer.dense.backward(grad_in, params)
 
 
 def sgd_step_loop(layers, learning_rate, maximize=False):

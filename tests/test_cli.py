@@ -544,6 +544,14 @@ def _bad_input(tmp_path, case):
         evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
         return evaluate, [str(ckpt), "corrupted checkpoint body"]
+    if case == "checkpoint_scores_overflow":  # finite arrays whose inference pass overflows
+        ckpt = tmp_path / "h.ckpt"
+        net = mlp(2, [4, 4], rng=np.random.default_rng(0), batch_norm=False)
+        net.layers[0].weights[...] = net.layers[2].weights[...] = 1e300
+        net.save(ckpt)
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(ckpt), "of 40 rows scored non-finite"]
     if case in ("checkpoint_two_outputs", "checkpoint_no_outputs"):
         ckpt = tmp_path / "h.ckpt"
         out_dim = 2 if case == "checkpoint_two_outputs" else 0
@@ -660,7 +668,7 @@ def _bad_input(tmp_path, case):
      "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
      "checkpoint_bn_epsilon_str", "checkpoint_bn_epsilon_overflow", "checkpoint_bn_fold_overflow",
      "checkpoint_huge_int", "checkpoint_deep_nesting",
-     "checkpoint_two_outputs", "checkpoint_no_outputs", "seed_negative_flag", "seed_negative_config",
+     "checkpoint_two_outputs", "checkpoint_no_outputs", "checkpoint_scores_overflow", "seed_negative_flag", "seed_negative_config",
      "ratio_toy_seed_negative", "batch_exceeds_split_config", "batch_exceeds_split_default",
      "batch_exceeds_split_disjoint", "ratio_toy_batch_exceeds_n",
      *_FLAG_BELOW_ONE],

@@ -250,6 +250,24 @@ def test_split_needs_two_rows():
         split_train_val(ds)
 
 
+@pytest.mark.parametrize("fraction", [0.1, 1.0, 1.5, -0.5, float("nan")])
+def test_split_fraction_must_leave_both_parts_non_empty(fraction):
+    """On 5 rows: 0.1 leaves no training row, 1.0 and 1.5 no validation row,
+    and -0.5 is no fraction at all."""
+    ds = binary_toy_dataset(200, seed=0).take(np.arange(5))
+    with pytest.raises(DimensionError, match=rf"fraction={fraction!r} of n=5 rows"):
+        split_train_val(ds, fraction=fraction)
+
+
+def test_split_scaling_is_the_training_rows_own(toy_dataset):
+    """The training part's z-scores use exactly the mean and std of its raw rows."""
+    train, val = split_train_val(toy_dataset, fraction=0.75, seed=1)
+    raw, std = train._raw_features, train._raw_features.std(axis=0)
+    assert train.scaling.mean.tobytes() == raw.mean(axis=0).tobytes()
+    assert train.scaling.std.tobytes() == np.where(std > 0, std, 1.0).tobytes()
+    assert val.scaling is train.scaling
+
+
 def test_minibatch_within_batch_is_permutation(toy_dataset):
     rng = np.random.default_rng(0)
     mb = minibatch_construct(toy_dataset, 32, "within_batch", rng, np.random.default_rng(1))

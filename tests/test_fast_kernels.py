@@ -265,29 +265,30 @@ def _bytes(arrays):
 @example(n=7, width=8, in_dim=4, scale=1.0, learning_rate=0.1, maximize=False, seed=0)  # narrow at 2 k = m
 @example(n=7, width=7, in_dim=4, scale=1.0, learning_rate=0.1, maximize=False, seed=0)  # wide at 2 k = m + 1
 def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_rate, maximize, seed):
-    """A dense layer that feeds batch-norm computes x W alone and leaves its
-    bias gradient at 0; batch-norm caches the centred block and adds the
-    bias to the batch mean for its running mean. A narrow pair (2 k <= m)
-    works on the centred input and its covariance instead. Every array
-    equals the out-of-place reference for its path bit for bit, through the
-    SGD step; the parameter pass returns no input gradient, and a pass
-    without parameters returns the reference's."""
+    """A batch-norm layer that runs the dense layer before it computes x W
+    alone and leaves the dense bias gradient at 0; it caches the dense
+    input and the centred block and adds the bias to the batch mean for its
+    running mean. A narrow pair (2 k <= m) works on the centred input and
+    its covariance instead. Every array equals the out-of-place reference
+    for its path bit for bit, through the SGD step; the parameter pass
+    returns no input gradient, and a pass without parameters returns the
+    reference's."""
     net = _dense_bn_net(seed, in_dim, width, scale)
     ref = _dense_bn_net(seed, in_dim, width, scale)
     dense, bn = net.layers
-    assert dense.narrow == (2 * in_dim <= width) and dense.input_grad_unread
+    assert bn.dense is dense and bn.narrow == (2 * in_dim <= width) and bn.input_grad_unread
     bias = dense.bias.copy()
     rng = np.random.default_rng(seed + 1)
     x = scale * rng.standard_normal((n, in_dim))
     grad_out = rng.standard_normal((n, width))
     bn_args = (bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.momentum, bn.epsilon)
 
-    if dense.narrow:
+    if bn.narrow:
         out_ref, (centred, cw, inv_std), mean_ref, var_ref = dense_batch_norm_forward_narrow(
             x, dense.weights, *bn_args, dense.bias)
         g_x_ref, g_w_ref, g_gamma_ref, g_beta_ref = dense_batch_norm_backward_narrow(
             grad_out, centred, cw, inv_std, dense.weights, bn.gamma)
-        caches_ref = [centred, cw, centred, dense.weights, inv_std]
+        caches_ref = [x, centred, cw, inv_std]
     else:
         z_ref = x @ dense.weights
         out_ref, (centred, inv_std), mean_ref, var_ref = batch_norm_forward_train_centred(z_ref, *bn_args, dense.bias)
@@ -296,8 +297,8 @@ def test_train_step_kernels_equal_reference(n, width, in_dim, scale, learning_ra
         caches_ref = [x, centred, inv_std]
 
     out = net.forward(x, train=True)
-    caches = [dense._cache] if not dense.narrow else list(dense._cache)
-    caches += [c for c in bn._cache if c is not None]
+    assert dense._cache is None  # the dense layer does not run on its own
+    caches = [c for c in bn._cache if c is not None]
     assert _bytes(caches) == _bytes(caches_ref)
     assert _bytes([out, bn.running_mean, bn.running_var]) == _bytes([out_ref, mean_ref, var_ref])
     assert net.backward(grad_out) is None
@@ -368,7 +369,7 @@ def _pair_within_rounding_of_textbook(net, x, grad_out):
     dense, bn = net.layers
     weights, bias, gamma, beta_shift = dense.weights, dense.bias, bn.gamma, bn.beta_shift
     momentum, mean0, var0 = bn.momentum, bn.running_mean.copy(), bn.running_var.copy()
-    (n, k), width, narrow = x.shape, dense.out_dim, dense.narrow
+    (n, k), width, narrow = x.shape, dense.out_dim, bn.narrow
     t = 4 * (n + (k if narrow else 0) + 4) * _EPS
 
     z_t = dense_forward(x, weights, bias)
@@ -406,8 +407,13 @@ def _pair_within_rounding_of_textbook(net, x, grad_out):
     d_g_z = np.abs(gamma) * inv_std * ((d_inv_std + t) * terms + (d_x_hat * np.abs(g_gamma_t) + px * d_gamma) / n)
     if narrow:  # the gradient w.r.t. x W is never formed: bound by its terms
         ag_z, ax_in = np.abs(gamma) * inv_std * terms, np.abs(x) + np.abs(x).mean(axis=0)
-    else:
-        _within(bn.backward(grad_out, params=False), g_z_t, d_g_z)
+    else:  # the gradient w.r.t. x W, which a batch-norm layer on its own forms from x W
+        alone = BatchNormLayer(width, momentum, bn.epsilon)
+        alone.gamma, alone.beta_shift = gamma, beta_shift
+        alone.forward(x @ weights, train=True)
+        g_z = alone.backward(grad_out, params=False)
+        assert (g_z @ weights.T).tobytes() == g_x.tobytes()
+        _within(g_z, g_z_t, d_g_z)
         ag_z, ax_in = np.abs(g_z_t), np.abs(x)
     _within(g_weights, x.T @ g_z_t, ax_in.T @ (d_g_z + t * ag_z))
     assert (g_bias == 0.0).all()  # the textbook bias gradient sums a column that is 0 but for rounding
@@ -432,7 +438,7 @@ def test_fused_batch_norm_within_rounding_of_textbook(n, width, in_dim, scale, o
     1e3 times their spread off 0. Most of these shapes are narrow, so the
     pair is set to the kernel of the wider ones."""
     net = _dense_bn_net(seed, in_dim, width, scale, bias_scale=scale * offset)
-    net.layers[0].narrow = False
+    net.layers[1].narrow = False
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, in_dim)) + offset * rng.standard_normal(in_dim)
     _pair_within_rounding_of_textbook(net, x, rng.standard_normal((n, width)))
@@ -458,8 +464,8 @@ def test_narrow_pair_within_rounding_of_textbook(n, width, in_dim, scale, offset
     A one-hot input block has exactly collinear centred columns, and one
     constant weights column then gives a column of zero variance."""
     net = _dense_bn_net(seed, in_dim, width, scale, bias_scale=scale * offset)
-    dense = net.layers[0]
-    dense.narrow = True
+    dense, bn = net.layers
+    bn.narrow = True
     rng = np.random.default_rng(seed + 1)
     if one_hot:
         x = np.eye(in_dim)[rng.integers(0, in_dim, n)]
@@ -485,7 +491,7 @@ def test_narrow_running_var_stays_non_negative(tmp_path):
         bn.running_var[...] = 0.0
         x = np.eye(4)[rng.integers(0, 4, 100)] + 3.0 * rng.standard_normal(4)
         net.forward(x, train=True)
-        negative += np.einsum("ij,ij->j", dense.weights, dense._cache[1])[0] < 0.0
+        negative += np.einsum("ij,ij->j", dense.weights, bn._cache[2])[0] < 0.0
         assert (bn.running_var >= 0.0).all()
         net.save(tmp_path / "net.ckpt")
         Mlp.load(tmp_path / "net.ckpt")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import binary_toy_dataset
 from fairpen import metrics
-from fairpen.errors import DegenerateMetricError, UndefinedMetricError
+from fairpen.errors import DegenerateMetricError, DivergenceError, UndefinedMetricError
 from fairpen.training import evaluate_snapshot
 
 
@@ -70,8 +70,8 @@ class _NanScorer:
         return out
 
 
-def test_evaluate_snapshot_nan_scores_give_nan_cells():
-    report = evaluate_snapshot(_NanScorer(), binary_toy_dataset(60))
-    assert np.isnan(report.utility_value) and report.threshold is None
-    attr = report.attributes["a"]
-    assert np.isnan(attr.ks_gsp) and np.isnan(attr.ks_geo)
+def test_evaluate_snapshot_refuses_nan_scores():
+    """A NaN score is refused where it leaves the scorer, naming how many
+    rows, instead of reaching the metrics as NaN cells."""
+    with pytest.raises(DivergenceError, match=r"^1 of 60 rows scored non-finite$"):
+        evaluate_snapshot(_NanScorer(), binary_toy_dataset(60))

@@ -244,13 +244,16 @@ def test_shape_rule_picks_the_first_block_only(in_dim):
     pair on the narrow path and their 64 -> 64 pairs on the other; a pair
     is narrow up to an input half as wide as its output."""
     net = mlp(in_dim, [64, 64], rng=np.random.default_rng(0))
-    dense = [layer for layer in net.layers if isinstance(layer, DenseLayer)]
-    assert [layer.narrow for layer in dense] == [True, False, False]
-    assert [layer.input_grad_unread for layer in dense] == [True, False, False]
+    bn = [layer for layer in net.layers if isinstance(layer, BatchNormLayer)]
+    assert [layer.narrow for layer in bn] == [True, False]
+    assert [layer.dense for layer in bn] == [net.layers[0], net.layers[3]]
+    # the first stage, batch-norm running the first dense layer, forms no input gradient
+    assert [i for i, layer in enumerate(net.layers) if layer.input_grad_unread] == [1]
     rng = np.random.default_rng(1)
     for k, narrow in ((32, True), (33, False)):
-        assert Mlp([DenseLayer(k, 64, rng), BatchNormLayer(64)]).layers[0].narrow is narrow
-    assert not mlp(2, [64], rng=rng, batch_norm=False).layers[0].narrow  # no batch-norm after it
+        assert Mlp([DenseLayer(k, 64, rng), BatchNormLayer(64)]).layers[1].narrow is narrow
+    alone = Mlp([DenseLayer(2, 64, rng), ActivationLayer("relu"), BatchNormLayer(64)]).layers[2]
+    assert alone.dense is None and not alone.narrow  # no dense layer right before it
 
 
 def test_narrow_pair_after_the_first_block_trains_through_a_parameter_pass():
@@ -259,10 +262,43 @@ def test_narrow_pair_after_the_first_block_trains_through_a_parameter_pass():
     pass: every parameter gradient matches central differences."""
     rng = np.random.default_rng(21)
     net = mlp(4, [3, 8], rng=rng)
-    assert [layer.narrow for layer in net.layers if isinstance(layer, DenseLayer)] == [False, True, False]
+    assert [layer.narrow for layer in net.layers if isinstance(layer, BatchNormLayer)] == [False, True]
     x = rng.standard_normal((12, 4)) + 0.1
     y = rng.integers(0, 2, 12).astype(np.float64)
     assert check_network_gradients(net, bce_loss, x, y) < 1e-5
+
+
+@pytest.mark.parametrize("in_dim", [3, 5])  # at width 8, a narrow and a wide first pair
+def test_pair_keeps_its_stored_bias_which_still_counts(in_dim):
+    """The dense layer that a batch-norm layer runs keeps a nonzero stored
+    bias byte for byte through train steps, on either kernel, and its bias
+    gradient stays 0. Train mode leaves the bias out, so every other trained
+    array keeps the bits of a twin with a zero bias; the running mean still
+    tracks the biased input, and inference applies bias - running_mean."""
+    biased, plain = (mlp(in_dim, [8], rng=np.random.default_rng(31)) for _ in range(2))
+    assert biased.layers[1].dense is biased.layers[0] and biased.layers[1].narrow is (in_dim == 3)
+    biased.layers[0].bias[...] = np.random.default_rng(32).standard_normal(8)
+    bias = biased.layers[0].bias.copy()
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        x = rng.standard_normal((16, in_dim)) + 2.0
+        y = rng.integers(0, 2, 16).astype(np.float64)
+        for net in (biased, plain):
+            _, grad = bce_loss(net.forward(x, train=True)[:, 0], y)
+            net.backward(grad.reshape(-1, 1))
+            assert (net.layers[0].grad_bias == 0.0).all()
+            net.sgd_step(0.1)
+    assert biased.layers[0].bias.tobytes() == bias.tobytes()
+    trained = [a.tobytes() for net in (biased, plain) for i, a in enumerate(parameters(net)) if i != 1]
+    assert trained[:5] == trained[5:]
+    bn, bn_plain = biased.layers[1], plain.layers[1]
+    assert bn.running_var.tobytes() == bn_plain.running_var.tobytes()
+    assert np.allclose(bn.running_mean - bn_plain.running_mean, bias * (1 - 0.99**5), rtol=0.0, atol=1e-12)
+    x = rng.standard_normal((20, in_dim)) + 2.0
+    scores = biased.forward(x)
+    assert not np.allclose(scores, plain.forward(x), rtol=0.0, atol=1e-6)
+    bn_plain.running_mean[...] = bn.running_mean - bias  # the same bias - running_mean
+    assert np.allclose(scores, plain.forward(x), rtol=0.0, atol=1e-12)
 
 
 def test_parameter_views_alias_the_flat_buffers(tmp_path):
@@ -330,13 +366,13 @@ def test_layer_declaration_is_its_checkpoint_spec(make):
 
 def _inference_maps_finite(net):
     """Whether every array an inference pass runs on is finite: each layer's
-    parameters, with batch-norm maps folded in, and a batch-norm map left
-    alone."""
+    parameters, and each batch-norm layer's fold, with the dense layer
+    before it folded in or alone."""
     with np.errstate(over="ignore", invalid="ignore"):
         return all(
             np.isfinite(a).all()
-            for _, layer in net._inference_layers()
-            for a in (layer.affine() if isinstance(layer, BatchNormLayer) else
+            for layer in net.layers
+            for a in (layer.fold() if isinstance(layer, BatchNormLayer) else
                       [getattr(layer, name) for name in layer.PARAMS])
         )
 

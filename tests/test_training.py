@@ -207,3 +207,24 @@ def test_divergence_names_iteration_and_lambda():
     expected = r"lambda=0.5, iteration 1, [hD] layer \d+: non-finite"
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=expected):
         train(train_set, val, h, D, config)
+
+
+def test_evaluate_refuses_non_finite_scores():
+    """Finite weights whose inference pass overflows: the snapshot names how
+    many rows scored non-finite, and no numpy warning escapes."""
+    ds = binary_toy_dataset(100, seed=2)
+    h = mlp(ds.p, [4, 4], rng=np.random.default_rng(0), batch_norm=False)
+    h.layers[0].weights[...] = h.layers[2].weights[...] = 1e300
+    with pytest.raises(DivergenceError, match=r"^[1-9]\d* of 100 rows scored non-finite$"):
+        evaluate_snapshot(h, ds)
+
+
+def test_non_finite_snapshot_names_iteration_lambda_and_split(monkeypatch):
+    def diverging(h, dataset):
+        raise DivergenceError(f"1 of {dataset.n} rows scored non-finite")
+
+    train_set, val, h, D, config = _setup(lam=0.5, T=10)
+    monkeypatch.setattr("fairpen.training.evaluate_snapshot", diverging)
+    expected = rf"^lambda=0.5, iteration 10, h on the train split: 1 of {train_set.n} rows scored non-finite$"
+    with pytest.raises(DivergenceError, match=expected):
+        train(train_set, val, h, D, config)
