@@ -5,7 +5,9 @@ from rows whose attribute was resampled from its marginal. The independence
 penalty contrasts (score, attribute) pairs; the separation penalty
 contrasts (score, attribute, outcome) and reweights the resampled term by
 an odds-based density-ratio estimate, which is itself pre-trained by
-contrasting (attribute, outcome) pairs.
+contrasting (attribute, outcome) pairs. The trainer's D step and each
+iteration of the ratio pre-training take the same ``ascend`` step, on
+blocks that ``contrast_blocks`` builds from a minibatch.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import TabularDataset, minibatch_construct, rng_streams
+from .data import Minibatch, TabularDataset, minibatch_construct, rng_streams
 from .errors import DimensionError, DivergenceError
 from .nn import Mlp, clamp_prob, mlp
 
@@ -59,6 +61,33 @@ def contrast(
     return value, None if params else grad_in[:n] + grad_in[n:]
 
 
+def contrast_blocks(mb: Minibatch, s=None, with_y: bool = False, beta: DensityRatio | None = None) -> tuple:
+    """The real block [s, a, y], the resampled block [s, a', y] and the
+    resampled term's weight beta(a, y), or 1.0 without ``beta``; the score
+    column ``s`` and the outcome ``y`` are each present only if given."""
+    head = () if s is None else (s,)
+    tail = (mb.y,) if with_y else ()
+    real = np.column_stack([*head, mb.a, *tail])
+    fake = np.column_stack([*head, mb.a_prime, *tail])
+    return real, fake, 1.0 if beta is None else beta(mb.a, mb.y)
+
+
+def step(net: Mlp, learning_rate: float, where: str, maximize: bool = False) -> None:
+    """``net.sgd_step``, with ``where`` put before the text of any
+    ``DivergenceError`` it raises."""
+    try:
+        net.sgd_step(learning_rate, maximize=maximize)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{where}{exc}") from exc
+
+
+def ascend(net: Mlp, blocks: tuple, learning_rate: float, where: str) -> None:
+    """One ascent step of ``net`` on the contrast of ``blocks``, the
+    (real, fake, w) of ``contrast_blocks``."""
+    contrast(net, *blocks)
+    step(net, learning_rate, where, maximize=True)
+
+
 def pretrain_density_ratio(
     dataset: TabularDataset,
     L: int,
@@ -75,11 +104,7 @@ def pretrain_density_ratio(
     net = mlp(dataset.l + 1, [64, 64], rng=streams["init"], batch_norm=False)
     for t in range(1, L + 1):
         mb = minibatch_construct(dataset, n_b, sampler, streams["batch"], streams["sampler"])
-        contrast(net, np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y]))
-        try:
-            net.sgd_step(learning_rate, maximize=True)
-        except DivergenceError as exc:
-            raise DivergenceError(f"density-ratio pre-training, iteration {t}, {exc}") from exc
+        ascend(net, contrast_blocks(mb, with_y=True), learning_rate, f"density-ratio pre-training, iteration {t}, ")
 
     def beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = clamp_prob(net.forward(np.column_stack([a, y]))[:, 0])

@@ -11,7 +11,7 @@ from . import metrics
 from .data import TabularDataset, minibatch_construct, rng_streams
 from .errors import ConfigError, DegenerateMetricError, DivergenceError, UndefinedMetricError
 from .nn import Mlp, bce_loss, mae_loss
-from .penalties import DensityRatio, contrast
+from .penalties import DensityRatio, ascend, contrast, contrast_blocks, step
 
 
 @dataclass
@@ -109,13 +109,6 @@ def _safe(fn, *args) -> float:
         return float("nan")
 
 
-def _snapshot_iterations(T: int, interval: int) -> list[int]:
-    its = list(range(interval, T + 1, interval))
-    if not its or its[-1] != T:
-        its.append(T)
-    return its
-
-
 def train(
     train_set: TabularDataset,
     val_set: TabularDataset,
@@ -141,42 +134,30 @@ def train(
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
     loss_fn = mae_loss if train_set.outcome_column.kind == "continuous" else bce_loss
     lam_m, lam_f = config.weights()
-    eval_at = set(_snapshot_iterations(config.T, config.eval_interval))
+    eval_at = {*range(config.eval_interval, config.T + 1, config.eval_interval), config.T}
     snapshots: list[Snapshot] = []
 
-    def sgd_step(net: Mlp, name: str, maximize: bool = False) -> None:
-        try:
-            net.sgd_step(config.learning_rate, maximize=maximize)
-        except DivergenceError as exc:
-            raise DivergenceError(f"lambda={config.lam:g}, iteration {t}, {name} {exc}") from exc
-
     for t in range(1, config.T + 1):
+        where = f"lambda={config.lam:g}, iteration {t}, "
         mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
         s = h.forward(mb.x, train=True)
         _, grad_p = loss_fn(s[:, 0], mb.y)
         grad_s = lam_m * grad_p.reshape(-1, 1)
         if lam_f > 0.0:  # the adversary exists only where the penalty has weight
-            if beta is None:
-                real, fake, w = np.column_stack([s, mb.a]), np.column_stack([s, mb.a_prime]), 1.0
-            else:
-                real = np.column_stack([s, mb.a, mb.y])
-                fake = np.column_stack([s, mb.a_prime, mb.y])
-                w = beta(mb.a, mb.y)
+            blocks = contrast_blocks(mb, s, beta is not None, beta)
             for _ in range(config.T_prime):
-                contrast(D, real, fake, w)
-                sgd_step(D, "D", maximize=True)
-            _, pen_grad = contrast(D, real, fake, w, params=False)
+                ascend(D, blocks, config.learning_rate, where + "D ")
+            _, pen_grad = contrast(D, *blocks, params=False)
             grad_s = grad_s + lam_f * pen_grad[:, :1]
         h.backward(grad_s)
-        sgd_step(h, "h")
+        step(h, config.learning_rate, where + "h ")
 
         if t in eval_at:
             for split, data in (("train", train_set), ("validation", val_set)):
                 try:
                     snapshots.append(Snapshot(t, split, evaluate_snapshot(h, data)))
                 except DivergenceError as exc:
-                    where = f"lambda={config.lam:g}, iteration {t}, h on the {split} split"
-                    raise DivergenceError(f"{where}: {exc}") from exc
+                    raise DivergenceError(f"{where}h on the {split} split: {exc}") from exc
 
     return snapshots
 

@@ -78,6 +78,21 @@ def parameters(net) -> list[np.ndarray]:
     return [getattr(layer, name) for layer in net.layers for name in layer.PARAMS]
 
 
+def trained_state(net) -> list[np.ndarray]:
+    """Every parameter of ``net`` and every batch-norm running statistic."""
+    stats = [getattr(layer, name) for layer in net.layers for name in ("running_mean", "running_var")
+             if hasattr(layer, name)]
+    return parameters(net) + stats
+
+
+def huge_weights(net) -> None:
+    """Set every dense weight of ``net`` to the largest float: its first
+    training pass overflows, and its first SGD step leaves a non-finite parameter."""
+    for layer in net.layers:
+        if hasattr(layer, "weights"):
+            layer.weights[...] = np.finfo(np.float64).max
+
+
 def gradients(net) -> list[np.ndarray]:
     """Every parameter gradient of ``net``, layer by layer, as views into its buffer."""
     return [getattr(layer, "grad_" + name) for layer in net.layers for name in layer.PARAMS]

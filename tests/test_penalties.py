@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, gradients, parameters, zero_gradients
+from conftest import binary_toy_dataset, gradients, huge_weights, parameters, trained_state, zero_gradients
 from gradcheck import relative_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_kernels import pmf_ratio_table
-from fairpen.data import ColumnSchema, TabularDataset
-from fairpen.errors import DimensionError
+from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct, rng_streams
+from fairpen.errors import DimensionError, DivergenceError
 from fairpen.oracles import optimal_gsp_discriminator_oracle, table5_toy, table5_true_ratios
 from fairpen.penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
-from fairpen.nn import mlp
+from fairpen.nn import clamp_prob, mlp
 
 
 def _half_net(in_dim):
@@ -205,6 +205,48 @@ def test_pretrain_density_ratio_is_deterministic():
     a = np.array([[0.0], [1.0]])
     y = np.array([1.0, 1.0])
     assert np.array_equal(e1(a, y), e2(a, y))
+
+
+def _recording_mlp(monkeypatch, change=lambda net: None):
+    """Record each net that ``pretrain_density_ratio`` builds, after
+    ``change`` has been applied to it; returns the list of nets."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(mlp(*args, **kwargs))
+        change(built[-1])
+        return built[-1]
+
+    monkeypatch.setattr("fairpen.penalties.mlp", recording)
+    return built
+
+
+def test_pretrain_density_ratio_bit_identical_to_hand_loop(monkeypatch):
+    ds = table5_toy(500, seed=0)
+    L, n_b, learning_rate, seed = 40, 50, 0.05, 3
+    built = _recording_mlp(monkeypatch)
+    beta = pretrain_density_ratio(ds, L=L, n_b=n_b, learning_rate=learning_rate, seed=seed)
+
+    streams = rng_streams(seed)
+    net = mlp(ds.l + 1, [64, 64], rng=streams["init"], batch_norm=False)
+    for _ in range(L):
+        mb = minibatch_construct(ds, n_b, "within_batch", streams["batch"], streams["sampler"])
+        contrast(net, np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y]))
+        net.sgd_step(learning_rate, maximize=True)
+
+    (trained,) = built
+    for p_trained, p_hand in zip(trained_state(trained), trained_state(net), strict=True):
+        assert np.array_equal(p_trained, p_hand)
+    a, y = ds.A, ds.Y
+    d = clamp_prob(net.forward(np.column_stack([a, y]))[:, 0])
+    assert np.array_equal(beta(a, y), d / (1.0 - d))
+
+
+def test_pretrain_divergence_names_its_iteration(monkeypatch):
+    _recording_mlp(monkeypatch, huge_weights)
+    expected = r"^density-ratio pre-training, iteration 1, layer \d+: non-finite parameter after SGD step$"
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=expected):
+        pretrain_density_ratio(table5_toy(200, seed=0), L=5, n_b=50)
 
 
 def test_pretrain_density_ratio_moves_toward_truth():

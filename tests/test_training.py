@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, conditional_independent_toy, parameters, regression_toy_dataset
+from conftest import (
+    binary_toy_dataset, conditional_independent_toy, huge_weights, parameters, regression_toy_dataset,
+    trained_state,
+)
 from fairpen.data import minibatch_construct, split_train_val
 from fairpen.errors import ConfigError, DivergenceError
 from fairpen.nn import Mlp, bce_loss, mae_loss, mlp
-from fairpen.penalties import pretrain_density_ratio
+from fairpen.penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
 from fairpen.training import (
     Snapshot,
     TrainConfig,
@@ -75,6 +78,40 @@ def test_lambda_zero_bit_identical_to_erm(toy, loss_fn):
 
     for p_trained, p_erm in zip(parameters(h), parameters(h2)):
         assert np.array_equal(p_trained, p_erm)
+
+
+@pytest.mark.parametrize("criterion", ["gsp", "geo"])
+def test_penalized_train_bit_identical_to_hand_loop(criterion):
+    # lam = 0.5 and two D steps per iteration; geo weights the resampled term
+    # by the empirical ratio, gsp by 1
+    train_set, val, h, D, config = _setup(lam=0.5, T=25, criterion=criterion, T_prime=2)
+    beta = empirical_pmf_ratio(train_set) if criterion == "geo" else None
+    train(train_set, val, h, D, config, beta=beta)
+
+    streams = rng_streams(config.seed)
+    h2 = mlp(train_set.p, [8, 8], rng=streams["init"], batch_norm=True)
+    D2 = mlp(1 + train_set.l + (criterion == "geo"), [8, 8], rng=streams["init"], batch_norm=True)
+    batch_rng, sampler_rng = streams["batch"], streams["sampler"]
+    lam_m, lam_f = config.weights()
+    for _ in range(config.T):
+        mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
+        s = h2.forward(mb.x, train=True)
+        _, grad = bce_loss(s[:, 0], mb.y)
+        if beta is None:
+            real, fake, w = np.column_stack([s, mb.a]), np.column_stack([s, mb.a_prime]), 1.0
+        else:
+            real, fake = np.column_stack([s, mb.a, mb.y]), np.column_stack([s, mb.a_prime, mb.y])
+            w = beta(mb.a, mb.y)
+        for _ in range(config.T_prime):
+            contrast(D2, real, fake, w)
+            D2.sgd_step(config.learning_rate, maximize=True)
+        _, pen_grad = contrast(D2, real, fake, w, params=False)
+        h2.backward(lam_m * grad.reshape(-1, 1) + lam_f * pen_grad[:, :1])
+        h2.sgd_step(config.learning_rate)
+
+    for net, hand in ((h, h2), (D, D2)):
+        for trained, expected in zip(trained_state(net), trained_state(hand), strict=True):
+            assert np.array_equal(trained, expected)
 
 
 def test_lambda_one_ignores_utility():
@@ -204,7 +241,21 @@ def test_snapshot_csv_rows_blank_for_missing():
 
 def test_divergence_names_iteration_and_lambda():
     train_set, val, h, D, config = _setup(lam=0.5, learning_rate=1e300)
-    expected = r"lambda=0.5, iteration 1, [hD] layer \d+: non-finite"
+    expected = r"^lambda=0\.5, iteration 1, [hD] layer \d+: non-finite parameter after SGD step$"
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=expected):
+        train(train_set, val, h, D, config)
+
+
+@pytest.mark.parametrize(
+    "lam, name",
+    [(0.5, "D"), (0.0, "h")],
+    ids=["D_at_lambda_half", "h_at_lambda_zero"],
+)
+def test_divergence_names_the_net_that_diverged(lam, name):
+    # only that net's weights are huge; its first SGD step leaves a non-finite parameter
+    train_set, val, h, D, config = _setup(lam=lam)
+    huge_weights(D if name == "D" else h)
+    expected = rf"^lambda={lam:g}, iteration 1, {name} layer \d+: non-finite parameter after SGD step$"
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=expected):
         train(train_set, val, h, D, config)
 
