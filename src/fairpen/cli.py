@@ -148,6 +148,7 @@ def cmd_train(args) -> int:
     # on lambda: compute them once and share them across the grid.
     base = configs[0]
     train_set, val_set = split_train_val(dataset, fraction=0.8, seed=base.seed)
+    del dataset  # the splits hold copies of every row
     where = f"{args.config}: [train] n_b" if "train.n_b" in cfg else "[train] n_b (default)"
     if base.n_b > train_set.n:
         raise ConfigError(f"{where}: batch size {base.n_b} exceeds the training split's {train_set.n} rows")
@@ -165,7 +166,7 @@ def cmd_train(args) -> int:
             sampler=base.sampler,
         )
         beta_rows = _beta_table_rows(beta, train_set)
-    attr_names = [c.name for c in dataset.sensitive_columns]
+    attr_names = [c.name for c in train_set.sensitive_columns]
     for config in configs:
         init_rng = rng_streams(config.seed)["init"]
         h, D = default_networks(train_set, args.criterion, init_rng)

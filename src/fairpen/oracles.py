@@ -67,6 +67,37 @@ def synth_bias(n: int, rho: float, noise: float = 1.0, seed: int = 0) -> Tabular
     )
 
 
+def synth_bias_fair_floor(rho: float, noise: float = 1.0) -> float:
+    """Population AUC of scoring by x2 alone under ``synth_bias``'s law: the
+    utility of a scorer that is fair by construction, since x2 is
+    independent of (x1, A). P(Y=1 | x2) = E[sigma(3*x1 + x2)] rises with
+    x2, so x2 itself is the best scorer that reads only x2.
+
+    Quadrature: Gauss-Legendre over A; the trapezoid rule over the noise
+    on [-9, 9] in steps fine enough for sigma's poles (error below 1e-9);
+    the trapezoid rule on a uniform x2 grid over [-12, 12]. With f1 and f0
+    the densities of x2 and Y = 1 or 0, the AUC is
+    P(x2 of a positive > x2 of a negative) = int f1 F0 / (P(Y=1) P(Y=0)),
+    F0 the running integral of f0. Converged to about 1e-7.
+    """
+    u, w_u = np.polynomial.legendre.leggauss(64)  # u = 2A - 1, uniform on [-1, 1]
+    e, h_e = np.linspace(-9.0, 9.0, int(np.ceil(60 * max(noise, 1.0))) + 1, retstep=True)
+    w_e = h_e * np.exp(-0.5 * e**2) / np.sqrt(2.0 * np.pi)  # the end weights are below 1e-18
+    x2, h = np.linspace(-12.0, 12.0, 4801, retstep=True)
+    p_y1 = np.zeros_like(x2)  # P(Y=1 | x2)
+    for u_i, w_i in zip(u, w_u / 2.0):
+        x1 = rho * u_i + noise * e
+        p_y1 += w_i * (sigmoid(3.0 * x1[None, :] + x2[:, None]) @ w_e)
+    phi = np.exp(-0.5 * x2**2) / np.sqrt(2.0 * np.pi)
+    f1, f0 = phi * p_y1, phi * (1.0 - p_y1)
+
+    def trapezoid(f):
+        return h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+    F0 = np.concatenate([[0.0], np.cumsum(0.5 * h * (f0[1:] + f0[:-1]))])
+    return float(trapezoid(f1 * F0) / (trapezoid(f1) * trapezoid(f0)))
+
+
 def brute_force_ks(scores: np.ndarray, group_mask: np.ndarray) -> float:
     """Max over all real thresholds of |CDF_group - CDF_all|, enumerated at
     observed values and midpoints. Independent of the metrics module."""

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,31 @@ from fairpen.nn import sigmoid
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def map_in_workers(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` in a ``spawn`` pool of at most one
+    worker per core, each with one BLAS thread. ``fn`` must be a module-level
+    function. The workers read the BLAS thread variables when they import
+    numpy, so they are set only while the pool starts. A RuntimeWarning in
+    a worker raises, as pyproject.toml makes it do in the test process."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(
+            min(cores, len(items)), initializer=warnings.simplefilter, initargs=("error", RuntimeWarning))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    with pool:
+        return pool.map_async(fn, items, chunksize=1).get(timeout=900)  # a hung worker fails the test
 
 
 def binary_toy_dataset(n: int, seed: int = 0, a_rate: float = 0.5) -> TabularDataset:

@@ -10,7 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, conditional_independent_toy, destandardized_features, parameters
+from conftest import (
+    binary_toy_dataset, conditional_independent_toy, destandardized_features, map_in_workers, parameters,
+)
 from gradcheck import check_network_gradients, random_config
 from fairpen.cli import main
 from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct, split_train_val
@@ -43,15 +45,16 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _criterion_01_errors(seed):
+    """The absolute error of each cell's estimated ratio for one seed."""
+    dataset = table5_toy(10_000, seed=seed)
+    beta = pretrain_density_ratio(dataset, L=10_000, n_b=100, seed=seed)
+    return [abs(float(beta(np.array([[float(a)]]), np.array([float(y)]))[0]) - ratio)
+            for (a, y), ratio in table5_true_ratios().items()]
+
+
 def test_criterion_01_density_ratio_toy_reproduction():
-    true = table5_true_ratios()
-    errors = []
-    for seed in range(5):
-        dataset = table5_toy(10_000, seed=seed)
-        beta = pretrain_density_ratio(dataset, L=10_000, n_b=100, seed=seed)
-        for (a, y), ratio in true.items():
-            est = float(beta(np.array([[float(a)]]), np.array([float(y)]))[0])
-            errors.append(abs(est - ratio))
+    errors = [err for seed_errors in map_in_workers(_criterion_01_errors, range(5)) for err in seed_errors]
     mean_err = float(np.mean(errors))
     _report("1 density-ratio toy", mean_err < 0.02, f"mean abs error {mean_err:.4f} over 5 seeds")
 
@@ -160,23 +163,27 @@ def test_criterion_05_lambda_zero_erm_equivalence():
     _report("5 lambda=0 equivalence", identical, "h trajectory bit-identical to plain ERM")
 
 
-def test_criterion_06_fairness_utility_tradeoff():
-    def run(seed, lam):
-        dataset = synth_bias(n=10_000, rho=1.0, seed=seed)
-        train_set, val_set = split_train_val(dataset, 0.75, seed=seed)
-        streams = rng_streams(seed)
-        h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)
-        D = mlp(1 + train_set.l, [64, 64], rng=streams["init"], batch_norm=True)
-        config = TrainConfig(lam=lam, T=2000, seed=seed, eval_interval=2000)
-        snapshots = train(train_set, val_set, h, D, config)
-        report = [s for s in snapshots if s.split == "validation"][-1].report
-        return report.utility_value, report.attributes["a"].ks_gsp
+def _criterion_06_run(seed_lam):
+    """(validation AUC, a's KS gap) of one training run at (seed, lambda)."""
+    seed, lam = seed_lam
+    dataset = synth_bias(n=10_000, rho=1.0, seed=seed)
+    train_set, val_set = split_train_val(dataset, 0.75, seed=seed)
+    streams = rng_streams(seed)
+    h = mlp(train_set.p, [64, 64, 64], rng=streams["init"], batch_norm=True)
+    D = mlp(1 + train_set.l, [64, 64], rng=streams["init"], batch_norm=True)
+    config = TrainConfig(lam=lam, T=2000, seed=seed, eval_interval=2000)
+    snapshots = train(train_set, val_set, h, D, config)
+    report = [s for s in snapshots if s.split == "validation"][-1].report
+    return report.utility_value, report.attributes["a"].ks_gsp
 
+
+def test_criterion_06_fairness_utility_tradeoff():
+    runs = iter(map_in_workers(_criterion_06_run, [(seed, lam) for seed in range(5) for lam in (0.1, 0.9)]))
     ks_wins = auc_wins = 0
     details = []
     for seed in range(5):
-        auc_lo, ks_lo = run(seed, 0.1)
-        auc_hi, ks_hi = run(seed, 0.9)
+        auc_lo, ks_lo = next(runs)
+        auc_hi, ks_hi = next(runs)
         ks_wins += ks_hi < ks_lo
         auc_wins += auc_hi <= auc_lo
         details.append(f"seed {seed}: ks {ks_lo:.3f}->{ks_hi:.3f} auc {auc_lo:.3f}->{auc_hi:.3f}")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
     binary_toy_dataset, destandardized_features, regression_toy_dataset, rewrite_checkpoint_layer,
     set_checkpoint_layer_value,
 )
-from fairpen import penalties
+from fairpen import cli, penalties, training
 from fairpen.cli import default_networks, load_schema, main
 from fairpen.nn import mlp
 
@@ -143,6 +144,26 @@ def test_train_geo_pretrains_once_per_grid(tmp_path, monkeypatch):
     run = tmp_path / "runs" / "r1"
     tables = [(run / d / "beta_table.csv").read_bytes() for d in ("lambda=0.5", "lambda=0.9")]
     assert tables[0] == tables[1]
+
+
+def test_train_releases_the_loaded_dataset_before_training(tmp_path, monkeypatch):
+    csv_path, schema_path = _write_dataset(tmp_path)
+    loaded, seen = [], []
+    load, fit = cli.load_csv, training.train
+
+    def recording_load(*args):
+        dataset = load(*args)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def checking_train(*args, **kwargs):
+        seen.append(loaded[0]() is None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", recording_load)
+    monkeypatch.setattr(training, "train", checking_train)
+    assert main(_train_args(tmp_path, csv_path, schema_path, "--lambda", "0")) == 0
+    assert seen == [True, True]
 
 
 def test_beta_table_and_ratio_toy_call_beta_once(tmp_path, monkeypatch):
@@ -592,6 +613,12 @@ def _bad_input(tmp_path, case):
     if case == "data_oversized_field":
         csv_path.write_text('x1,x2,a,y\n0.1,0.3,0,1\n"' + "9" * 200_000 + '",0.4,1,1\n')
         return train, [str(csv_path), "row 3", "field larger than field limit"]
+    if case == "data_mean_overflows":
+        csv_path.write_text("x1,x2,a,y\n1e308,0.1,0,1\n1.5e308,0.2,1,0\n")
+        return train, [str(csv_path), "column 'x1' overflows when scaled"]
+    if case == "data_std_overflows":
+        csv_path.write_text("x1,x2,a,y\n1e200,0.1,0,1\n-1e200,0.2,1,0\n3,0.3,0,1\n")
+        return train, [str(csv_path), "column 'x1' overflows when scaled"]
     if case == "schema_not_utf8":
         schema_path.write_bytes(b'[{"name": "x\xe9", "role": "feature", "kind": "continuous"}]')
         return train, [str(schema_path), "not UTF-8"]
@@ -667,6 +694,7 @@ def _bad_input(tmp_path, case):
      "learning_rate_nan", "learning_rate_inf", "out_is_a_file", "pareto_bad_utility",
      "pareto_bad_fairness", "pareto_no_utility_column", "short_row", "pareto_mixed_utility",
      "pareto_inf_utility", "pareto_inf_fairness", "data_not_utf8", "data_oversized_field",
+     "data_mean_overflows", "data_std_overflows",
      "schema_not_utf8", "pareto_not_utf8", "pareto_oversized_field", "schema_categories_int",
      "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
      "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", "lambda_empty_grid",

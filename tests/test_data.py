@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +123,11 @@ def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):
 
 def test_load_csv_rejects_scaling_overflow(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("x1,a,y\n1e308,0,1\n1.5e308,1,0\n")
-    with np.errstate(all="ignore"), pytest.raises(IngestionError, match="column 'x1' overflows"):
+    path.write_text("x1,a,y\n1e308,0,1\n1.5e308,1,0\n")  # the mean overflows
+    with pytest.raises(IngestionError, match=r"d\.csv: column 'x1' overflows when scaled"):
+        load_csv(path, _schema())
+    path.write_text("x1,a,y\n1e200,0,1\n-1e200,1,0\n3,0,1\n")  # the standard deviation overflows
+    with pytest.raises(IngestionError, match=r"d\.csv: column 'x1' overflows when scaled"):
         load_csv(path, _schema())
 
 
@@ -153,12 +157,107 @@ def test_load_csv_never_returns_non_finite(rows):
         path = Path(tmp) / "d.csv"
         path.write_text("x1,s,a,y\n" + "".join(",".join(r) + "\n" for r in rows))
         try:
-            with np.errstate(all="ignore"):
-                ds = load_csv(path, schema)
+            ds = load_csv(path, schema)
         except IngestionError:
             return
     for arr in (ds.X, ds.A, ds.A_raw, ds.Y):
         assert np.isfinite(arr).all()
+
+
+# Mixed columns: two continuous features, a 3-category feature, a
+# continuous, a 4-category and a binary attribute, a binary outcome.
+_MIXED_SCHEMA = [
+    ColumnSchema("x1", "feature", "continuous"),
+    ColumnSchema("job", "feature", "categorical", ("p", "q", "r")),
+    ColumnSchema("x2", "feature", "continuous"),
+    ColumnSchema("age", "sensitive", "continuous"),
+    ColumnSchema("region", "sensitive", "categorical", ("n", "s", "e", "w")),
+    ColumnSchema("sex", "sensitive", "binary"),
+    ColumnSchema("y", "outcome", "binary"),
+]
+
+
+def _textbook_encode(columns: dict, schema: list[ColumnSchema]):
+    """The encoded blocks built column by column with np.column_stack, then
+    X = (raw - mean) / std: (raw, X, A, A_raw, Y), or None where a feature's
+    mean or std, or an attribute's or the outcome's min-max, is not finite."""
+    def block(role, minmax):
+        out = []
+        for col in (c for c in schema if c.role == role):
+            v = columns[col.name]
+            if col.kind == "categorical" and len(col.categories) > 2:
+                out += [(v == k).astype(np.float64) for k in range(len(col.categories))]
+            elif col.kind == "continuous" and minmax:
+                lo, hi = v.min(), v.max()
+                out.append((v - lo) / (hi - lo if hi > lo else 1.0))
+            else:
+                out.append(v.copy())
+        return np.column_stack(out)
+
+    with np.errstate(all="ignore"):
+        raw, A, Y = block("feature", False), block("sensitive", True), block("outcome", True)[:, 0]
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+        X = (raw - mean) / np.where(std > 0, std, 1.0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and np.isfinite(A).all() and np.isfinite(Y).all()):
+        return None
+    A_raw = np.column_stack([columns[c.name] for c in schema if c.role == "sensitive"])
+    return raw, X, A, A_raw, Y
+
+
+# finite cells whose z-score or min-max may overflow, beside ordinary ones
+_wide_cells = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e200, -1e200, 1e308, 1.5e308, 0.0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_load_csv_equals_textbook_encode(data):
+    n = data.draw(st.integers(1, 30))
+    columns = {}
+    for col in _MIXED_SCHEMA:
+        if col.kind == "continuous":
+            values = data.draw(st.lists(_wide_cells, min_size=n, max_size=n))
+        else:
+            values = data.draw(st.lists(st.integers(0, len(col.categories or (0, 1)) - 1), min_size=n, max_size=n))
+        columns[col.name] = np.array(values, dtype=np.float64)
+    cells = [[repr(float(columns[c.name][i])) if c.kind != "categorical" else c.categories[int(columns[c.name][i])]
+              for c in _MIXED_SCHEMA] for i in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(",".join(c.name for c in _MIXED_SCHEMA) + "\n" + "".join(",".join(r) + "\n" for r in cells))
+        expected = _textbook_encode(columns, _MIXED_SCHEMA)
+        if expected is None:
+            with pytest.raises(IngestionError, match="overflows when scaled"):
+                load_csv(path, _MIXED_SCHEMA)
+            return
+        ds = load_csv(path, _MIXED_SCHEMA)
+    for got, want in zip((ds._raw_features, ds.X, ds.A, ds.A_raw, ds.Y), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_load_csv_peak_memory_is_the_table_and_the_result(tmp_path):
+    n = 60_000
+    rng = np.random.default_rng(0)
+    columns = {
+        "x1": rng.standard_normal(n), "job": rng.integers(0, 3, n), "x2": rng.standard_normal(n),
+        "age": rng.integers(18, 81, n), "region": rng.integers(0, 4, n), "sex": rng.integers(0, 2, n),
+        "y": rng.integers(0, 2, n),
+    }
+    cells = [[f"{v:.6f}" for v in columns[c.name]] if c.kind == "continuous" and c.role == "feature"
+             else [c.categories[k] for k in columns[c.name]] if c.kind == "categorical"
+             else list(map(str, columns[c.name])) for c in _MIXED_SCHEMA]
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(c.name for c in _MIXED_SCHEMA) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
+    del cells
+    table_bytes = n * len(_MIXED_SCHEMA) * 8
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, _MIXED_SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (ds.X, ds._raw_features, ds.A, ds.A_raw, ds.Y))
+    assert returned == n * (5 + 5 + 6 + 3 + 1) * 8
+    assert peak <= table_bytes + returned + 2**20, (peak / n, (table_bytes + returned) / n)
 
 
 def test_load_csv_empty_inputs(tmp_path):
