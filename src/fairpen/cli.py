@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import itertools
 import json
 import math
@@ -102,13 +101,33 @@ def default_networks(dataset, criterion: str, rng: np.random.Generator):
     return h, d_net
 
 
-def _write_csv(path, rows) -> None:
-    """Write CSV rows, or raise ConfigError naming a path that cannot be written."""
+def _csv_cell(text: str) -> str:
+    """One cell as ``csv.writer`` writes it by default (QUOTE_MINIMAL):
+    quoted, with every ``"`` doubled, if it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(cells) -> str:
+    """One record as ``csv.writer(f).writerow(cells)`` writes it, cells being
+    strings; a record of one empty cell is ``""`` so that it is not a blank line."""
+    line = ",".join(map(_csv_cell, cells))
+    return f"{line}\r\n" if line or len(cells) != 1 else '""\r\n'
+
+
+def _write_lines(path, lines) -> None:
+    """Write text lines, or raise ConfigError naming a path that cannot be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            csv.writer(f).writerows(rows)
+            f.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+def _write_csv(path, rows) -> None:
+    """Write rows of string cells as CSV records (see ``_write_lines``)."""
+    _write_lines(path, map(_csv_line, rows))
 
 
 def cmd_train(args) -> int:
@@ -273,10 +292,16 @@ def cmd_pareto(args) -> int:
     if first_utility == "mae":  # rank by -MAE
         points[:, 0] *= -1.0
     flags = metrics.frontier_flags(points)
+    # One f-string per row. Only the run ids, the iteration cells and the
+    # column name can need quoting, so each distinct one is quoted once; the
+    # repr of a finite float and the 0/1 flag never need it.
     header = ["run_id", "iteration", "utility", "fairness_metric_name", "fairness_value", "on_frontier"]
-    _write_csv(args.out, itertools.chain([header], zip(
-        itertools.chain.from_iterable(itertools.repeat(*r) for r in run_ids), iterations,
-        map(repr, utilities), itertools.repeat(column), map(repr, fairness), map(int, flags),
+    runs = itertools.chain.from_iterable(itertools.repeat(_csv_cell(r), n) for r, n in run_ids)
+    quoted = {it: _csv_cell(it) for it in set(iterations)}
+    column_cell = _csv_cell(column)
+    _write_lines(args.out, itertools.chain([_csv_line(header)], (
+        f"{run},{quoted[it]},{u!r},{column_cell},{f!r},{flag:d}\r\n"
+        for run, it, u, f, flag in zip(runs, iterations, utilities, fairness, flags)
     )))
     print(f"wrote {args.out}")
     if args.utility_threshold is not None:

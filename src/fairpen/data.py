@@ -299,19 +299,15 @@ def _read_table_numpy(path, schema: list[ColumnSchema]) -> np.ndarray | None:
     Each block is read with a line of zeros after it, and is refused
     unless it yields one row per non-empty line plus that line: a quoted
     field that runs past a line end would swallow the next line, and a
-    whitespace-only line would be read as a row. Categories are looked up
-    unstripped, so a padded cell is refused rather than stripped; a string
-    field is one character wider than the longest category, so a longer
-    cell cannot be truncated into a match.
+    whitespace-only line would be read as a row. A categorical column gets
+    its codes from one ``cells == category`` comparison per category, and
+    is refused if a cell matches none: cells are compared unstripped, so a
+    padded cell is refused rather than stripped, and a string field is one
+    character wider than the longest category, so a longer cell cannot be
+    truncated into a match.
     """
-    fields, codes = [], {}
-    for j, col in enumerate(schema):
-        if col.kind == "categorical":
-            fields.append((f"c{j}", f"U{max(map(len, col.categories)) + 1}"))
-            codes[j] = {c: float(i) for i, c in enumerate(col.categories)}
-        else:
-            fields.append((f"c{j}", np.float64))
-    dtype = np.dtype(fields)
+    dtype = np.dtype([(f"c{j}", f"U{max(map(len, col.categories)) + 1}" if col.kind == "categorical"
+                       else np.float64) for j, col in enumerate(schema)])
     limit = csv.field_size_limit()
     blocks = []
     with open_input(path) as f:
@@ -332,7 +328,11 @@ def _read_table_numpy(path, schema: list[ColumnSchema]) -> np.ndarray | None:
                 columns = []
                 for j, col in enumerate(schema):
                     if col.kind == "categorical":
-                        values = np.fromiter(map(codes[j].__getitem__, rows[f"c{j}"].tolist()), np.float64, n)
+                        cells, values = rows[f"c{j}"], np.full(n, -1.0)
+                        for k, category in enumerate(col.categories):
+                            values[cells == category] = k
+                        if (values < 0.0).any():
+                            return None
                     else:
                         values = rows[f"c{j}"]
                         if not np.isfinite(values).all():
@@ -341,7 +341,7 @@ def _read_table_numpy(path, schema: list[ColumnSchema]) -> np.ndarray | None:
                             return None
                     columns.append(values)
                 blocks.append(np.column_stack(columns))
-        except (StopIteration, csv.Error, IngestionError, KeyError, ValueError):
+        except (StopIteration, csv.Error, IngestionError, ValueError):
             return None
     return np.concatenate(blocks) if blocks else None
 
@@ -369,10 +369,12 @@ def load_csv(path, schema: list[ColumnSchema]) -> TabularDataset:
 
     Each encoded block is written straight from the parsed table, which is
     released before the z-scored features X are formed. Memory thus peaks
-    at the largest of twice the table (while reading), the table plus the
-    returned arrays other than X, and the returned arrays: 208 bytes a row
-    for a table of 9 columns that encodes into 7 feature and 6 attribute
-    columns, whose dataset takes 192.
+    at the larger of the table plus the returned arrays other than X, and
+    the returned arrays: 208 bytes a row for a table of 9 columns that
+    encodes into 7 feature and 6 attribute columns, whose dataset takes
+    192. Reading, which holds the table twice, stays below the first:
+    those arrays take at least one column per schema column plus one per
+    sensitive column.
     """
     validate_schema(schema)
     table = _read_table(path, schema)

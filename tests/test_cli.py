@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairpen
 from conftest import (
@@ -460,6 +463,32 @@ def test_pareto_topk_summary_printed(tmp_path, capsys):
     )
     assert rc == 0
     assert "top-2 fairness" in capsys.readouterr().out
+
+
+# cells built from the characters that decide csv's quoting, and some that do not
+_writer_cells = st.lists(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "中", "x", "0.5", ""]),
+                         max_size=4).map("".join)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_writer_cells, min_size=1, max_size=6))
+def test_csv_line_equals_csv_writer(cells):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    assert cli._csv_line(cells) == buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["pareto", "ratio-toy"])
+def test_output_that_cannot_be_written_is_named(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "o.csv"
+    if command == "pareto":
+        snap = tmp_path / "s1.csv"
+        _snapshot_csv(snap, [["100", "validation", "auc", "0.5", "0.5"]])
+        argv = ["pareto", str(snap), "--fairness-column", "a_ks_gsp", "--out", str(out)]
+    else:
+        argv = ["ratio-toy", "--n", "20", "--iters", "1", "--batch", "10", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
 
 
 def test_ratio_toy_output_format(tmp_path):

@@ -234,7 +234,38 @@ def test_load_csv_equals_textbook_encode(data):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# 40 continuous features, a continuous attribute and a continuous outcome:
+# the widest table for the fewest encoded columns, one per schema column
+_WIDE_SCHEMA = [ColumnSchema(f"x{i}", "feature", "continuous") for i in range(40)] + [
+    ColumnSchema("age", "sensitive", "continuous"), ColumnSchema("y", "outcome", "continuous")]
+
+
+def _load_csv_peak(path, schema):
+    """``load_csv``'s dataset, its traced memory peak and the bytes of its
+    table and of its returned arrays."""
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (ds.X, ds._raw_features, ds.A, ds.A_raw, ds.Y))
+    return ds, peak, ds.n * len(schema) * 8, returned
+
+
 def test_load_csv_peak_memory_is_the_table_and_the_result(tmp_path):
+    """Reading holds the table twice, but the returned arrays take at least
+    one column per schema column, so the peak stays within the table plus
+    the returned arrays for the mixed schema and for a wide, all-continuous
+    one, which encodes into the fewest columns per table column."""
+    n_wide = 30_000
+    path = tmp_path / "wide.csv"
+    values = np.round(np.random.default_rng(1).standard_normal((n_wide, len(_WIDE_SCHEMA))), 6)
+    path.write_text(",".join(c.name for c in _WIDE_SCHEMA) + "\n" + "".join(",".join(map(repr, row)) + "\n"
+                                                                     for row in values.tolist()))
+    _, peak, table_bytes, returned = _load_csv_peak(path, _WIDE_SCHEMA)
+    assert returned == n_wide * (40 + 40 + 1 + 1 + 1) * 8
+    assert peak <= table_bytes + returned + 2**20, (peak / n_wide, (table_bytes + returned) / n_wide)
     n = 60_000
     rng = np.random.default_rng(0)
     columns = {
@@ -248,14 +279,7 @@ def test_load_csv_peak_memory_is_the_table_and_the_result(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(",".join(c.name for c in _MIXED_SCHEMA) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
     del cells
-    table_bytes = n * len(_MIXED_SCHEMA) * 8
-    tracemalloc.start()
-    try:
-        ds = load_csv(path, _MIXED_SCHEMA)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    returned = sum(a.nbytes for a in (ds.X, ds._raw_features, ds.A, ds.A_raw, ds.Y))
+    ds, peak, table_bytes, returned = _load_csv_peak(path, _MIXED_SCHEMA)
     assert returned == n * (5 + 5 + 6 + 3 + 1) * 8
     assert peak <= table_bytes + returned + 2**20, (peak / n, (table_bytes + returned) / n)
 

@@ -910,6 +910,74 @@ def test_numpy_reader_takes_plain_blocks_and_refuses_the_rest(tmp_path, refusal)
     _assert_reads_as_cellwise(path)
 
 
+# "n" is a prefix of "nort", which is a prefix of "north", which is a prefix of "northwest"
+_REGION = ColumnSchema("region", "sensitive", "categorical", ("n", "north", "s", "south"))
+
+
+@pytest.mark.parametrize("cell, expected", [
+    ("nort", "unknown category 'nort'"),
+    ("northwest", "unknown category 'northwest'"),
+    (" north", None),
+    ("north ", None),
+    ("", "missing value"),
+], ids=["prefix", "extension", "padded before", "padded after", "empty"])
+def test_category_cells_that_match_no_category_fall_back_to_the_cellwise_parse(tmp_path, cell, expected):
+    """A cell that equals no category unstripped sends the file to the csv
+    path, which strips it and reads it or names it as it always has."""
+    schema = [ColumnSchema("x", "feature", "continuous"), _REGION, ColumnSchema("y", "outcome", "binary")]
+    rows = [[repr(0.5 * i), _REGION.categories[i % 4], str(i % 2)] for i in range(40)]
+    rows[17][1] = cell
+    path = tmp_path / "d.csv"
+    path.write_text("x,region,y\n" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    assert data._read_table_numpy(path, schema) is None
+    if expected is None:
+        table = data._read_table(path, schema)
+        assert table.tobytes() == parse_table_cellwise(path, schema).tobytes()
+        assert table[17, 1] == 1.0
+    else:
+        with pytest.raises(IngestionError) as got:
+            data._read_table(path, schema)
+        assert str(got.value) == f"{path}: row 19, column 'region': {expected}"
+
+
+# plain categories (no comma, quote, padding or line end), some prefixes of
+# others and some not ASCII
+_PLAIN_CATEGORIES = ["n", "north", "no", "s", "south", "é", "éé", "ß1", "x y", "中"]
+
+
+@st.composite
+def _mixed_schema_rows(draw):
+    kinds = draw(st.lists(st.sampled_from(["continuous", "binary", "categorical"]), min_size=1, max_size=6))
+    schema = []
+    for j, kind in enumerate(kinds):
+        cats = None
+        if kind == "categorical":
+            cats = tuple(draw(st.lists(st.sampled_from(_PLAIN_CATEGORIES), min_size=1, max_size=5, unique=True)))
+        schema.append(ColumnSchema(f"c{j}", "feature", kind, cats))
+    schema += [ColumnSchema("a", "sensitive", "binary"), ColumnSchema("y", "outcome", "binary")]
+    cell = {"continuous": st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+            "binary": st.sampled_from(["0", "1", "1.0", "-0.0"])}
+    rows = [[draw(st.sampled_from(c.categories) if c.kind == "categorical" else cell[c.kind]) for c in schema]
+            for _ in range(draw(st.integers(1, 20)))]
+    return schema, rows
+
+
+@settings(deadline=None, max_examples=100)
+@given(_mixed_schema_rows(), st.integers(1, 8))
+def test_category_codes_by_comparison_equal_the_cellwise_parse(schema_rows, block):
+    """The numpy reader's category codes, one comparison per category over
+    blocks of any size, have the bits of the cell-by-cell parse's
+    ``categories.index`` codes on schemas of every column kind."""
+    schema, rows = schema_rows
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "PARSE_BLOCK", block)
+        path = Path(tmp) / "d.csv"
+        path.write_text(",".join(c.name for c in schema) + "\n" + "".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
+        fast = data._read_table_numpy(path, schema)
+        assert fast is not None and fast.tobytes() == parse_table_cellwise(path, schema).tobytes()
+
+
 @pytest.mark.parametrize(
     "n", [1, INFER_BLOCK - 1, INFER_BLOCK, INFER_BLOCK + 1, 2 * INFER_BLOCK - 1, 2 * INFER_BLOCK,
           2 * INFER_BLOCK + 1, 2 * INFER_BLOCK + 3, 3 * INFER_BLOCK - 1, 4 * INFER_BLOCK + 5],
@@ -1018,7 +1086,10 @@ def test_ks_gaps_equal_concat_reference_at_large_n_with_ties():
     assert [isinstance(o, str) for o in outcomes] == [True] * 6 + [False, False, True] * 2
 
 
-_POOL_HEADER = ["iteration", "split", "utility_name", "utility_value", "a_ks_gsp", "b_sp"]
+# the last fairness column's name holds a comma and a quote, so that the
+# fairness_metric_name cell of pareto.csv is quoted when it is pooled
+_QUOTED_COLUMN = 'c,"gap"'
+_POOL_HEADER = ["iteration", "split", "utility_name", "utility_value", "a_ks_gsp", "b_sp", _QUOTED_COLUMN]
 _NUMBERS = ["0.5", "0.50", "0.75", "0.9", "1", "0.0", "-0.0", "1e-3", "inf", "-Infinity", "1e999"]
 _NANS = ["nan", "NaN", "-nan", "NAN"]
 _pool_cells = {
@@ -1027,6 +1098,7 @@ _pool_cells = {
     "utility_value": st.sampled_from(_NUMBERS + _NANS),
     "a_ks_gsp": st.sampled_from(_NUMBERS + _NANS + [""]),
     "b_sp": st.sampled_from(["", "0.3", "x"]),
+    _QUOTED_COLUMN: st.sampled_from(_NUMBERS[:6] + [""]),
 }
 _bad_pool_cells = st.sampled_from(["", "abc", "x,y", "0.5 0.5"])
 
@@ -1075,13 +1147,15 @@ def _csv_line(cells):
 @settings(deadline=None, max_examples=300)
 @given(
     _snapshot_pool(),
-    st.sampled_from(["a_ks_gsp"] * 6 + ["utility_value", "zzz"]),
+    st.sampled_from(["a_ks_gsp"] * 4 + [_QUOTED_COLUMN] * 2 + ["utility_value", "zzz"]),
     st.sampled_from([None, 0.0, 0.5, 0.8, -0.5]),
     st.integers(1, 6),
 )
 # The first row is too short to hold its utility_name cell, so it is refused.
 @example(["iteration,utility_value,a_ks_gsp,utility_name\n1,0.9,0.1\n2,0.5,0.2,mae\n3,0.4,0.05,mae\n"],
          "a_ks_gsp", -0.45, 5)
+@example(['iteration,utility_name,utility_value,"c,""gap"""\n"1,5",auc,0.9,0.1\n2,auc,0.5,0.2\n'],
+         _QUOTED_COLUMN, 0.5, 2)
 def test_pareto_equals_dictreader_reference(files, column, threshold, k):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -1094,12 +1168,80 @@ def test_pareto_equals_dictreader_reference(files, column, threshold, k):
             expected = (0, f"wrote {out}\n" + (f"{line}\n" if line else ""), "")
         except ConfigError as exc:
             expected = (1, "", f"error: {exc}\n")
-        argv = ["pareto", *paths, "--fairness-column", column, "--out", str(out)]
-        if threshold is not None:
-            argv += [f"--utility-threshold={threshold!r}", "--k", str(k)]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = main(argv)
-        assert (rc, stdout.getvalue(), stderr.getvalue()) == expected
-        if rc == 0:
+        assert _run_pareto(paths, column, out, threshold, k) == expected
+        if expected[0] == 0:
             assert out.read_bytes() == ref_out.read_bytes()
+
+
+def _run_pareto(paths, column, out, threshold, k):
+    """``fairpen pareto``'s exit code, stdout and stderr."""
+    argv = ["pareto", *paths, "--fairness-column", column, "--out", str(out)]
+    if threshold is not None:
+        argv += [f"--utility-threshold={threshold!r}", "--k", str(k)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
+# lone bytes that cannot start or continue a character here, and an encoded surrogate
+_BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+
+
+def _mutate(data, raw: bytes, kind: str) -> bytes:
+    """``raw`` with one byte-level fault of the given kind at a drawn offset."""
+    at = data.draw(st.integers(0, len(raw)), label="offset")
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        if at == len(raw):
+            return raw
+        bit = data.draw(st.integers(0, 7), label="bit")
+        return raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:]
+    if kind == "bare CR":
+        ends = [i for i, b in enumerate(raw) if b == ord("\n")]
+        if not ends:
+            return raw
+        at = data.draw(st.sampled_from(ends), label="line end")
+        return raw[:at] + b"\r" + raw[at + 1:]
+    if kind == "bad UTF-8":
+        insert = data.draw(_BAD_UTF8, label="bytes")
+    else:
+        insert = b"\0" if kind == "NUL" else b"x" * (csv.field_size_limit() + 1)
+    return raw[:at] + insert + raw[at:]
+
+
+_FINITE = ["0.5", "0.50", "0.75", "0.9", "1", "0.0", "-0.0", "1e-3"]
+_valid_pool_cells = {**_pool_cells, "utility_value": st.sampled_from(_FINITE + _NANS),
+                     "a_ks_gsp": st.sampled_from(_FINITE + _NANS + [""])}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_pareto_fuzzed_bytes_exit_cleanly_or_equal_dictreader(data):
+    """Byte-level faults in the last file of a pool of valid snapshot logs:
+    ``fairpen pareto`` returns 0 with the reference's output, or returns 1
+    with an error that names that file; it never raises."""
+    end = data.draw(st.sampled_from(["\r\n", "\n"]), label="line end")
+    files = []
+    for _ in range(data.draw(st.integers(1, 2), label="files")):
+        rows = [[data.draw(_valid_pool_cells[name]) if name != "utility_name" else "auc" for name in _POOL_HEADER]
+                for _ in range(data.draw(st.integers(0, 6), label="rows"))]
+        files.append("".join(_csv_line(row)[:-2] + end for row in [_POOL_HEADER, *rows]).encode())
+    for kind in data.draw(st.lists(st.sampled_from(
+            ["truncate", "flip", "NUL", "bad UTF-8", "bare CR", "oversized field"]), min_size=1, max_size=2)):
+        files[-1] = _mutate(data, files[-1], kind)
+    column = data.draw(st.sampled_from(["a_ks_gsp", _QUOTED_COLUMN]), label="column")
+    threshold = data.draw(st.sampled_from([None, 0.5]), label="threshold")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / f"p{i}.csv") for i in range(len(files))]
+        for path, raw in zip(paths, files):
+            Path(path).write_bytes(raw)
+        ref_out, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+        rc, stdout, stderr = _run_pareto(paths, column, out, threshold, 3)
+        if rc == 0:
+            line = pareto_dictreader(paths, column, ref_out, threshold, 3)
+            assert stdout == f"wrote {out}\n" + (f"{line}\n" if line else "") and stderr == ""
+            assert out.read_bytes() == ref_out.read_bytes()
+        else:
+            assert rc == 1 and stderr.startswith(f"error: {paths[-1]}: ")
