@@ -12,7 +12,7 @@ if os.environ.get("FAIRPEN_THREADS"):
 from .data import ColumnSchema, TabularDataset, load_csv, minibatch_construct, split_train_val
 from .metrics import FairnessReport, pareto_frontier, topk_fair_summary
 from .nn import Mlp, mlp
-from .penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
+from .penalties import contrast, contrast_value, empirical_pmf_ratio, pretrain_density_ratio
 from .training import TrainConfig, evaluate_snapshot, train
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "TabularDataset",
     "TrainConfig",
     "contrast",
+    "contrast_value",
     "empirical_pmf_ratio",
     "evaluate_snapshot",
     "load_csv",

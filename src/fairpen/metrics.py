@@ -254,14 +254,17 @@ def _ks_sweep(s, a, a_kind, a_grid, y=None, y_grid=None) -> float:
     raises DegenerateMetricError.
     """
     order = np.argsort(s)
-    s, a = s[order], a[order]
-    a_masks, a_div = _conditions(a, a_kind, a_grid)
-    y_masks, y_div = _outcome_conditions(None if y is None else y[order], y_grid)
     finite = len(s) - np.count_nonzero(np.isnan(s))  # NaN ranks last
-    ranked = s[:finite]
+    ranked = s[order][:finite]
     run_end = np.ones(finite, dtype=bool)
     run_end[:-1] = ranked[1:] != ranked[:-1]
     ends = np.flatnonzero(run_end)
+    # the sweep reads only the run ends and the masks: drop the sorted
+    # copies as soon as each is read
+    del ranked, run_end
+    a_masks, a_div = _conditions(a[order], a_kind, a_grid)
+    y_masks, y_div = _outcome_conditions(None if y is None else y[order], y_grid)
+    del order
     total = 0.0
     for y_name, y_mask in y_masks:
         ref = np.ones(len(s), dtype=bool) if y_mask is None else y_mask

@@ -4,10 +4,14 @@ The layer set is closed: dense, batch-norm, and elementwise activations
 (relu / sigmoid / identity). Each layer class declares what it stores: its
 trainable arrays in ``PARAMS``, its untrained arrays in ``BUFFERS`` and its
 plain values in ``SETTINGS``. That declaration, under the class's ``KIND``,
-is its checkpoint spec. ``Mlp`` owns one flat parameter buffer and one flat
-gradient buffer and re-homes every ``PARAMS`` array, and its ``grad_<name>``
-twin, as a view into them, so ``sgd_step`` is one scaled add, one finiteness
-check and one clear over the whole network. ``backward`` either
+is its checkpoint spec. ``Mlp`` owns three flat buffers. It re-homes every
+``PARAMS`` array, and its ``grad_<name>`` twin, as a view into the parameter
+and gradient buffers, so ``sgd_step`` is one scaled add, one finiteness check
+and one clear over the whole network. It re-homes every batch-norm
+``running_mean`` and ``running_var`` as a view into the running-statistics
+buffer, with a ``batch_mean`` / ``batch_var`` twin that a train-mode pass
+writes, so the running update of a whole pass is one scale and one add,
+each element with its own layer's momentum. ``backward`` either
 accumulates the parameter gradients into those views and returns None (no
 caller reads the input gradient of a parameter pass, so the first stage
 with parameters does not form it), or, with ``params=False``, returns the
@@ -104,8 +108,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def clamp_prob(p: np.ndarray) -> np.ndarray:
-    """Bound probabilities away from 0/1 before any logarithm."""
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    """Bound probabilities away from 0/1 before any logarithm; NaN stays NaN."""
+    # np.clip's bits, without its Python wrapper
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def _arr_to_spec(a: np.ndarray) -> dict:
@@ -187,7 +192,7 @@ class DenseLayer(_Layer):
         input gradient, or None in a parameter pass that reads none."""
         if params:
             self.grad_weights += self._cache.T @ grad_out
-            self.grad_bias += grad_out.sum(axis=0)
+            self.grad_bias += np.add.reduce(grad_out, 0)
             if self.input_grad_unread:
                 return None
         return grad_out @ self.weights.T
@@ -197,7 +202,9 @@ class BatchNormLayer(_Layer):
     """Batch normalization: batch statistics in train mode, exponential
     running statistics (momentum 0.99) in inference mode. When ``Mlp`` puts
     it right after a dense layer, it runs that layer too: its input is the
-    dense layer's input."""
+    dense layer's input. A train-mode pass writes the batch mean and
+    variance into ``batch_mean`` and ``batch_var``, views that ``Mlp`` sets,
+    and ``Mlp.forward`` moves the running statistics towards them."""
 
     KIND = "batch_norm"
     PARAMS = ("gamma", "beta_shift")
@@ -207,6 +214,8 @@ class BatchNormLayer(_Layer):
     # whether that layer is at least twice as wide as its input (narrow)
     dense: DenseLayer | None = None
     narrow = False
+    batch_mean: np.ndarray
+    batch_var: np.ndarray
 
     def __init__(self, width: int, momentum: float = 0.99, epsilon: float = 1e-5):
         self.gamma = np.ones(width)
@@ -256,33 +265,31 @@ class BatchNormLayer(_Layer):
             out = x * weights if dense is None else x @ weights
             out += shift
             return out
-        n = len(x)
+        n, var = len(x), self.batch_var
         if self.narrow:
             # x W is centred W + mean W, centred = x - mean(x); its column
             # variance is a quadratic form in the k x k covariance of x, which
             # rounding can take below 0
-            mean = x.sum(axis=0) / n
+            mean = np.add.reduce(x, 0) / n
             centred = x - mean
             cw = (centred.T @ centred) @ dense.weights
             mean = mean @ dense.weights
-            var = np.einsum("ij,ij->j", dense.weights, cw) / n
+            np.divide(np.einsum("ij,ij->j", dense.weights, cw), n, out=var)
             np.maximum(var, 0.0, out=var)
         else:
             # centre once; the centred block gives the variance (one einsum
             # pass) and the output, and the backward reads it
             z = x if dense is None else x @ dense.weights
-            mean = z.sum(axis=0) / n
+            mean = np.add.reduce(z, 0) / n
             centred = z - mean
-            var = np.einsum("ij,ij->j", centred, centred) / n
+            np.divide(np.einsum("ij,ij->j", centred, centred), n, out=var)
             cw = None
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         self._cache = (x, centred, cw, inv_std)
-        if dense is not None:  # the running mean tracks the biased input
-            mean += dense.bias
-        self.running_mean *= self.momentum
-        self.running_mean += (1 - self.momentum) * mean
-        self.running_var *= self.momentum
-        self.running_var += (1 - self.momentum) * var
+        if dense is None:
+            self.batch_mean[...] = mean
+        else:  # the running mean tracks the biased input
+            np.add(mean, dense.bias, out=self.batch_mean)
         scale = self.gamma * inv_std
         out = centred @ (dense.weights * scale) if self.narrow else centred * scale
         out += self.beta_shift
@@ -295,7 +302,7 @@ class BatchNormLayer(_Layer):
         # centred W * inv_std, so it reads sum(g * x_hat) off centred^T g.
         x, centred, cw, inv_std = self._cache
         dense, n = self.dense, len(grad_out)
-        g_sum = grad_out.sum(axis=0)
+        g_sum = np.add.reduce(grad_out, 0)
         if cw is None:
             gx_sum = np.einsum("ij,ij->j", grad_out, centred)
         else:
@@ -375,26 +382,45 @@ class ActivationLayer(_Layer):
 _LAYER_KINDS = {cls.KIND: cls for cls in (DenseLayer, BatchNormLayer, ActivationLayer)}
 
 
+def _flat_views(arrays: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """Copy each (layer, name, twin) array into one flat buffer and re-home
+    it there as a view; set the layer's ``twin`` to the same view into a
+    second buffer of zeros. Returns (buffer, twin buffer, [(start, stop)])."""
+    flat = np.empty(sum(getattr(layer, name).size for layer, name, _ in arrays))
+    twins = np.zeros_like(flat)
+    spans, start = [], 0
+    for layer, name, twin in arrays:
+        value = getattr(layer, name)
+        stop = start + value.size
+        flat[start:stop] = value.ravel()
+        setattr(layer, name, flat[start:stop].reshape(value.shape))
+        setattr(layer, twin, twins[start:stop].reshape(value.shape))
+        spans.append((start, stop))
+        start = stop
+    return flat, twins, spans
+
+
 class Mlp:
     """Ordered layer stack with a shared train/inference mode switch; owns
-    every layer's parameters and gradients as views into two flat buffers."""
+    every layer's parameters and gradients, and every batch-norm layer's
+    running and batch statistics, as views into flat buffers."""
 
     def __init__(self, layers: list):
         self.layers = layers
         self._train_cache_ready = False
-        arrays = [(i, layer, name) for i, layer in enumerate(layers) for name in layer.PARAMS]
-        self._params = np.empty(sum(getattr(layer, name).size for _, layer, name in arrays))
-        self._grads = np.zeros_like(self._params)
-        self._spans = []  # (layer index, start, stop) of each array in the flat buffers
-        start = 0
-        for i, layer, name in arrays:
-            value = getattr(layer, name)
-            stop = start + value.size
-            self._params[start:stop] = value.ravel()
-            setattr(layer, name, self._params[start:stop].reshape(value.shape))
-            setattr(layer, "grad_" + name, self._grads[start:stop].reshape(value.shape))
-            self._spans.append((i, start, stop))
-            start = stop
+        arrays = [(layer, name, "grad_" + name) for layer in layers for name in layer.PARAMS]
+        self._params, self._grads, spans = _flat_views(arrays)
+        owners = [i for i, layer in enumerate(layers) for _ in layer.PARAMS]
+        self._spans = [(i, *span) for i, span in zip(owners, spans)]  # (layer index, start, stop)
+        # running_mean / running_var and their batch_mean / batch_var twins;
+        # each element's momentum is its layer's when the stack is built
+        norms = [layer for layer in layers if isinstance(layer, BatchNormLayer)]
+        arrays = [(layer, name, name.replace("running", "batch")) for layer in norms for name in layer.BUFFERS]
+        self._running, self._batch, spans = _flat_views(arrays)
+        self._keep = np.empty_like(self._running)
+        for (layer, _, _), (start, stop) in zip(arrays, spans):
+            self._keep[start:stop] = layer.momentum
+        self._blend = 1 - self._keep
         self._stages = []  # the layers a pass runs: a batch-norm layer runs the dense layer before it
         for prev, layer in zip([None, *layers], layers):
             if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
@@ -411,7 +437,9 @@ class Mlp:
         for i, layer in enumerate(layers):
             if isinstance(layer, ActivationLayer):
                 layer.forward_in_place, layer.backward_in_place = any(makes_new[:i]), any(makes_new[i + 1:])
-        width = None  # output width of the last dense or batch-norm layer so far
+        # the input width of the first dense or batch-norm layer, and the
+        # output width of the last
+        self.in_dim = width = None
         for i, layer in enumerate(layers):
             if isinstance(layer, DenseLayer):
                 needs, width_out = layer.in_dim, layer.out_dim
@@ -419,21 +447,20 @@ class Mlp:
                 needs = width_out = len(layer.gamma)
             else:
                 continue
-            if width is not None and needs != width:
+            if width is None:
+                self.in_dim = needs
+            elif needs != width:
                 raise DimensionError(
                     f"layer {i}: widths incompatible: {width} -> {needs}"
                 )
             width = width_out
-
-    @property
-    def in_dim(self) -> int:
-        return next(l for l in self.layers if isinstance(l, DenseLayer)).in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return [l for l in self.layers if isinstance(l, DenseLayer)][-1].out_dim
+        self.out_dim = width
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """The stack's output on ``x``. A train-mode pass caches what
+        ``backward`` reads and then moves every running statistic towards
+        its batch value, momentum * running + (1 - momentum) * batch, with
+        its own layer's momentum."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
@@ -443,6 +470,9 @@ class Mlp:
             out = x
             for stage in self._stages:
                 out = stage.forward(out, True)
+            if len(self._running):
+                self._running *= self._keep
+                self._running += self._blend * self._batch
         else:
             # a batch-norm stage folds its map, and the dense layer it runs,
             # once per call, not once per block
@@ -557,24 +587,35 @@ def mlp(
     return Mlp(layers)
 
 
+def _flat_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def bce_grad(probabilities: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The gradient of the mean binary cross-entropy w.r.t. the probabilities."""
+    p, y = _flat_pair(probabilities, labels)
+    pc = clamp_prob(p)
+    return (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size
+
+
 def bce_loss(probabilities: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient w.r.t. the probabilities."""
-    p = np.asarray(probabilities, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if p.shape != y.shape:
-        raise DimensionError(f"length mismatch: {p.shape} vs {y.shape}")
+    p, y = _flat_pair(probabilities, labels)
     pc = clamp_prob(p)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-    grad = (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size
-    return loss, grad
+    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))), bce_grad(p, y)
+
+
+def mae_grad(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The subgradient of the mean absolute error (0 at exact ties)."""
+    s, y = _flat_pair(predictions, targets)
+    return np.sign(s - y) / s.size
 
 
 def mae_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error and its subgradient (0 at exact ties)."""
-    s = np.asarray(predictions, dtype=np.float64).ravel()
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    if s.shape != y.shape:
-        raise DimensionError(f"length mismatch: {s.shape} vs {y.shape}")
-    loss = float(np.mean(np.abs(y - s)))
-    grad = np.sign(s - y) / s.size
-    return loss, grad
+    s, y = _flat_pair(predictions, targets)
+    return float(np.mean(np.abs(y - s))), mae_grad(s, y)

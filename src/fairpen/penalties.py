@@ -6,8 +6,11 @@ penalty contrasts (score, attribute) pairs; the separation penalty
 contrasts (score, attribute, outcome) and reweights the resampled term by
 an odds-based density-ratio estimate, which is itself pre-trained by
 contrasting (attribute, outcome) pairs. The trainer's D step and each
-iteration of the ratio pre-training take the same ``ascend`` step, on
-blocks that ``contrast_blocks`` builds from a minibatch.
+iteration of the ratio pre-training take the same ``ascend`` step, on the
+one block of real rows and then resampled rows that ``contrast_blocks``
+builds from a minibatch; the scorer step reads the input gradient of the
+same block. ``contrast`` returns D's outputs, not the objective's value,
+which ``contrast_value`` computes from them for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -24,52 +27,60 @@ from .nn import Mlp, clamp_prob, mlp
 DensityRatio = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def contrast(
-    net: Mlp,
-    real: np.ndarray,
-    fake: np.ndarray,
-    w=1.0,
-    params: bool = True,
-) -> tuple[float, np.ndarray | None]:
-    """mean[log D(real) + w log(1 - D(fake))], the real-vs-resampled objective.
+def contrast(net: Mlp, block: np.ndarray, w=1.0, params: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """One pass of D over a contrast block: D's clamped outputs, and the
+    gradient of the real-vs-resampled objective ``contrast_value``.
 
-    ``real`` and ``fake`` are row-aligned blocks of D's input columns; ``w``
-    is a scalar or one weight per row and receives no gradient. With
-    ``params`` (the D step and the density-ratio pre-training) the gradient
-    w.r.t. D's parameters is accumulated into D's flat gradient buffer for
-    the next ``sgd_step``, and the call returns (value, None).
-    ``params=False`` (the scorer step, which needs only the input gradient)
-    leaves the buffer untouched and returns (value, gradient w.r.t. the
-    columns the two blocks share, summed over both halves).
+    ``block`` holds n real rows of D's input columns and then the n
+    row-aligned resampled rows, as ``contrast_blocks`` builds it; ``w`` is a
+    scalar or one weight per row and receives no gradient. With ``params``
+    (the D step and the density-ratio pre-training) the gradient w.r.t. D's
+    parameters is accumulated into D's flat gradient buffer for the next
+    ``sgd_step``, and the call returns (p, None): p holds D's clamped
+    outputs, the real rows first. ``params=False`` (the scorer step, which
+    needs only the input gradient) leaves the buffer untouched and returns
+    (p, gradient w.r.t. the block's columns, summed over both halves).
     """
-    real = np.asarray(real, dtype=np.float64)
-    fake = np.asarray(fake, dtype=np.float64)
-    if real.shape != fake.shape:
-        raise DimensionError(f"real and fake blocks differ: {real.shape} vs {fake.shape}")
-    n = len(real)
+    n, odd = divmod(len(block), 2)
+    if odd:
+        raise DimensionError(f"a contrast block holds real rows and as many resampled rows, not {len(block)} rows")
     w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
 
     # One combined forward so batch-norm statistics are shared between the
     # real and resampled halves (separate passes let D discriminate on
     # batch statistics alone and collapse the penalty).
-    p = clamp_prob(net.forward(np.vstack([real, fake]), train=True))
-    p_real, p_fake = p[:n], p[n:]
-    upstream = np.vstack([1.0 / (n * p_real), -w / (n * (1.0 - p_fake))])
+    p = clamp_prob(net.forward(block, train=True))
+    upstream = np.empty_like(p)
+    np.divide(1.0, n * p[:n], out=upstream[:n])
+    np.divide(-w, n * (1.0 - p[n:]), out=upstream[n:])
     grad_in = net.backward(upstream, params)
+    return p, None if params else grad_in[:n] + grad_in[n:]
 
-    value = float(np.mean(np.log(p_real) + w * np.log(1.0 - p_fake)))
-    return value, None if params else grad_in[:n] + grad_in[n:]
+
+def contrast_value(p: np.ndarray, w=1.0) -> float:
+    """mean[log D(real) + w log(1 - D(fake))], the objective whose gradient
+    ``contrast`` takes, from the outputs ``p`` it returns."""
+    n = len(p) // 2
+    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
+    return float(np.mean(np.log(p[:n]) + w * np.log(1.0 - p[n:])))
 
 
 def contrast_blocks(mb: Minibatch, s=None, with_y: bool = False, beta: DensityRatio | None = None) -> tuple:
-    """The real block [s, a, y], the resampled block [s, a', y] and the
-    resampled term's weight beta(a, y), or 1.0 without ``beta``; the score
-    column ``s`` and the outcome ``y`` are each present only if given."""
-    head = () if s is None else (s,)
-    tail = (mb.y,) if with_y else ()
-    real = np.column_stack([*head, mb.a, *tail])
-    fake = np.column_stack([*head, mb.a_prime, *tail])
-    return real, fake, 1.0 if beta is None else beta(mb.a, mb.y)
+    """The contrast block, the real rows [s, a, y] then the resampled rows
+    [s, a', y], and the resampled term's weight beta(a, y), or 1.0 without
+    ``beta``; the score column ``s`` and the outcome ``y`` are each present
+    only if given."""
+    (n, l), head = mb.a.shape, int(s is not None)
+    k = head + l + with_y
+    block = np.empty((2 * n, k))
+    halves = block.reshape(2, n, k)  # a view: [real, fake]
+    if s is not None:
+        halves[:, :, :1] = s
+    halves[0, :, head:head + l] = mb.a
+    halves[1, :, head:head + l] = mb.a_prime
+    if with_y:
+        halves[:, :, -1] = mb.y
+    return block, 1.0 if beta is None else beta(mb.a, mb.y)
 
 
 def step(net: Mlp, learning_rate: float, where: str, maximize: bool = False) -> None:
@@ -83,7 +94,7 @@ def step(net: Mlp, learning_rate: float, where: str, maximize: bool = False) -> 
 
 def ascend(net: Mlp, blocks: tuple, learning_rate: float, where: str) -> None:
     """One ascent step of ``net`` on the contrast of ``blocks``, the
-    (real, fake, w) of ``contrast_blocks``."""
+    (block, w) of ``contrast_blocks``."""
     contrast(net, *blocks)
     step(net, learning_rate, where, maximize=True)
 

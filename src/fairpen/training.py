@@ -10,7 +10,7 @@ import numpy as np
 from . import metrics
 from .data import TabularDataset, minibatch_construct, rng_streams
 from .errors import ConfigError, DegenerateMetricError, DivergenceError, UndefinedMetricError
-from .nn import Mlp, bce_loss, mae_loss
+from .nn import Mlp, bce_grad, mae_grad
 from .penalties import DensityRatio, ascend, contrast, contrast_blocks, step
 
 
@@ -132,7 +132,7 @@ def train(
     """
     streams = rng_streams(config.seed)
     batch_rng, sampler_rng = streams["batch"], streams["sampler"]
-    loss_fn = mae_loss if train_set.outcome_column.kind == "continuous" else bce_loss
+    loss_grad = mae_grad if train_set.outcome_column.kind == "continuous" else bce_grad
     lam_m, lam_f = config.weights()
     eval_at = {*range(config.eval_interval, config.T + 1, config.eval_interval), config.T}
     snapshots: list[Snapshot] = []
@@ -141,14 +141,13 @@ def train(
         where = f"lambda={config.lam:g}, iteration {t}, "
         mb = minibatch_construct(train_set, config.n_b, config.sampler, batch_rng, sampler_rng)
         s = h.forward(mb.x, train=True)
-        _, grad_p = loss_fn(s[:, 0], mb.y)
-        grad_s = lam_m * grad_p.reshape(-1, 1)
+        grad_s = lam_m * loss_grad(s[:, 0], mb.y).reshape(-1, 1)
         if lam_f > 0.0:  # the adversary exists only where the penalty has weight
             blocks = contrast_blocks(mb, s, beta is not None, beta)
             for _ in range(config.T_prime):
                 ascend(D, blocks, config.learning_rate, where + "D ")
             _, pen_grad = contrast(D, *blocks, params=False)
-            grad_s = grad_s + lam_f * pen_grad[:, :1]
+            grad_s += lam_f * pen_grad[:, :1]
         h.backward(grad_s)
         step(h, config.learning_rate, where + "h ")
 

@@ -15,9 +15,11 @@ train-mode batch-norm kernels that cache the centred block, in plain
 out-of-place form, kept as oracles for the in-place ones; the narrow dense
 and batch-norm pair, which works on the centred input and its covariance,
 in out-of-place form; the out-of-place relu; the textbook dense and batch-norm layer methods, which apply and train
-a bias that feeds batch-norm; and the original dict-built plug-in
+a bias that feeds batch-norm; the original dict-built plug-in
 density-ratio table, kept as the oracle for the ``np.unique`` lookup in
-``fairpen.penalties``."""
+``fairpen.penalties``; and the original contrast, with separate real and
+fake blocks and a per-layer running update, kept as the oracle for the
+one-block ``contrast`` and the flat running update of ``fairpen.nn``."""
 
 import csv
 import itertools
@@ -30,7 +32,7 @@ import numpy as np
 from fairpen import metrics
 from fairpen.data import _parse_cell, open_input
 from fairpen.errors import ConfigError, DegenerateMetricError, DivergenceError
-from fairpen.nn import BatchNormLayer, DenseLayer
+from fairpen.nn import PROB_EPS, BatchNormLayer, DenseLayer
 
 
 def parse_table_cellwise(path, schema):
@@ -355,15 +357,17 @@ def dense_layer_backward_textbook(layer, grad_out, params=True):
 def batch_norm_layer_forward_textbook(layer, x, train, fold=None):
     """``BatchNormLayer.forward`` with the textbook kernels, to be set on the
     class: the dense layer it runs, if any, by its own forward, then
-    batch-norm, unfolded at inference."""
+    batch-norm, unfolded at inference. In train mode it writes the batch
+    mean and variance for ``Mlp.forward``'s running update."""
     if layer.dense is not None:
         x = layer.dense.forward(x, train)
     if not train:
         layer._cache = None
         return batch_norm_forward_infer(x, layer.gamma, layer.beta_shift, layer.running_mean,
                                         layer.running_var, layer.epsilon)
-    out, layer._cache, layer.running_mean, layer.running_var = batch_norm_forward_train(
+    out, layer._cache, _, _ = batch_norm_forward_train(
         x, layer.gamma, layer.beta_shift, layer.running_mean, layer.running_var, layer.momentum, layer.epsilon)
+    layer.batch_mean[...], layer.batch_var[...] = x.mean(axis=0), x.var(axis=0)
     return out
 
 
@@ -389,6 +393,30 @@ def sgd_step_loop(layers, learning_rate, maximize=False):
     for layer in layers:
         for name in layer.PARAMS:
             getattr(layer, "grad_" + name)[...] = 0.0
+
+
+def contrast_reference(net, real, fake, w=1.0, params=True):
+    """The original ``contrast``: separate real and fake blocks stacked by
+    ``np.vstack``, the objective's value computed on every call, and each
+    batch-norm layer's running statistics moved by its own formula,
+    momentum * running + (1 - momentum) * batch, over what the flat update
+    wrote. Returns (value, None) with ``params``, else (value, input
+    gradient summed over both halves)."""
+    real = np.asarray(real, dtype=np.float64)
+    fake = np.asarray(fake, dtype=np.float64)
+    n = len(real)
+    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
+    norms = [layer for layer in net.layers if isinstance(layer, BatchNormLayer)]
+    before = [(layer.running_mean.copy(), layer.running_var.copy()) for layer in norms]
+    p = np.clip(net.forward(np.vstack([real, fake]), train=True), PROB_EPS, 1.0 - PROB_EPS)
+    for layer, (mean, var) in zip(norms, before):
+        layer.running_mean[...] = layer.momentum * mean + (1 - layer.momentum) * layer.batch_mean
+        layer.running_var[...] = layer.momentum * var + (1 - layer.momentum) * layer.batch_var
+    p_real, p_fake = p[:n], p[n:]
+    upstream = np.vstack([1.0 / (n * p_real), -w / (n * (1.0 - p_fake))])
+    grad_in = net.backward(upstream, params)
+    value = float(np.mean(np.log(p_real) + w * np.log(1.0 - p_fake)))
+    return value, None if params else grad_in[:n] + grad_in[n:]
 
 
 def pmf_ratio_table(A, Y):

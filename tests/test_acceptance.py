@@ -72,7 +72,7 @@ def test_criterion_02_gsp_discriminator_matches_oracle():
     for _ in range(10_000):
         idx = loop_rng.choice(n, 100, replace=False)
         a_prime = a[idx][loop_rng.permutation(100)]
-        contrast(D, np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime]))
+        contrast(D, np.vstack([np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime])]))
         D.sgd_step(0.005, maximize=True)
     worst = max(
         abs(float(D.forward(np.array([[float(sv), float(av)]]))[0, 0]) - target[sv, av])
@@ -111,13 +111,14 @@ def test_criterion_03_geo_discriminator_matches_oracle():
     target = exact_geo_discriminator_oracle(pmf, beta_table)
     D = mlp(1 + 1 + 1, [64, 64], rng=np.random.default_rng(1), batch_norm=True)
     loop_rng = np.random.default_rng(2)
+    weights = beta(a.reshape(-1, 1), y)  # a table lookup: a batch's rows get the weights of a per-batch call
     for _ in range(10_000):
         idx = loop_rng.choice(n, 100, replace=False)
         a_b = a[idx].reshape(-1, 1)
         a_prime = a_b[loop_rng.permutation(100)]
         real = np.column_stack([s[idx], a_b, y[idx]])
         fake = np.column_stack([s[idx], a_prime, y[idx]])
-        contrast(D, real, fake, beta(a_b, y[idx]))
+        contrast(D, np.vstack([real, fake]), weights[idx])
         D.sgd_step(0.005, maximize=True)
     worst = max(
         abs(float(D.forward(np.array([[float(sv), float(av), float(yv)]]))[0, 0]) - target[sv, av, yv])

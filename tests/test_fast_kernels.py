@@ -244,7 +244,7 @@ def _dense_bn_net(seed, in_dim, width, scale, bias_scale=1.0):
     dense.bias[...] = bias_scale * rng.standard_normal(width)
     for arr in (bn.gamma, bn.beta_shift, bn.running_mean):
         arr[...] = rng.standard_normal(width)
-    bn.running_var = rng.random(width) + 0.5
+    bn.running_var[...] = rng.random(width) + 0.5
     return net
 
 
@@ -408,8 +408,8 @@ def _pair_within_rounding_of_textbook(net, x, grad_out):
     if narrow:  # the gradient w.r.t. x W is never formed: bound by its terms
         ag_z, ax_in = np.abs(gamma) * inv_std * terms, np.abs(x) + np.abs(x).mean(axis=0)
     else:  # the gradient w.r.t. x W, which a batch-norm layer on its own forms from x W
-        alone = BatchNormLayer(width, momentum, bn.epsilon)
-        alone.gamma, alone.beta_shift = gamma, beta_shift
+        alone = Mlp([BatchNormLayer(width, momentum, bn.epsilon)])
+        alone.layers[0].gamma[...], alone.layers[0].beta_shift[...] = gamma, beta_shift
         alone.forward(x @ weights, train=True)
         g_z = alone.backward(grad_out, params=False)
         assert (g_z @ weights.T).tobytes() == g_x.tobytes()
@@ -567,8 +567,8 @@ def _randomize_batch_norm(bn, rng, scale, epsilon, large_var):
     width = len(bn.gamma)
     bn.gamma[...] = rng.choice([0.0, -1.0, 1.0], width) * rng.lognormal(0.0, 2.0, width)
     bn.beta_shift[...] = rng.standard_normal(width)
-    bn.running_mean = scale * rng.standard_normal(width)
-    bn.running_var = rng.choice([0.0, scale * scale, large_var], width) * rng.random(width)
+    bn.running_mean[...] = scale * rng.standard_normal(width)
+    bn.running_var[...] = rng.choice([0.0, scale * scale, large_var], width) * rng.random(width)
     bn.epsilon = epsilon
 
 

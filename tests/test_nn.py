@@ -54,9 +54,9 @@ def test_dense_shapes_and_glorot_range():
 
 
 def test_batch_norm_train_normalizes_batch():
-    layer = BatchNormLayer(2)
+    net = Mlp([BatchNormLayer(2)])  # a batch-norm layer on its own
     x = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 50.0]])
-    out = layer.forward(x, train=True)
+    out = net.forward(x, train=True)
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(out.var(axis=0), 1.0, atol=1e-3)
 
@@ -343,9 +343,9 @@ def _layer_arrays(net):
 
 
 def _moved_batch_norm():
-    layer = BatchNormLayer(3, momentum=0.9)
-    layer.forward(np.random.default_rng(0).standard_normal((8, 3)), train=True)  # move the running statistics
-    return layer
+    net = Mlp([BatchNormLayer(3, momentum=0.9)])
+    net.forward(np.random.default_rng(0).standard_normal((8, 3)), train=True)  # move the running statistics
+    return net.layers[0]
 
 
 @pytest.mark.parametrize(

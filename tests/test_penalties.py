@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import binary_toy_dataset, gradients, huge_weights, parameters, trained_state, zero_gradients
+from conftest import (
+    binary_toy_dataset, gradients, huge_weights, parameters, set_checkpoint_layer_value, trained_state,
+    zero_gradients,
+)
 from gradcheck import relative_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_kernels import pmf_ratio_table
+from reference_kernels import contrast_reference, pmf_ratio_table
 from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct, rng_streams
 from fairpen.errors import DimensionError, DivergenceError
 from fairpen.oracles import optimal_gsp_discriminator_oracle, table5_toy, table5_true_ratios
-from fairpen.penalties import contrast, empirical_pmf_ratio, pretrain_density_ratio
-from fairpen.nn import clamp_prob, mlp
+from fairpen.penalties import contrast, contrast_value, empirical_pmf_ratio, pretrain_density_ratio
+from fairpen.nn import Mlp, clamp_prob, mlp
 
 
 def _half_net(in_dim):
@@ -21,28 +24,73 @@ def _half_net(in_dim):
     return net
 
 
+def _stacked(*columns_of_halves):
+    """The contrast block of real columns and resampled columns: each
+    argument is one (real, fake) pair of columns, or one column for both."""
+    pairs = [c if isinstance(c, tuple) else (c, c) for c in columns_of_halves]
+    return np.vstack([np.column_stack([pair[half] for pair in pairs]) for half in (0, 1)])
+
+
 def test_gsp_penalty_value_at_half():
     # [DERIVED] log(.5) + log(.5) = -2 log 2
     D = _half_net(2)
     s = np.array([0.3, 0.7, 0.5])
     a = np.array([[0.0], [1.0], [1.0]])
-    real, fake = np.column_stack([s, a]), np.column_stack([s, a[::-1]])
-    value, grad_in = contrast(D, real, fake, params=False)
-    assert value == pytest.approx(-2.0 * np.log(2.0), abs=1e-12)
+    block = _stacked(s, (a, a[::-1]))
+    p, grad_in = contrast(D, block, params=False)
+    assert (p == 0.5).all() and p.shape == (6, 1)
+    assert contrast_value(p) == pytest.approx(-2.0 * np.log(2.0), abs=1e-12)
     assert grad_in[:, :1].shape == (3, 1)
-    assert contrast(D, real, fake) == (value, None)  # a parameter pass returns no input gradient
+    p_params, none = contrast(D, block)
+    assert none is None and p_params.tobytes() == p.tobytes()  # a parameter pass returns no input gradient
 
 
 def test_gsp_penalty_length_mismatch():
+    # a block of real rows and fewer resampled rows has an odd row count
     D = _half_net(2)
-    with pytest.raises(DimensionError):
-        contrast(D, np.array([[0.5, 0.0]]), np.array([[0.5, 1.0], [0.5, 0.0]]))
+    with pytest.raises(DimensionError, match="not 3 rows"):
+        contrast(D, np.array([[0.5, 0.0], [0.5, 1.0], [0.5, 0.0]]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 40), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_contrast_value_equals_original_formula(n, weighted, seed):
+    """The value from D's outputs has the bits of the original formula,
+    mean[log p_real + w log(1 - p_fake)], for a scalar or a per-row w."""
+    rng = np.random.default_rng(seed)
+    p = clamp_prob(rng.random((2 * n, 1)))
+    w = rng.random(n) * 3.0 if weighted else float(rng.random())
+    w_col = np.asarray(w, dtype=np.float64).reshape(-1, 1)
+    expected = float(np.mean(np.log(p[:n]) + w_col * np.log(1.0 - p[n:])))
+    assert contrast_value(p, w) == expected
+
+
+@pytest.mark.parametrize("params", [True, False])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_contrast_equals_original_form(params, weighted):
+    """The one-block contrast, with its flat running update, has the bits of
+    the original form (separate blocks, np.vstack, the per-layer running
+    update) in its outputs' value, its gradients and every trained array,
+    over a few ascent steps."""
+    rng = np.random.default_rng(14)
+    net, ref = (mlp(3, [8, 8], rng=np.random.default_rng(15)) for _ in range(2))
+    for _ in range(4):
+        s, a, y = rng.random((12, 1)), rng.integers(0, 2, (12, 1)).astype(float), rng.random(12)
+        a_prime, w = a[rng.permutation(12)], (rng.random(12) + 0.5 if weighted else 1.0)
+        real, fake = np.column_stack([s, a, y]), np.column_stack([s, a_prime, y])
+        p, grad = contrast(net, _stacked(s, (a, a_prime), y), w, params)
+        value, grad_ref = contrast_reference(ref, real, fake, w, params)
+        assert contrast_value(p, w) == value
+        assert (grad is None) == params and (params or grad.tobytes() == grad_ref.tobytes())
+        net.sgd_step(0.1, maximize=True)
+        ref.sgd_step(0.1, maximize=True)
+        assert [a.tobytes() for a in trained_state(net)] == [a.tobytes() for a in trained_state(ref)]
 
 
 def _worst_fd_error(net, penalty, s):
     """Worst relative error of contrast's parameter and score gradients
     against central differences; ``penalty(s, params)`` calls contrast on
-    ``net``. The parameter gradients come from a parameter pass, the score
+    ``net`` and returns (value, gradient). The parameter gradients come from a parameter pass, the score
     gradient from a pass without parameters."""
     penalty(s, True)
     analytic = [g.copy() for g in gradients(net)]
@@ -74,6 +122,28 @@ def _worst_fd_error(net, penalty, s):
     return worst
 
 
+def test_checkpoint_momenta_train_like_the_per_layer_formula(tmp_path):
+    """A checkpoint whose batch-norm layers each have their own momentum
+    (0.9, and the integers 0 and 1) trains bit for bit like the original
+    per-layer running update."""
+    path = tmp_path / "d.ckpt"
+    mlp(2, [8, 8, 8], rng=np.random.default_rng(16)).save(path)
+    for index, momentum in ((1, 0.9), (4, 0), (7, 1)):
+        set_checkpoint_layer_value(path, index, "momentum", momentum)
+    net, ref = Mlp.load(path), Mlp.load(path)
+    assert [layer.momentum for layer in net.layers if hasattr(layer, "momentum")] == [0.9, 0, 1]
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        s, a = rng.random((10, 1)), rng.integers(0, 2, (10, 1)).astype(float)
+        a_prime = a[rng.permutation(10)]
+        contrast(net, _stacked(s, (a, a_prime)))
+        contrast_reference(ref, np.column_stack([s, a]), np.column_stack([s, a_prime]))
+        net.sgd_step(0.1, maximize=True)
+        ref.sgd_step(0.1, maximize=True)
+    assert [a.tobytes() for a in trained_state(net)] == [a.tobytes() for a in trained_state(ref)]
+    assert (net.layers[1].running_mean != 0.0).any() and (net.layers[4].running_mean == net.layers[4].batch_mean).all()
+
+
 @pytest.mark.parametrize("batch_norm", [False, True])
 def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
     rng = np.random.default_rng(11)
@@ -84,7 +154,8 @@ def test_gsp_penalty_gradients_match_finite_differences(batch_norm):
     a_prime = a[rng.permutation(n)]
 
     def penalty(s_, params):
-        return contrast(net, np.column_stack([s_, a]), np.column_stack([s_, a_prime]), params=params)
+        p, grad = contrast(net, _stacked(s_, (a, a_prime)), params=params)
+        return contrast_value(p), grad
 
     assert _worst_fd_error(net, penalty, s) < 1e-4
 
@@ -101,8 +172,8 @@ def test_geo_penalty_gradients_match_finite_differences():
     for w in (np.array([table[(av, yv)] for av, yv in zip(a[:, 0], y)]), np.full(n, 0.7)):
 
         def penalty(s_, params):
-            real = np.column_stack([s_, a, y])
-            return contrast(net, real, np.column_stack([s_, a_prime, y]), w, params)
+            p, grad = contrast(net, _stacked(s_, (a, a_prime), y), w, params)
+            return contrast_value(p, w), grad
 
         assert _worst_fd_error(net, penalty, s) < 1e-4
 
@@ -117,12 +188,13 @@ def test_geo_penalty_constant_beta_matches_weighted_value():
     a_prime = a[rng.permutation(n)]
     # every (a, y) cell once: A and Y are independent, so every ratio is 1
     table = empirical_pmf_ratio(_discrete_dataset([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]))
-    real, fake = np.column_stack([s, a, y]), np.column_stack([s, a_prime, y])
-    v1, _ = contrast(net, real, fake, np.full(len(y), 1.0))  # the constant ratio 1
+    block = _stacked(s, (a, a_prime), y)
+    p, _ = contrast(net, block, np.full(len(y), 1.0))  # the constant ratio 1
     zero_gradients(net)
-    v2, _ = contrast(net, real, fake, table(a, y))
+    w = table(a, y)
+    p2, _ = contrast(net, block, w)
     zero_gradients(net)
-    assert v1 == pytest.approx(v2, abs=1e-15)
+    assert contrast_value(p, np.full(len(y), 1.0)) == pytest.approx(contrast_value(p2, w), abs=1e-15)
 
 
 def _discrete_dataset(a, y):
@@ -231,7 +303,7 @@ def test_pretrain_density_ratio_bit_identical_to_hand_loop(monkeypatch):
     net = mlp(ds.l + 1, [64, 64], rng=streams["init"], batch_norm=False)
     for _ in range(L):
         mb = minibatch_construct(ds, n_b, "within_batch", streams["batch"], streams["sampler"])
-        contrast(net, np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y]))
+        contrast_reference(net, np.column_stack([mb.a, mb.y]), np.column_stack([mb.a_prime, mb.y]))
         net.sgd_step(learning_rate, maximize=True)
 
     (trained,) = built
