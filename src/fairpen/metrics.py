@@ -82,7 +82,11 @@ def _columns(*arrays) -> list[np.ndarray]:
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC; ties between a positive and a negative count 1/2.
 
-    O(n log n): one sort inside ``_average_ranks``.
+    The Mann-Whitney count over the n1 * n0 pairs: each positive counts
+    every negative below it and half of every negative equal to it. Both
+    counts are whole numbers, so the count is exact. O(n log n): each class
+    is sorted once, and two binary searches of the sorted negatives count
+    the negatives below, and not above, the sorted positives.
     """
     s, y = _columns(scores, labels)
     pos = y == 1
@@ -92,20 +96,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise UndefinedMetricError("AUC undefined with a single class")
     if np.isnan(s).any():
         raise UndefinedMetricError("AUC undefined with NaN scores")
-    ranks = _average_ranks(s)
-    return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing their average rank; O(n log n).
-
-    A run of ``count`` equal values starting at 0-based sorted position
-    ``start`` holds ranks start+1 .. start+count, whose mean is
-    (2*start + count + 1) / 2.
-    """
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    starts = np.cumsum(counts) - counts
-    return ((2 * starts + counts + 1) / 2.0)[inverse]
+    positives, negatives = s[pos], s[~pos]
+    positives.sort()
+    negatives.sort()
+    below = np.searchsorted(negatives, positives, side="left").sum()
+    not_above = np.searchsorted(negatives, positives, side="right").sum()
+    return float((below + not_above) / 2.0 / (n1 * n0))
 
 
 def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -14,19 +14,28 @@ writes, so the running update of a whole pass is one scale and one add,
 each element with its own layer's momentum. ``backward`` either
 accumulates the parameter gradients into those views and returns None (no
 caller reads the input gradient of a parameter pass, so the first stage
-with parameters does not form it), or, with ``params=False``, returns the
-input gradient and leaves the gradient buffer untouched. A relu writes
-max(x, 0) into x, and masks its gradient in place, wherever that array is
-a temporary of the stack: never into an array the caller passed to
-``Mlp.forward`` or ``Mlp.backward``.
+does not form it), or, with ``params=False``, returns the
+input gradient and leaves the gradient buffer untouched.
 
-``Mlp`` runs the layer list as stages: a batch-norm layer right after a
-dense layer takes that dense layer's place and runs it, in train mode and
-at inference, so the pair's kernels live on the batch-norm layer. Every
-other layer, a dense layer with no batch-norm after it among them, runs on
-its own; a dense layer is x W + b in both modes. Relu, sigmoid, identity
-and a dense layer with no batch-norm after it give bit for bit the textbook
-forms.
+``Mlp`` accepts one layout, the one ``mlp()`` builds and every checkpoint
+``fairpen train`` writes, and refuses any other with a ``DimensionError``
+that names the first layer breaking it:
+
+- the first layer is a dense layer;
+- a batch-norm layer comes right after a dense layer of its width;
+- an activation comes right after a dense or a batch-norm layer;
+- each dense layer reads the width that the stage before it writes.
+
+``Mlp`` runs the layer list as stages: each batch-norm layer takes the
+place of the dense layer before it and runs it, in train mode and at
+inference, so the pair's kernels live on the batch-norm layer. Every other
+layer, a dense layer with no batch-norm after it among them, runs on its
+own; a dense layer is x W + b in both modes. So every activation's input
+is a new array from the stage before it, and a relu writes max(x, 0) into
+it; its incoming gradient is a new array too, and it masks that in place,
+unless it is the last layer, whose incoming gradient is the caller's.
+Relu, sigmoid, identity and a dense layer with no batch-norm after it give
+bit for bit the textbook forms.
 
 In train mode a batch-norm stage subtracts the batch mean, which removes
 the bias of the dense layer it runs. So the stage computes x W alone, adds
@@ -71,13 +80,11 @@ At inference batch-norm is a fixed per-column affine map x * s + shift,
 s = gamma / sqrt(running_var + epsilon), and a batch-norm stage folds the
 dense layer it runs into that map: weights * s and
 (bias - running_mean) * s + beta_shift, folded once per ``Mlp.forward``
-call. A batch-norm layer with no dense layer before it applies its affine
-map on its own. The folded pass differs from the
-textbook one (dense, then (x - running_mean) / sqrt(running_var + epsilon)
-* gamma + beta_shift) by rounding only: each output of a folded layer with
-k input columns lies within 4 * (k + 4) * eps of the textbook value,
-relative to |s| * (|x| @ |weights| + |bias| + |running_mean|) +
-|beta_shift| (k = 1 and weights = 1 for a batch-norm layer on its own).
+call. The folded pass differs from the textbook one (dense, then
+(x - running_mean) / sqrt(running_var + epsilon) * gamma + beta_shift) by
+rounding only: each output of a folded layer with k input columns lies
+within 4 * (k + 4) * eps of the textbook value, relative to
+|s| * (|x| @ |weights| + |bias| + |running_mean|) + |beta_shift|.
 On a trained scorer that moves scores by under 1e-15. An
 inference pass keeps no layer cache and runs a long input in row blocks of
 ``INFER_BLOCK`` rows, so its transient memory does not grow with the number
@@ -130,8 +137,9 @@ class _Layer:
     PARAMS: tuple[str, ...] = ()  # trainable arrays; Mlp adds a grad_<name> view for each
     BUFFERS: tuple[str, ...] = ()  # arrays a checkpoint stores but SGD does not train
     SETTINGS: tuple[str, ...] = ()  # plain values a checkpoint stores
-    # set by Mlp on the first stage with parameters: a parameter pass reads no
-    # input gradient from it
+    AFTER: tuple[str, ...] = ()  # the kinds it must come right after in an Mlp; empty: any, or none
+    # set by Mlp on the first stage: a parameter pass reads no input gradient
+    # from it
     input_grad_unread = False
 
     def check(self) -> None:
@@ -200,19 +208,20 @@ class DenseLayer(_Layer):
 
 class BatchNormLayer(_Layer):
     """Batch normalization: batch statistics in train mode, exponential
-    running statistics (momentum 0.99) in inference mode. When ``Mlp`` puts
-    it right after a dense layer, it runs that layer too: its input is the
+    running statistics (momentum 0.99) in inference mode. ``Mlp`` puts it
+    right after a dense layer, and it runs that layer too: its input is the
     dense layer's input. A train-mode pass writes the batch mean and
     variance into ``batch_mean`` and ``batch_var``, views that ``Mlp`` sets,
     and ``Mlp.forward`` moves the running statistics towards them."""
 
     KIND = "batch_norm"
+    AFTER = ("dense",)
     PARAMS = ("gamma", "beta_shift")
     BUFFERS = ("running_mean", "running_var")
     SETTINGS = ("momentum", "epsilon")
     # set by Mlp: the dense layer right before this one, which it runs, and
     # whether that layer is at least twice as wide as its input (narrow)
-    dense: DenseLayer | None = None
+    dense: DenseLayer
     narrow = False
     batch_mean: np.ndarray
     batch_var: np.ndarray
@@ -247,23 +256,19 @@ class BatchNormLayer(_Layer):
                 raise ValueError("batch-norm running_var + epsilon overflows")
 
     def fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, shift) of the inference map: x @ weights + shift, with
-        the dense layer this layer runs folded in, or x * weights + shift,
-        with none."""
+        """(weights, shift) of the inference map x @ weights + shift, with
+        the dense layer this layer runs folded in."""
         scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
-        bias = 0.0 if self.dense is None else self.dense.bias
-        shift = (bias - self.running_mean) * scale + self.beta_shift
-        return (scale if self.dense is None else self.dense.weights * scale), shift
+        return self.dense.weights * scale, (self.dense.bias - self.running_mean) * scale + self.beta_shift
 
     def forward(self, x: np.ndarray, train: bool, fold: tuple | None = None) -> np.ndarray:
-        """``fold``, at inference: this layer's ``fold()``, so that a pass
-        over many row blocks folds once."""
+        """``fold``, at inference: this layer's ``fold()``, which ``Mlp``
+        takes once for a pass over many row blocks."""
         dense = self.dense
         if not train:
             self._cache = None
-            weights, shift = self.fold() if fold is None else fold
-            out = x * weights if dense is None else x @ weights
-            out += shift
+            out = x @ fold[0]
+            out += fold[1]
             return out
         n, var = len(x), self.batch_var
         if self.narrow:
@@ -279,17 +284,14 @@ class BatchNormLayer(_Layer):
         else:
             # centre once; the centred block gives the variance (one einsum
             # pass) and the output, and the backward reads it
-            z = x if dense is None else x @ dense.weights
+            z = x @ dense.weights
             mean = np.add.reduce(z, 0) / n
             centred = z - mean
             np.divide(np.einsum("ij,ij->j", centred, centred), n, out=var)
             cw = None
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         self._cache = (x, centred, cw, inv_std)
-        if dense is None:
-            self.batch_mean[...] = mean
-        else:  # the running mean tracks the biased input
-            np.add(mean, dense.bias, out=self.batch_mean)
+        np.add(mean, dense.bias, out=self.batch_mean)  # the running mean tracks the biased input
         scale = self.gamma * inv_std
         out = centred @ (dense.weights * scale) if self.narrow else centred * scale
         out += self.beta_shift
@@ -331,22 +333,23 @@ class BatchNormLayer(_Layer):
         np.subtract(grad_out, grad_in, out=grad_in)
         grad_in -= g_sum / n
         grad_in *= scale
-        if params and dense is not None:
+        if params:
             dense.grad_weights += x.T @ grad_in
-        if params and self.input_grad_unread:
-            return None
-        return grad_in if dense is None else grad_in @ dense.weights.T
+            if self.input_grad_unread:
+                return None
+        return grad_in @ dense.weights.T
 
 
 class ActivationLayer(_Layer):
     """Elementwise relu / sigmoid / identity."""
 
     KIND = "activation"
+    AFTER = ("dense", "batch_norm")
     SETTINGS = ("fn",)
     FUNCTIONS = ("relu", "sigmoid", "identity")
-    # set by Mlp where the relu's input (forward) or incoming gradient
-    # (backward) is always a temporary of the stack, never the caller's array
-    forward_in_place = backward_in_place = False
+    # cleared by Mlp on the last layer, whose incoming gradient is the
+    # caller's array; every other activation's is a new one
+    backward_in_place = True
 
     def __init__(self, fn: str):
         self.fn = fn
@@ -359,8 +362,9 @@ class ActivationLayer(_Layer):
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if self.fn == "relu":
+            # in place: in an Mlp, x is a new array from the stage before.
             # out > 0 exactly where x > 0 (NaN stays NaN), so out is the mask's cache
-            out = np.maximum(x, 0.0, out=x if self.forward_in_place else None)
+            out = np.maximum(x, 0.0, out=x)
             self._cache = out if train else None
         elif self.fn == "sigmoid":
             out = sigmoid(x)
@@ -406,6 +410,8 @@ class Mlp:
     running and batch statistics, as views into flat buffers."""
 
     def __init__(self, layers: list):
+        if not layers:
+            raise DimensionError("the layer list has no dense layer")
         self.layers = layers
         self._train_cache_ready = False
         arrays = [(layer, name, "grad_" + name) for layer in layers for name in layer.PARAMS]
@@ -421,40 +427,30 @@ class Mlp:
         for (layer, _, _), (start, stop) in zip(arrays, spans):
             self._keep[start:stop] = layer.momentum
         self._blend = 1 - self._keep
-        self._stages = []  # the layers a pass runs: a batch-norm layer runs the dense layer before it
-        for prev, layer in zip([None, *layers], layers):
-            if isinstance(layer, BatchNormLayer) and isinstance(prev, DenseLayer):
-                layer.dense, layer.narrow = prev, 2 * prev.in_dim <= prev.out_dim
-                self._stages[-1] = layer
-            else:
-                self._stages.append(layer)
-        first = next((stage for stage in self._stages if stage.PARAMS), None)
-        if first is not None:
-            first.input_grad_unread = True
-        # every layer but identity returns a new array, so a relu's input is a
-        # temporary after any such layer and its gradient before one
-        makes_new = [not (isinstance(layer, ActivationLayer) and layer.fn == "identity") for layer in layers]
+        # check the layout and build the stages, the layers a pass runs: a
+        # batch-norm layer runs the dense layer before it
+        self._stages, width = [], None  # width: what the stage before writes
         for i, layer in enumerate(layers):
+            prev = layers[i - 1] if i else None
+            if layer.AFTER and (prev is None or prev.KIND not in layer.AFTER):
+                raise DimensionError(f"layer {i}: {layer.KIND} after {prev.KIND if i else 'nothing'}; "
+                                     f"it must come right after {' or '.join(layer.AFTER)}")
             if isinstance(layer, ActivationLayer):
-                layer.forward_in_place, layer.backward_in_place = any(makes_new[:i]), any(makes_new[i + 1:])
-        # the input width of the first dense or batch-norm layer, and the
-        # output width of the last
-        self.in_dim = width = None
-        for i, layer in enumerate(layers):
-            if isinstance(layer, DenseLayer):
-                needs, width_out = layer.in_dim, layer.out_dim
-            elif isinstance(layer, BatchNormLayer):
-                needs = width_out = len(layer.gamma)
-            else:
+                self._stages.append(layer)
                 continue
-            if width is None:
-                self.in_dim = needs
-            elif needs != width:
-                raise DimensionError(
-                    f"layer {i}: widths incompatible: {width} -> {needs}"
-                )
-            width = width_out
-        self.out_dim = width
+            needs = layer.in_dim if isinstance(layer, DenseLayer) else len(layer.gamma)
+            if i and needs != width:
+                raise DimensionError(f"layer {i}: widths incompatible: {width} -> {needs}")
+            if isinstance(layer, DenseLayer):
+                self._stages.append(layer)
+                width = layer.out_dim
+            else:
+                layer.dense, layer.narrow = prev, 2 * prev.in_dim <= width
+                self._stages[-1] = layer
+        self._stages[0].input_grad_unread = True
+        if isinstance(layers[-1], ActivationLayer):  # its incoming gradient is the caller's
+            layers[-1].backward_in_place = False
+        self.in_dim, self.out_dim = layers[0].in_dim, width
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """The stack's output on ``x``. A train-mode pass caches what
@@ -503,7 +499,7 @@ class Mlp:
         grad = np.asarray(grad_out, dtype=np.float64)
         for stage in reversed(self._stages):
             grad = stage.backward(grad, params)
-            if grad is None:  # the first stage with parameters, in a parameter pass
+            if grad is None:  # the first stage, in a parameter pass
                 break
         return None if params else grad
 
@@ -547,14 +543,12 @@ class Mlp:
                 layers.append(_LAYER_KINDS[layer_spec["kind"]].from_spec(layer_spec))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(f"{path}: layer {i}: malformed spec ({exc!r})") from exc
-        if not any(isinstance(layer, DenseLayer) for layer in layers):
-            raise CheckpointError(f"{path}: checkpoint has no dense layer")
         try:
             net = cls(layers)
         except DimensionError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         # every array an inference pass runs on must be finite; the stored
-        # ones are, so only a batch-norm map, folded or alone, can fail
+        # ones are, so only a batch-norm layer's fold can fail
         with np.errstate(over="ignore", invalid="ignore"):
             for i, layer in enumerate(net.layers):
                 if isinstance(layer, BatchNormLayer) and not all(np.isfinite(a).all() for a in layer.fold()):
@@ -569,10 +563,9 @@ def mlp(
     out_dim: int = 1,
     rng: np.random.Generator | None = None,
     batch_norm: bool = True,
-    hidden_activation: str = "relu",
     output_activation: str = "sigmoid",
 ) -> Mlp:
-    """Build a [Dense-(BN)-act]*k - [Dense-out_act] stack."""
+    """Build a [Dense-(BN)-relu]*k - [Dense-out_act] stack."""
     rng = rng if rng is not None else np.random.default_rng()
     layers: list = []
     prev = in_dim
@@ -580,7 +573,7 @@ def mlp(
         layers.append(DenseLayer(prev, width, rng))
         if batch_norm:
             layers.append(BatchNormLayer(width))
-        layers.append(ActivationLayer(hidden_activation))
+        layers.append(ActivationLayer("relu"))
         prev = width
     layers.append(DenseLayer(prev, out_dim, rng))
     layers.append(ActivationLayer(output_activation))

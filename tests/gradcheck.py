@@ -4,7 +4,7 @@ and acceptance suites."""
 import numpy as np
 
 from conftest import gradients, parameters, zero_gradients
-from fairpen.nn import bce_loss, mae_loss, mlp
+from fairpen.nn import ActivationLayer, BatchNormLayer, DenseLayer, Mlp, bce_loss, mae_loss
 
 
 def relative_error(analytic: float, numeric: float, floor: float = 1e-5) -> float:
@@ -46,7 +46,8 @@ def check_network_gradients(net, loss_fn, x, y, eps: float = 1e-6) -> float:
 
 
 def random_config(rng: np.random.Generator):
-    """One random (network, loss, batch) gradient-check configuration."""
+    """One random (network, loss, batch) gradient-check configuration: the
+    layout ``mlp()`` builds, but with relu or sigmoid hidden blocks."""
     in_dim = int(rng.integers(2, 6))
     depth = int(rng.integers(1, 4))
     hidden = [int(rng.integers(3, 9)) for _ in range(depth)]
@@ -55,14 +56,14 @@ def random_config(rng: np.random.Generator):
     regression = bool(rng.integers(0, 2))
     out_act = "identity" if regression else "sigmoid"
     loss_fn = mae_loss if regression else bce_loss
-    net = mlp(
-        in_dim,
-        hidden,
-        rng=rng,
-        batch_norm=batch_norm,
-        hidden_activation=hidden_act,
-        output_activation=out_act,
-    )
+    layers, prev = [], in_dim
+    for width in hidden:
+        layers.append(DenseLayer(prev, width, rng))
+        if batch_norm:
+            layers.append(BatchNormLayer(width))
+        layers.append(ActivationLayer(hidden_act))
+        prev = width
+    net = Mlp(layers + [DenseLayer(prev, 1, rng), ActivationLayer(out_act)])
     n = int(rng.integers(4, 12))
     # keep inputs away from relu kinks and mae ties for clean central diffs
     x = rng.standard_normal((n, in_dim)) + 0.1

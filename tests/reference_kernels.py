@@ -241,7 +241,7 @@ def batch_norm_forward_infer(x, gamma, beta_shift, running_mean, running_var, ep
     return gamma * x_hat + beta_shift
 
 
-def batch_norm_infer_affine(gamma, beta_shift, running_mean, running_var, epsilon, bias=0.0):
+def batch_norm_infer_affine(gamma, beta_shift, running_mean, running_var, epsilon, bias):
     """(s, shift): inference batch-norm of x + bias as x * s + shift."""
     s = gamma / np.sqrt(running_var + epsilon)
     return s, (bias - running_mean) * s + beta_shift
@@ -356,11 +356,10 @@ def dense_layer_backward_textbook(layer, grad_out, params=True):
 
 def batch_norm_layer_forward_textbook(layer, x, train, fold=None):
     """``BatchNormLayer.forward`` with the textbook kernels, to be set on the
-    class: the dense layer it runs, if any, by its own forward, then
-    batch-norm, unfolded at inference. In train mode it writes the batch
-    mean and variance for ``Mlp.forward``'s running update."""
-    if layer.dense is not None:
-        x = layer.dense.forward(x, train)
+    class: the dense layer it runs by its own forward, then batch-norm,
+    unfolded at inference. In train mode it writes the batch mean and
+    variance for ``Mlp.forward``'s running update."""
+    x = layer.dense.forward(x, train)
     if not train:
         layer._cache = None
         return batch_norm_forward_infer(x, layer.gamma, layer.beta_shift, layer.running_mean,
@@ -373,12 +372,12 @@ def batch_norm_layer_forward_textbook(layer, x, train, fold=None):
 
 def batch_norm_layer_backward_textbook(layer, grad_out, params=True):
     """``BatchNormLayer.backward`` with the textbook kernel, to be set on the
-    class; the dense layer it runs, if any, takes the gradient on."""
+    class; the dense layer it runs takes the gradient on."""
     grad_in, grad_gamma, grad_beta_shift = batch_norm_backward(grad_out, *layer._cache, layer.gamma)
     if params:
         layer.grad_gamma += grad_gamma
         layer.grad_beta_shift += grad_beta_shift
-    return grad_in if layer.dense is None else layer.dense.backward(grad_in, params)
+    return layer.dense.backward(grad_in, params)
 
 
 def sgd_step_loop(layers, learning_rate, maximize=False):
@@ -450,21 +449,12 @@ def inference_forward_whole(net, x):
 def inference_forward_folded(net, x):
     """The folded inference pass over the whole array at once, out of place:
     a dense layer followed by a batch-norm layer is one affine map with
-    weights * s and bias (bias - running_mean) * s + beta_shift; a batch-norm
-    layer after any other layer is x * s + shift on its own."""
+    weights * s and bias (bias - running_mean) * s + beta_shift."""
     layers = net.layers
-    i = 0
-    while i < len(layers):
-        layer, after = layers[i], layers[i + 1] if i + 1 < len(layers) else None
+    for layer, after in zip(layers, [*layers[1:], None]):
         if isinstance(layer, DenseLayer) and isinstance(after, BatchNormLayer):
             s, shift = batch_norm_infer_affine(*_bn_args(after), bias=layer.bias)
             x = x @ (layer.weights * s) + shift
-            i += 2
-            continue
-        if isinstance(layer, BatchNormLayer):
-            s, shift = batch_norm_infer_affine(*_bn_args(layer))
-            x = x * s + shift
-        else:
+        elif not isinstance(layer, BatchNormLayer):  # a batch-norm layer is folded into the dense one above
             x = layer.forward(x, train=False)
-        i += 1
     return x

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -21,7 +22,7 @@ from conftest import (
 )
 from fairpen import cli, penalties, training
 from fairpen.cli import default_networks, load_schema, main
-from fairpen.nn import mlp
+from fairpen.nn import ActivationLayer, BatchNormLayer, DenseLayer, mlp
 
 
 def _write_dataset(tmp_path, n=200, seed=0):
@@ -326,6 +327,46 @@ def test_evaluate_batch_norm_width_mismatch(tmp_path, capsys):
     assert "layer 1" in err and str(bad) in err and "Traceback" not in err
 
 
+def test_evaluate_checkpoint_layout_fuzz(tmp_path):
+    """Layer-level faults in a saved ``mlp()`` checkpoint: one layer spec
+    dropped, repeated, swapped with another, or given another kind.
+    ``fairpen evaluate`` returns 0, or returns 1 with an error that names
+    the checkpoint and a layer; it never raises."""
+    csv_path, schema_path = _write_dataset(tmp_path, n=40)
+    ckpt = tmp_path / "h.ckpt"
+    mlp(2, [4, 3], rng=np.random.default_rng(0)).save(ckpt)  # distinct widths: a moved dense layer misfits
+    magic, body = ckpt.read_text().split("\n", 1)
+    saved = json.loads(body)["layers"]
+    argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path), "--schema", str(schema_path),
+            "--out", str(tmp_path / "e.csv")]
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.data())
+    def check(data):
+        layers = list(saved)
+        i = data.draw(st.integers(0, len(layers) - 1), label="layer")
+        fault = data.draw(st.sampled_from(["drop", "repeat", "swap", "kind"]), label="fault")
+        if fault == "drop":
+            del layers[i]
+        elif fault == "repeat":
+            layers.insert(i, layers[i])
+        elif fault == "swap":
+            j = data.draw(st.integers(0, len(layers) - 1), label="other layer")
+            layers[i], layers[j] = layers[j], layers[i]
+        else:
+            kind = data.draw(st.sampled_from(["dense", "batch_norm", "activation", "conv"]), label="kind")
+            layers[i] = {**layers[i], "kind": kind}
+        ckpt.write_text(magic + "\n" + json.dumps({"layers": layers}) + "\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        assert rc in (0, 1)
+        if rc == 1:
+            assert re.match(rf"error: {re.escape(str(ckpt))}: layer \d+: ", stderr.getvalue()), stderr.getvalue()
+
+    check()
+
+
 def test_train_divergence_exits_cleanly(tmp_path, capsys):
     csv_path, schema_path = _write_dataset(tmp_path)
     (tmp_path / "train.ini").write_text(
@@ -592,6 +633,15 @@ def _bad_input(tmp_path, case):
         evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
                     "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
         return evaluate, [str(ckpt), "layer 1", "scale gamma / sqrt(running_var + epsilon)", "is not finite"]
+    if case == "checkpoint_bn_alone":  # a batch-norm layer with no dense layer right before it
+        ckpt = tmp_path / "h.ckpt"
+        rng = np.random.default_rng(0)
+        layers = [DenseLayer(2, 4, rng), ActivationLayer("relu"), BatchNormLayer(4), DenseLayer(4, 1, rng),
+                  ActivationLayer("sigmoid")]
+        ckpt.write_text("FAIRPEN-CKPT-v1\n" + json.dumps({"layers": [layer.to_spec() for layer in layers]}) + "\n")
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                    "--schema", str(schema_path), "--out", str(tmp_path / "e.csv")]
+        return evaluate, [str(ckpt), "layer 2", "batch_norm after activation"]
     if case in ("checkpoint_huge_int", "checkpoint_deep_nesting"):
         ckpt = tmp_path / "h.ckpt"
         body = "[" + "9" * 5001 + "]" if case == "checkpoint_huge_int" else "[" * 100_000
@@ -728,7 +778,7 @@ def _bad_input(tmp_path, case):
      "schema_categories_str", "schema_categories_repeated", "schema_categories_padded",
      "schema_outcome_three_categories", "pareto_repeated_header", "pareto_long_row", "lambda_empty_grid",
      "lambda_same_directory", "lambda_repeated", "pareto_empty_first_file", "pareto_misspelt_column",
-     "checkpoint_bn_epsilon_str", "checkpoint_bn_epsilon_overflow", "checkpoint_bn_fold_overflow",
+     "checkpoint_bn_epsilon_str", "checkpoint_bn_epsilon_overflow", "checkpoint_bn_fold_overflow", "checkpoint_bn_alone",
      "checkpoint_huge_int", "checkpoint_deep_nesting",
      "checkpoint_two_outputs", "checkpoint_no_outputs", "checkpoint_scores_overflow", "seed_negative_flag", "seed_negative_config",
      "ratio_toy_seed_negative", "batch_exceeds_split_config", "batch_exceeds_split_default",

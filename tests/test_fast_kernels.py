@@ -39,7 +39,6 @@ from reference_kernels import (
     batch_norm_forward_infer,
     batch_norm_forward_train,
     batch_norm_forward_train_centred,
-    batch_norm_infer_affine,
     batch_norm_layer_backward_textbook,
     batch_norm_layer_forward_textbook,
     choose_threshold_loop,
@@ -91,11 +90,6 @@ def test_choose_threshold_equals_loop():
     for s in _score_sets(0):
         y = _labels(rng, len(s))
         assert metrics.choose_threshold(s, y) == choose_threshold_loop(s, y)
-
-
-def test_average_ranks_equal_loop():
-    for s in _score_sets(1):
-        assert np.array_equal(metrics._average_ranks(s), average_ranks_loop(s))
 
 
 def test_auc_equals_loop_ranks():
@@ -331,7 +325,6 @@ def test_relu_in_place_equals_reference(values, seed):
     x = np.array(values).reshape(-1, 1) * np.ones(3)
     grad_out = np.array([np.nan, np.inf, -1.5])[rng.integers(0, 3, x.shape)]
     layer = ActivationLayer("relu")
-    layer.forward_in_place = layer.backward_in_place = True
     x_in, g_in = x.copy(), grad_out.copy()
     with np.errstate(invalid="ignore"):  # inf * 0
         out = layer.forward(x_in, train=True)
@@ -407,11 +400,10 @@ def _pair_within_rounding_of_textbook(net, x, grad_out):
     d_g_z = np.abs(gamma) * inv_std * ((d_inv_std + t) * terms + (d_x_hat * np.abs(g_gamma_t) + px * d_gamma) / n)
     if narrow:  # the gradient w.r.t. x W is never formed: bound by its terms
         ag_z, ax_in = np.abs(gamma) * inv_std * terms, np.abs(x) + np.abs(x).mean(axis=0)
-    else:  # the gradient w.r.t. x W, which a batch-norm layer on its own forms from x W
-        alone = Mlp([BatchNormLayer(width, momentum, bn.epsilon)])
-        alone.layers[0].gamma[...], alone.layers[0].beta_shift[...] = gamma, beta_shift
-        alone.forward(x @ weights, train=True)
-        g_z = alone.backward(grad_out, params=False)
+    else:  # the gradient w.r.t. x W, from the reference's centred kernels on x W
+        _, (centred, inv_std_z), _, _ = batch_norm_forward_train_centred(
+            x @ weights, gamma, beta_shift, mean0, var0, momentum, bn.epsilon)
+        g_z = batch_norm_backward_centred(grad_out, centred, inv_std_z, gamma)[0]
         assert (g_z @ weights.T).tobytes() == g_x.tobytes()
         _within(g_z, g_z_t, d_g_z)
         ag_z, ax_in = np.abs(g_z_t), np.abs(x)
@@ -548,18 +540,16 @@ _infer_rows = st.one_of(st.integers(1, 40), st.integers(INFER_BLOCK - 2, INFER_B
                         st.integers(2 * INFER_BLOCK - 2, 2 * INFER_BLOCK + 3))
 
 
-def _fold_bound(x, bn=None, weights=None, bias=0.0):
+def _fold_bound(x, bn, weights, bias):
     """FOLD_TOL (k + 4) eps times |s| (|x| @ |weights| + |bias| + |running_mean|)
     + |beta_shift|: how far a folded layer's output may lie from the textbook
-    one on the same input x of k columns. Without ``bn``, s = 1; without
-    ``weights``, ``bn`` on its own (k = 1, |x| in place of |x| @ |weights|)."""
+    one on the same input x of k columns. Without ``bn``, s = 1."""
     s, mean, beta_shift = 1.0, 0.0, 0.0
     if bn is not None:
         s = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
         mean, beta_shift = bn.running_mean, bn.beta_shift
-    summed, k = (np.abs(x), 1) if weights is None else (np.abs(x) @ np.abs(weights), len(weights))
-    magnitude = np.abs(s) * (summed + np.abs(bias) + np.abs(mean)) + np.abs(beta_shift)
-    return FOLD_TOL * (k + 4) * _EPS * magnitude
+    magnitude = np.abs(s) * (np.abs(x) @ np.abs(weights) + np.abs(bias) + np.abs(mean)) + np.abs(beta_shift)
+    return FOLD_TOL * (len(weights) + 4) * _EPS * magnitude
 
 
 def _randomize_batch_norm(bn, rng, scale, epsilon, large_var):
@@ -570,31 +560,6 @@ def _randomize_batch_norm(bn, rng, scale, epsilon, large_var):
     bn.running_mean[...] = scale * rng.standard_normal(width)
     bn.running_var[...] = rng.choice([0.0, scale * scale, large_var], width) * rng.random(width)
     bn.epsilon = epsilon
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    n=st.integers(1, 300),
-    width=st.integers(1, 80),
-    scale=st.sampled_from([1e-3, 1.0, 1e3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_inference_batch_norm_equals_reference(n, width, scale, seed):
-    """A batch-norm layer run on its own at inference is x * s + shift, bit
-    for bit, and within the stated bound of the textbook form."""
-    rng = np.random.default_rng(seed)
-    bn = BatchNormLayer(width)
-    for arr in (bn.gamma, bn.beta_shift, bn.running_mean):
-        arr[...] = scale * rng.standard_normal(width)
-    bn.running_var = scale * rng.random(width)
-    x = scale * rng.standard_normal((n, width))
-    args = (bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var, bn.epsilon)
-    s, shift = batch_norm_infer_affine(*args)
-    x_before = x.copy()
-    got = bn.forward(x, train=False)
-    assert got.tobytes() == (x * s + shift).tobytes()
-    assert x.tobytes() == x_before.tobytes()
-    _within(got, batch_norm_forward_infer(x, *args), _fold_bound(x, bn))
 
 
 @settings(deadline=None, max_examples=80)
@@ -625,22 +590,20 @@ def test_folded_layer_within_tolerance_of_textbook(n, in_dim, width, scale, epsi
 
 def _textbook_pass_bound(net, x):
     """Per output, how far the folded pass over x may lie from the textbook
-    pass: each dense or batch-norm step carries the incoming bound through
-    |weights| |s| and adds its own ``_fold_bound`` on inputs as large as
-    |x| + bound; relu carries the bound as it is, sigmoid a quarter of it
-    (its slope is at most 1/4) plus 8 eps for its own rounding on both sides."""
+    pass: each dense step, with the batch-norm layer after it if any,
+    carries the incoming bound through |weights| |s| and adds its own
+    ``_fold_bound`` on inputs as large as |x| + bound; relu carries the
+    bound as it is, sigmoid a quarter of it (its slope is at most 1/4) plus
+    8 eps for its own rounding on both sides."""
     bound = np.zeros_like(x)
-    for prev, layer, after in zip([None, *net.layers], net.layers, [*net.layers[1:], None]):
+    for layer, after in zip(net.layers, [*net.layers[1:], None]):
         if isinstance(layer, DenseLayer):
             bn = after if isinstance(after, BatchNormLayer) else None
             s = 1.0 if bn is None else np.abs(bn.gamma) / np.sqrt(bn.running_var + bn.epsilon)
             bound = (bound @ np.abs(layer.weights)) * s + _fold_bound(np.abs(x) + bound, bn, layer.weights,
                                                                       layer.bias)
             x = dense_forward(x, layer.weights, layer.bias)
-        elif isinstance(layer, BatchNormLayer):
-            if not isinstance(prev, DenseLayer):  # else folded into it above
-                s = np.abs(layer.gamma) / np.sqrt(layer.running_var + layer.epsilon)
-                bound = bound * s + _fold_bound(np.abs(x) + bound, layer)
+        elif isinstance(layer, BatchNormLayer):  # its bound is the dense layer's above
             x = batch_norm_forward_infer(x, layer.gamma, layer.beta_shift, layer.running_mean,
                                          layer.running_var, layer.epsilon)
         elif layer.fn == "sigmoid":
@@ -655,7 +618,7 @@ def _textbook_pass_bound(net, x):
     n=_infer_rows,
     in_dim=st.integers(1, 16),
     width=st.integers(1, 64),
-    layout=st.sampled_from(["scorer", "discriminator", "batch-norm after relu"]),
+    layout=st.sampled_from(["scorer", "discriminator"]),
     epsilon=st.sampled_from([_EPSILON_BOUNDS[1], 1e-5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -668,11 +631,8 @@ def test_folded_pass_within_tolerance_of_textbook_pass(n, in_dim, width, layout,
     rng = np.random.default_rng(seed)
     if layout == "scorer":
         net = mlp(in_dim, [width] * 3, rng=rng)
-    elif layout == "discriminator":
-        net = mlp(in_dim, [width] * 2, out_dim=2, rng=rng, output_activation="identity")
     else:
-        net = Mlp([DenseLayer(in_dim, width, rng), ActivationLayer("relu"), BatchNormLayer(width),
-                   DenseLayer(width, 1, rng), ActivationLayer("sigmoid")])
+        net = mlp(in_dim, [width] * 2, out_dim=2, rng=rng, output_activation="identity")
     for layer in net.layers:
         if isinstance(layer, BatchNormLayer):
             _randomize_batch_norm(layer, rng, 1.0, epsilon, large_var=1e6)
@@ -986,10 +946,8 @@ def test_blocked_inference_equals_whole_array_pass(n):
     rng = np.random.default_rng(n)
     scorer = mlp(13, [64] * 3, rng=rng)  # the CLI's scorer: a sigmoid on one output
     discriminator = mlp(3, [16] * 2, out_dim=2, rng=rng, output_activation="identity")
-    bn_after_relu = Mlp([DenseLayer(4, 8, rng), ActivationLayer("relu"), BatchNormLayer(8),
-                         DenseLayer(8, 1, rng), ActivationLayer("sigmoid")])
     ratio_net = mlp(3, [64] * 2, rng=rng, batch_norm=False)  # the density-ratio net's layout
-    for net in (scorer, discriminator, bn_after_relu, ratio_net):
+    for net in (scorer, discriminator, ratio_net):
         for param in parameters(net):  # nonzero biases and shifts, gamma off 1
             param += 0.5 * rng.standard_normal(param.shape)
         for _ in range(3):  # move the batch-norm running statistics off their start

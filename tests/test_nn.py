@@ -54,7 +54,8 @@ def test_dense_shapes_and_glorot_range():
 
 
 def test_batch_norm_train_normalizes_batch():
-    net = Mlp([BatchNormLayer(2)])  # a batch-norm layer on its own
+    net = Mlp([DenseLayer(2, 2, np.random.default_rng(0)), BatchNormLayer(2)])
+    net.layers[0].weights[...] = np.eye(2)  # x @ I == x: the pair normalizes x itself
     x = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 50.0]])
     out = net.forward(x, train=True)
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-10)
@@ -111,46 +112,106 @@ def test_inference_memory_is_bounded_by_the_block():
     assert peak < out.nbytes + 6 * block_bytes, peak
 
 
-_LAYER_KINDS = ["dense", "narrow", "batch_norm", "relu", "sigmoid", "identity"]
-_BETA_NET = ["dense", "relu", "dense", "relu", "dense", "sigmoid"]  # the density-ratio net: no batch-norm
+def _first_break(layers):
+    """The index of the first layer that breaks ``Mlp``'s layout rule, or
+    None: the first layer is dense, a batch-norm layer comes right after a
+    dense layer of its width, an activation right after a dense or a
+    batch-norm layer, and each dense layer reads the width written before it."""
+    width = None
+    for i, (prev, layer) in enumerate(zip([None, *layers], layers)):
+        if isinstance(layer, DenseLayer):
+            if prev is not None and layer.in_dim != width:
+                return i
+            width = layer.out_dim
+        elif isinstance(layer, BatchNormLayer):
+            if not isinstance(prev, DenseLayer) or len(layer.gamma) != width:
+                return i
+        elif not isinstance(prev, (DenseLayer, BatchNormLayer)):
+            return i
+    return None
 
 
-@settings(deadline=None, max_examples=100)
-@given(
-    kinds=st.lists(st.sampled_from(_LAYER_KINDS), min_size=1, max_size=7).filter(
-        lambda k: "dense" in k or "narrow" in k),
-    n=st.integers(1, 20),
-    width=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(kinds=_BETA_NET, n=8, width=4, seed=0)
-@example(kinds=["relu", "dense", "batch_norm", "relu", "dense", "relu"], n=8, width=4, seed=0)
-@example(kinds=["identity", "relu", "dense", "relu", "batch_norm", "relu", "identity"], n=8, width=4, seed=0)
-@example(kinds=["narrow", "relu", "narrow", "sigmoid"], n=8, width=4, seed=0)
-@example(kinds=["relu", "narrow", "batch_norm", "relu", "dense"], n=8, width=4, seed=0)
-def test_forward_and_backward_never_write_into_the_callers_arrays(kinds, n, width, seed):
-    """In train and inference mode, whatever the layout: a relu first or
-    last, behind an identity, before or after batch-norm, or no batch-norm
-    at all. A relu that works in place must do so only on the stack's own
-    temporaries. A "narrow" kind adds a narrow dense and batch-norm pair and
-    a dense layer back to the width: as the first block it reads the
-    caller's x, and after other layers it passes its input gradient down."""
+# a layer as (kind, widths...): two widths make the 2 -> 4 pairs narrow and the rest wide
+_WIDTHS = st.sampled_from([2, 4])
+_ACTIVATIONS = st.sampled_from([("relu",), ("sigmoid",), ("identity",)])
+_LAYER_SPECS = st.one_of(st.tuples(st.just("dense"), _WIDTHS, _WIDTHS), st.tuples(st.just("batch_norm"), _WIDTHS),
+                         _ACTIVATIONS)
+
+
+@st.composite
+def _stacks(draw):
+    """Layer specs: either each layer drawn on its own, or blocks that keep
+    the layout rule (dense with chained widths, then batch-norm or not, then
+    an activation or not) with one drawn layer put in or not."""
+    if draw(st.booleans()):
+        return draw(st.lists(_LAYER_SPECS, min_size=1, max_size=8))
+    specs, width = [], draw(_WIDTHS)
+    for _ in range(draw(st.integers(1, 3))):
+        specs.append(("dense", width, width := draw(_WIDTHS)))
+        specs += [("batch_norm", width)] * draw(st.booleans()) + [draw(_ACTIVATIONS)] * draw(st.booleans())
+    if draw(st.booleans()):
+        specs.insert(draw(st.integers(0, len(specs))), draw(_LAYER_SPECS))
+    return specs
+
+
+_SCORER = [("dense", 2, 4), ("batch_norm", 4), ("relu",), ("dense", 4, 4), ("batch_norm", 4), ("relu",),
+           ("dense", 4, 2), ("batch_norm", 2), ("relu",), ("dense", 2, 1), ("sigmoid",)]
+
+
+def _build(specs, rng):
+    make = {"dense": lambda a, b: DenseLayer(a, b, rng), "batch_norm": BatchNormLayer}
+    return [make[kind](*widths) if kind in make else ActivationLayer(kind) for kind, *widths in specs]
+
+
+@settings(deadline=None, max_examples=150)
+@given(specs=_stacks(), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(specs=_SCORER, n=8, seed=0)  # mlp()'s layout, a narrow first block
+@example(specs=[("dense", 4, 2), ("relu",), ("dense", 2, 2), ("relu",), ("dense", 2, 1), ("sigmoid",)], n=8, seed=0)
+@example(specs=[("dense", 2, 2), ("identity",), ("dense", 2, 4), ("batch_norm", 4)], n=8, seed=0)
+@example(specs=[("batch_norm", 2)], n=8, seed=0)  # a batch-norm layer on its own
+@example(specs=[("dense", 2, 4), ("relu",), ("batch_norm", 4), ("dense", 4, 1)], n=8, seed=0)
+@example(specs=[("dense", 2, 4), ("identity",), ("relu",)], n=8, seed=0)
+@example(specs=[("relu",), ("dense", 2, 4)], n=8, seed=0)
+@example(specs=[("dense", 2, 4), ("batch_norm", 2)], n=8, seed=0)
+@example(specs=[("dense", 2, 4), ("batch_norm", 4), ("dense", 2, 1)], n=8, seed=0)
+def test_forward_and_backward_never_write_into_the_callers_arrays(specs, n, seed):
+    """Any stack of dense, batch-norm and activation layers: ``Mlp`` refuses
+    it with a DimensionError naming the first layer that breaks the layout
+    rule, or builds a net whose train and inference passes, a relu working
+    in place among them, never write into the caller's x or grad_out."""
     rng = np.random.default_rng(seed)
-    make = {"dense": lambda: [DenseLayer(width, width, rng)], "batch_norm": lambda: [BatchNormLayer(width)],
-            "narrow": lambda: [DenseLayer(width, 2 * width, rng), BatchNormLayer(2 * width),
-                               DenseLayer(2 * width, width, rng)]}
-    net = Mlp([layer for kind in kinds for layer in (make[kind]() if kind in make else [ActivationLayer(kind)])])
-    assert any(getattr(layer, "narrow", False) for layer in net.layers) == ("narrow" in kinds)
+    layers = _build(specs, rng)
+    broken = _first_break(layers)
+    if broken is not None:
+        with pytest.raises(DimensionError, match=rf"^layer {broken}: "):
+            Mlp(layers)
+        return
+    net = Mlp(layers)
     for param in parameters(net):
         param += rng.standard_normal(param.shape)
-    x, grad_out = rng.standard_normal((2, n, width))  # about half of each below 0
-    x_before, grad_before = x.copy(), grad_out.copy()
+    x, grad_out = rng.standard_normal((n, net.in_dim)), rng.standard_normal((n, net.out_dim))
+    x_before, grad_before = x.copy(), grad_out.copy()  # about half of each below 0
     net.forward(x, train=True)
     net.backward(grad_out)
     net.backward(grad_out, params=False)
     net.forward(x, train=False)
     assert x.tobytes() == x_before.tobytes()
     assert grad_out.tobytes() == grad_before.tobytes()
+
+
+@pytest.mark.parametrize("specs, index", [
+    ([("batch_norm", 2), ("dense", 2, 1)], 0),
+    ([("dense", 2, 4), ("relu",), ("batch_norm", 4), ("dense", 4, 1)], 2),
+    ([("dense", 2, 4), ("relu",), ("relu",), ("dense", 4, 1)], 2),
+    ([("dense", 2, 4), ("batch_norm", 4), ("batch_norm", 4)], 2),
+], ids=["batch-norm first", "batch-norm after relu", "relu after relu", "batch-norm after batch-norm"])
+def test_checkpoint_layout_the_rule_refuses_names_file_and_layer(tmp_path, specs, index):
+    path = tmp_path / "net.ckpt"
+    layers = _build(specs, np.random.default_rng(0))
+    path.write_text("FAIRPEN-CKPT-v1\n" + json.dumps({"layers": [layer.to_spec() for layer in layers]}) + "\n")
+    with pytest.raises(CheckpointError) as err:
+        Mlp.load(path)
+    assert str(err.value).startswith(f"{path}: layer {index}: ")
 
 
 def test_forward_width_mismatch_raises():
@@ -252,8 +313,6 @@ def test_shape_rule_picks_the_first_block_only(in_dim):
     rng = np.random.default_rng(1)
     for k, narrow in ((32, True), (33, False)):
         assert Mlp([DenseLayer(k, 64, rng), BatchNormLayer(64)]).layers[1].narrow is narrow
-    alone = Mlp([DenseLayer(2, 64, rng), ActivationLayer("relu"), BatchNormLayer(64)]).layers[2]
-    assert alone.dense is None and not alone.narrow  # no dense layer right before it
 
 
 def test_narrow_pair_after_the_first_block_trains_through_a_parameter_pass():
@@ -343,9 +402,10 @@ def _layer_arrays(net):
 
 
 def _moved_batch_norm():
-    net = Mlp([BatchNormLayer(3, momentum=0.9)])
-    net.forward(np.random.default_rng(0).standard_normal((8, 3)), train=True)  # move the running statistics
-    return net.layers[0]
+    rng = np.random.default_rng(0)
+    net = Mlp([DenseLayer(3, 3, rng), BatchNormLayer(3, momentum=0.9)])
+    net.forward(rng.standard_normal((8, 3)), train=True)  # move the running statistics
+    return net.layers[1]
 
 
 @pytest.mark.parametrize(
@@ -367,7 +427,7 @@ def test_layer_declaration_is_its_checkpoint_spec(make):
 def _inference_maps_finite(net):
     """Whether every array an inference pass runs on is finite: each layer's
     parameters, and each batch-norm layer's fold, with the dense layer
-    before it folded in or alone."""
+    before it folded in."""
     with np.errstate(over="ignore", invalid="ignore"):
         return all(
             np.isfinite(a).all()
