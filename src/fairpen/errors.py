@@ -26,7 +26,10 @@ class DegenerateMetricError(FairpenError):
 
 
 class UndefinedMetricError(FairpenError):
-    """Metric is undefined for the given labels (e.g. AUC with a single class)."""
+    """Metric is undefined for the given labels (e.g. AUC with a single
+    class), or a gap that does not apply to this attribute or outcome
+    format (the rate ratio of a discrete attribute with a level outside
+    {0, 1}, or of EO under a continuous outcome)."""
 
 
 class CheckpointError(FairpenError):

@@ -1,20 +1,26 @@
 """Utility and fairness measurement.
 
-Every fairness gap follows one grouping and one reduction rule. A discrete
-column conditions on each observed level (A = v); a continuous column on
-each value q of its nine-point nearest-rank quantile grid (A <= q). Each
-(outcome condition, attribute condition) cell is compared with a reference,
-the rows of its outcome condition (narrowed to A = 0 for the binary rate
-ratio), by |rate(cell)/rate(reference) - 1| (SP, EO) or by the KS distance
-between their score distributions. Cell gaps are summed in (outcome,
-attribute) order and divided by the grid size of each continuous column:
-summed over levels, averaged over grid values. The unconditional forms (SP,
-GSP) are the conditional ones (EO, GEO) with one outcome condition holding
-every row.
+Every fairness gap follows one grouping and one reduction rule, in one
+sweep. A discrete column conditions on each observed level (A = v); a
+continuous column on each value q of its nine-point nearest-rank quantile
+grid (A <= q). Each (outcome condition, attribute condition) cell is
+compared with a reference, the rows of its outcome condition, by
+|rate(cell)/rate(reference) - 1| (SP, EO) or by the KS distance between
+their score distributions. Cell gaps are summed in (outcome, attribute)
+order and divided by the grid size of each continuous column: summed over
+levels, averaged over grid values. The unconditional forms (SP, GSP) are
+the conditional ones (EO, GEO) with one outcome condition holding every
+row. The rate gap and the KS gap say only how to prepare a reference, once
+per outcome condition, and how to score a cell against it.
 
-A rate reference is prepared once per outcome condition, not once per
-cell. The KS gaps rank the n scores once per call, O(n log n); every
-condition is then a row mask in that order, and the CDF of a cell or of its
+Which gaps apply is decided here. The KS gaps apply to every format. The
+rate gap of a discrete A is the binary ratio: one cell, A = 1, against the
+reference narrowed to A = 0. It applies only if every value of A is 0 or 1
+and, for EO, only to a discrete outcome; otherwise ``sp`` and ``eo`` raise
+UndefinedMetricError.
+
+The KS gaps rank the n scores once per call, O(n log n); every condition
+is then a row mask in that order, and the CDF of a cell or of its
 reference at each distinct score is the mask's running count at the last
 row of that score's run of ties, divided by the mask's size: O(n) per cell.
 
@@ -155,99 +161,117 @@ def _conditions(column: np.ndarray, kind: str, grid: QuantileGrid | None = None)
     return [(f"<={q:g}", column <= q) for q in grid.values], len(grid.values)
 
 
-def _sweep(values, a_conds, y=None, y_grid=None, ref_where=None) -> float:
-    """Sum |rate(cell)/rate(reference) - 1| over the (outcome condition x
+def _sweep(prepare, score, data, a_conds, y=None, y_grid=None, ref_where=None) -> float:
+    """Sum score(data, reference, cell, size) over the (outcome condition x
     attribute condition) cells in that order, then divide by both divisors.
 
-    The reference rate is taken once per outcome condition, not once per
-    cell. Without ``y`` one outcome condition holds every row (the SP
-    form). The reference is the outcome condition's rows, narrowed to
-    ``ref_where`` if given (A=0 for the binary rate ratio), or ``values``
-    itself for the all-rows condition. An empty cell is reported before a
-    zero reference rate.
+    Every mask is a row mask over ``data``, what the gap reads. Without
+    ``y`` one outcome condition holds every row (mask None). A cell's
+    reference is its outcome condition's rows, narrowed to ``ref_where`` if
+    given (A = 0 for the binary rate ratio); ``prepare(data, mask)`` prepares
+    it once per outcome condition. ``size`` is the cell's row count. An
+    empty reference, other than the all-rows one, or an empty cell raises
+    DegenerateMetricError before its gap is taken.
     """
     a_masks, a_div = a_conds
-    y_masks, y_div = _outcome_conditions(y, y_grid)
+    y_masks, y_div = ([(" any", None)], 1) if y is None else _conditions(
+        y, "discrete" if y_grid is None else "continuous", y_grid)
     total = 0.0
     for y_name, y_mask in y_masks:
-        ref_mask = _and(ref_where, y_mask)
-        ref_rate = (values if ref_mask is None else _rows(values, ref_mask, f"reference, Y{y_name}")).mean()
+        ref = y_mask if ref_where is None else ref_where if y_mask is None else ref_where & y_mask
+        if ref is not None and not np.count_nonzero(ref):
+            raise DegenerateMetricError(f"empty group (reference, Y{y_name})")
+        reference = prepare(data, ref)
         for a_name, a_mask in a_masks:
-            cell = _rows(values, _and(a_mask, y_mask), f"A{a_name}, Y{y_name}")
-            if ref_rate == 0.0:
-                raise DegenerateMetricError("zero positive rate in the reference group")
-            total += abs(cell.mean() / ref_rate - 1.0)
+            cell = a_mask if y_mask is None else a_mask & y_mask
+            size = np.count_nonzero(cell)
+            if not size:
+                raise DegenerateMetricError(f"empty group (A{a_name}, Y{y_name})")
+            total += score(data, reference, cell, size)
     return float(total / a_div / y_div)
 
 
-def _outcome_conditions(y, y_grid):
-    """The outcome conditions of ``_conditions``; one holding every row
-    (mask None) without ``y``."""
-    if y is None:
-        return [(" any", None)], 1
-    return _conditions(y, "discrete" if y_grid is None else "continuous", y_grid)
+def _rate_reference(values: np.ndarray, mask) -> float:
+    return (values if mask is None else values[mask]).mean()
 
 
-def _and(mask, other):
-    """mask & other, where None stands for every row."""
-    return other if mask is None else mask if other is None else mask & other
+def _rate_gap(values: np.ndarray, ref_rate: float, cell: np.ndarray, size: int) -> float:
+    if ref_rate == 0.0:
+        raise DegenerateMetricError("zero positive rate in the reference group")
+    return abs(values[cell].sum() / size / ref_rate - 1.0)  # the bits of .mean()
 
 
-def _rows(values: np.ndarray, where: np.ndarray, what: str) -> np.ndarray:
-    chosen = values[where]
-    if len(chosen) == 0:
-        raise DegenerateMetricError(f"empty group ({what})")
-    return chosen
+def _rate_sweep(values, a, kind, grid, y=None, y_grid=None) -> float:
+    """The rate gap for a continuous A; for a discrete A the binary ratio,
+    which applies only if every value of A is 0 or 1 (and, with ``y``, to
+    a discrete outcome): UndefinedMetricError otherwise."""
+    if kind != "discrete":
+        return _sweep(_rate_reference, _rate_gap, values, _conditions(a, kind, grid), y, y_grid)
+    if not ((a == 0) | (a == 1)).all():
+        raise UndefinedMetricError("the rate ratio needs an attribute whose every value is 0 or 1")
+    if y_grid is not None:
+        raise UndefinedMetricError("the rate ratio needs a discrete outcome")
+    return _sweep(_rate_reference, _rate_gap, values, ([("=1", a == 1)], 1), y, ref_where=a == 0)
 
 
-def sp_discrete(yhat: np.ndarray, a: np.ndarray) -> float:
-    """|rate(A=1)/rate(A=0) - 1| for binary A."""
-    yhat, a = _columns(yhat, a)
-    return _sweep(yhat, ([("=1", a == 1)], 1), ref_where=a == 0)
+def sp(
+    values: np.ndarray,
+    a: np.ndarray,
+    kind: str = "discrete",
+    grid: QuantileGrid | None = None,
+) -> float:
+    """Rate gaps between the rows given A and a reference.
+
+    Binary A, a discrete A whose every value is 0 or 1:
+    |rate(A=1)/rate(A=0) - 1|. Continuous A: the mean over the quantile
+    grid of |rate(A<=q)/rate(all) - 1|. Any other discrete A raises
+    UndefinedMetricError.
+    """
+    values, a = _columns(values, a)
+    return _rate_sweep(values, a, kind, grid)
 
 
-def sp_continuous(yhat: np.ndarray, a: np.ndarray, grid: QuantileGrid) -> float:
-    """Mean over the quantile grid of |rate(A<=a*)/rate(overall) - 1|."""
-    yhat, a = _columns(yhat, a)
-    return _sweep(yhat, _conditions(a, "continuous", grid))
-
-
-def eo_discrete(yhat: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
-    """Sum over y of |rate(A=1, Y=y)/rate(A=0, Y=y) - 1| for binary A, Y."""
-    yhat, a, y = _columns(yhat, a, y)
-    return _sweep(yhat, ([("=1", a == 1)], 1), y, ref_where=a == 0)
-
-
-def eo_continuous(
-    yhat: np.ndarray,
+def eo(
+    values: np.ndarray,
     a: np.ndarray,
     y: np.ndarray,
-    a_grid: QuantileGrid,
+    kind: str = "discrete",
+    grid: QuantileGrid | None = None,
     y_grid: QuantileGrid | None = None,
 ) -> float:
-    """Continuous-A equalized-odds gap, averaged over the A grid.
-
-    With discrete Y the outer sum runs over the observed y values; with a
-    y_grid the conditioning becomes Y<=y and the outer sum is averaged too.
-    """
-    yhat, a, y = _columns(yhat, a, y)
-    return _sweep(yhat, _conditions(a, "continuous", a_grid), y, y_grid)
+    """The rate gaps of ``sp`` within each outcome condition, against the
+    reference within that condition. A discrete A under a continuous
+    outcome (a ``y_grid``) raises UndefinedMetricError too."""
+    values, a, y = _columns(values, a, y)
+    return _rate_sweep(values, a, kind, grid, y, y_grid)
 
 
-def _ks_sweep(s, a, a_kind, a_grid, y=None, y_grid=None) -> float:
-    """Sum the KS distances between each (outcome condition x attribute
-    condition) cell's score CDF and its reference's, in that order, then
-    divide by both divisors, over one ranking of the scores.
+def _ks_reference(ranked, mask) -> tuple[np.ndarray, bool]:
+    """The reference's CDF at each distinct score, and whether it holds a
+    NaN score."""
+    ends, finite, n = ranked
+    mask = np.ones(n, dtype=bool) if mask is None else mask
+    return np.cumsum(mask)[ends] / np.count_nonzero(mask), mask[finite:].any()
 
-    The reference of a cell is its outcome condition's rows. Ranking every
-    column by score turns each condition into a row mask in score order, so
-    a mask's CDF at a score is its running count at the last row of that
-    score's run of ties. Evaluating at every distinct score, not only at the
-    reference's own, leaves the maximum as it is: a cell is a subset of its
-    reference, so where the reference has no mass both CDFs stay flat.
-    Order within a run of ties does not matter, so the sort need not be
-    stable. An empty cell or reference, or a NaN score in a reference,
-    raises DegenerateMetricError.
+
+def _ks_gap(ranked, reference, cell: np.ndarray, size: int) -> float:
+    ref_cdf, ref_has_nan = reference
+    if ref_has_nan:
+        raise DegenerateMetricError("NaN score in KS distance")
+    return float(np.abs(np.cumsum(cell)[ranked[0]] / size - ref_cdf).max())
+
+
+def _ks_sweep(s, a, kind, grid, y=None, y_grid=None) -> float:
+    """The KS gap, over one ranking of the scores.
+
+    Ranking every column by score turns each condition into a row mask in
+    score order, so a mask's CDF at a score is its running count at the
+    last row of that score's run of ties. Evaluating at every distinct
+    score, not only at the reference's own, leaves the maximum as it is: a
+    cell is a subset of its reference, so where the reference has no mass
+    both CDFs stay flat. Order within a run of ties does not matter, so the
+    sort need not be stable. A NaN score in a reference raises
+    DegenerateMetricError.
     """
     order = np.argsort(s)
     finite = len(s) - np.count_nonzero(np.isnan(s))  # NaN ranks last
@@ -258,26 +282,10 @@ def _ks_sweep(s, a, a_kind, a_grid, y=None, y_grid=None) -> float:
     # the sweep reads only the run ends and the masks: drop the sorted
     # copies as soon as each is read
     del ranked, run_end
-    a_masks, a_div = _conditions(a[order], a_kind, a_grid)
-    y_masks, y_div = _outcome_conditions(None if y is None else y[order], y_grid)
+    a_conds = _conditions(a[order], kind, grid)
+    y = None if y is None else y[order]
     del order
-    total = 0.0
-    for y_name, y_mask in y_masks:
-        ref = np.ones(len(s), dtype=bool) if y_mask is None else y_mask
-        n_ref = np.count_nonzero(ref)
-        if y_mask is not None and n_ref == 0:  # as _sweep: no check on the all-rows reference
-            raise DegenerateMetricError(f"empty group (reference, Y{y_name})")
-        ref_cdf = np.cumsum(ref)[ends] / n_ref
-        ref_has_nan = ref[finite:].any()
-        for a_name, a_mask in a_masks:
-            cell = _and(a_mask, y_mask)
-            m = np.count_nonzero(cell)
-            if m == 0:
-                raise DegenerateMetricError(f"empty group (A{a_name}, Y{y_name})")
-            if ref_has_nan:
-                raise DegenerateMetricError("NaN score in KS distance")
-            total += float(np.abs(np.cumsum(cell)[ends] / m - ref_cdf).max())
-    return float(total / a_div / y_div)
+    return _sweep(_ks_reference, _ks_gap, (ends, finite, len(s)), a_conds, y, y_grid)
 
 
 def ks_gsp(
@@ -299,13 +307,13 @@ def ks_geo(
     scores: np.ndarray,
     a: np.ndarray,
     y: np.ndarray,
-    a_kind: str = "discrete",
-    a_grid: QuantileGrid | None = None,
+    kind: str = "discrete",
+    grid: QuantileGrid | None = None,
     y_grid: QuantileGrid | None = None,
 ) -> float:
     """KS gaps between score CDFs given (A, Y) and given Y alone."""
     s, a, y = _columns(scores, a, y)
-    return _ks_sweep(s, a, a_kind, a_grid, y, y_grid)
+    return _ks_sweep(s, a, kind, grid, y, y_grid)
 
 
 def mae(predictions: np.ndarray, targets: np.ndarray) -> float:

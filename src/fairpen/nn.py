@@ -513,6 +513,15 @@ class Mlp:
             i = next(i for i, start, stop in self._spans if not np.isfinite(self._params[start:stop]).all())
             raise DivergenceError(f"layer {i}: non-finite parameter after SGD step")
 
+    def __reduce__(self):
+        """deepcopy and pickle rebuild the net from its layer specs, the
+        checkpoint path, so every array of the copy is a view into the
+        copy's own flat buffers; copied one by one, the views would detach
+        from the buffers that ``sgd_step`` updates. As from a checkpoint,
+        the copy starts with cleared gradients and no train-mode cache, and
+        a net with a non-finite stored value cannot be copied."""
+        return _from_specs, ([layer.to_spec() for layer in self.layers],)
+
     def save(self, path) -> None:
         spec = {"layers": [layer.to_spec() for layer in self.layers]}
         # json.dumps, not json.dump: only the one-shot path uses the C encoder.
@@ -557,6 +566,10 @@ class Mlp:
         return net
 
 
+def _from_specs(specs: list) -> Mlp:
+    return Mlp([_LAYER_KINDS[spec["kind"]].from_spec(spec) for spec in specs])
+
+
 def mlp(
     in_dim: int,
     hidden: list[int],
@@ -595,20 +608,8 @@ def bce_grad(probabilities: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size
 
 
-def bce_loss(probabilities: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient w.r.t. the probabilities."""
-    p, y = _flat_pair(probabilities, labels)
-    pc = clamp_prob(p)
-    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))), bce_grad(p, y)
-
-
 def mae_grad(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The subgradient of the mean absolute error (0 at exact ties)."""
     s, y = _flat_pair(predictions, targets)
     return np.sign(s - y) / s.size
 
-
-def mae_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean absolute error and its subgradient (0 at exact ties)."""
-    s, y = _flat_pair(predictions, targets)
-    return float(np.mean(np.abs(y - s))), mae_grad(s, y)

@@ -56,12 +56,14 @@ class Snapshot:
 
 
 def evaluate_snapshot(h: Mlp, dataset: TabularDataset) -> metrics.FairnessReport:
-    """Utility plus every applicable fairness metric, h in inference mode:
-    MAE and the Y <= q grid for a continuous outcome, AUC otherwise.
+    """Utility plus every fairness metric, h in inference mode: MAE and the
+    Y <= q grid for a continuous outcome, AUC otherwise.
 
-    Degenerate groups or rates yield NaN for the affected metric instead of
-    an error, so evaluation never aborts a run for them. A score that is not
-    finite (h's inference pass overflows) raises ``DivergenceError``.
+    A gap that ``metrics`` reports as not applying to the attribute or
+    outcome format is None (a blank cell). Degenerate groups or rates yield
+    NaN for the affected metric instead of an error, so evaluation never
+    aborts a run for them. A score that is not finite (h's inference pass
+    overflows) raises ``DivergenceError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is reported below
         scores = h.forward(dataset.X, train=False)[:, 0]
@@ -88,23 +90,23 @@ def evaluate_snapshot(h: Mlp, dataset: TabularDataset) -> metrics.FairnessReport
         a = dataset.sensitive_raw(col.name)
         kind = "continuous" if col.kind == "continuous" else "discrete"
         grid = metrics.quantile_grid(a) if kind == "continuous" else None
-        attr = metrics.AttributeReport(name=col.name)
-        attr.ks_gsp = _safe(metrics.ks_gsp, scores, a, kind, grid)
-        attr.ks_geo = _safe(metrics.ks_geo, scores, a, y, kind, grid, y_grid)
-        if grid is not None:
-            attr.sp = _safe(metrics.sp_continuous, values, a, grid)
-            attr.eo = _safe(metrics.eo_continuous, values, a, y, grid, y_grid)
-        elif set(np.unique(a)) <= {0.0, 1.0}:  # the rate ratios need binary A
-            attr.sp = _safe(metrics.sp_discrete, values, a)
-            if y_grid is None:
-                attr.eo = _safe(metrics.eo_discrete, values, a, y)
-        report.attributes[col.name] = attr
+        report.attributes[col.name] = metrics.AttributeReport(
+            col.name,
+            _safe(metrics.sp, values, a, kind, grid),
+            _safe(metrics.ks_gsp, scores, a, kind, grid),
+            _safe(metrics.eo, values, a, y, kind, grid, y_grid),
+            _safe(metrics.ks_geo, scores, a, y, kind, grid, y_grid),
+        )
     return report
 
 
-def _safe(fn, *args) -> float:
+def _safe(fn, *args) -> float | None:
+    """fn(*args); None (a blank cell) for a gap that does not apply, NaN
+    for one that is degenerate on these rows."""
     try:
         return fn(*args)
+    except UndefinedMetricError:
+        return None
     except DegenerateMetricError:
         return float("nan")
 

@@ -1,10 +1,24 @@
 """Central-finite-difference gradient checking helpers shared by the unit
-and acceptance suites."""
+and acceptance suites, and the losses they check: the library trains with
+``bce_grad`` and ``mae_grad`` alone."""
 
 import numpy as np
 
 from conftest import gradients, parameters, zero_gradients
-from fairpen.nn import ActivationLayer, BatchNormLayer, DenseLayer, Mlp, bce_loss, mae_loss
+from fairpen.nn import ActivationLayer, BatchNormLayer, DenseLayer, Mlp, _flat_pair, bce_grad, clamp_prob, mae_grad
+
+
+def bce_loss(probabilities: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy and its gradient w.r.t. the probabilities."""
+    p, y = _flat_pair(probabilities, labels)
+    pc = clamp_prob(p)
+    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))), bce_grad(p, y)
+
+
+def mae_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean absolute error and its subgradient (0 at exact ties)."""
+    s, y = _flat_pair(predictions, targets)
+    return float(np.mean(np.abs(y - s))), mae_grad(s, y)
 
 
 def relative_error(analytic: float, numeric: float, floor: float = 1e-5) -> float:

@@ -68,17 +68,31 @@ def sweep_with_gap(gap, values, a_conds, y=None, y_grid=None):
 
     ``gap(reference)`` prepares one reference and returns the function that
     scores a cell against it. Without ``y`` one outcome condition holds
-    every row. The reference is the outcome condition's rows, or ``values``
-    itself for the all-rows condition.
+    every row; with it, one per observed level of ``y``, or one Y <= q per
+    value q of ``y_grid``. The reference is the outcome condition's rows,
+    or ``values`` itself for the all-rows condition.
     """
     a_masks, a_div = a_conds
-    y_masks, y_div = metrics._outcome_conditions(y, y_grid)
+    if y is None:
+        y_masks, y_div = [(" any", None)], 1
+    elif y_grid is None:
+        y_masks, y_div = [(f"={v:g}", y == v) for v in np.unique(y)], 1
+    else:
+        y_masks, y_div = [(f"<={q:g}", y <= q) for q in y_grid.values], len(y_grid.values)
     total = 0.0
     for y_name, y_mask in y_masks:
-        cell_gap = gap(values if y_mask is None else metrics._rows(values, y_mask, f"reference, Y{y_name}"))
+        cell_gap = gap(values if y_mask is None else _group(values, y_mask, f"reference, Y{y_name}"))
         for a_name, a_mask in a_masks:
-            total += cell_gap(metrics._rows(values, metrics._and(a_mask, y_mask), f"A{a_name}, Y{y_name}"))
+            cell = a_mask if y_mask is None else a_mask & y_mask
+            total += cell_gap(_group(values, cell, f"A{a_name}, Y{y_name}"))
     return float(total / a_div / y_div)
+
+
+def _group(values, where, what):
+    chosen = values[where]
+    if len(chosen) == 0:
+        raise DegenerateMetricError(f"empty group ({what})")
+    return chosen
 
 
 def _midpoint(a, b):

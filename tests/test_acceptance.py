@@ -13,21 +13,19 @@ import pytest
 from conftest import (
     binary_toy_dataset, conditional_independent_toy, destandardized_features, map_in_workers, parameters,
 )
-from gradcheck import check_network_gradients, random_config
+from gradcheck import bce_loss, check_network_gradients, random_config
 from fairpen.cli import main
 from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct, split_train_val
 from fairpen.metrics import (
     auc,
-    eo_continuous,
-    eo_discrete,
+    eo,
     ks_geo,
     ks_gsp,
     pareto_frontier,
     quantile_grid,
-    sp_continuous,
-    sp_discrete,
+    sp,
 )
-from fairpen.nn import bce_loss, mlp
+from fairpen.nn import mlp
 from fairpen.oracles import (
     brute_force_ks,
     exact_geo_discriminator_oracle,
@@ -238,7 +236,7 @@ def test_criterion_07_metric_brute_force_equivalence():
         # sp / eo, discrete and continuous, vs direct recomputation
         if yhat[a_disc == 0].mean() > 0:
             direct = abs(yhat[a_disc == 1].mean() / yhat[a_disc == 0].mean() - 1.0)
-            worst = max(worst, abs(sp_discrete(yhat, a_disc) - direct))
+            worst = max(worst, abs(sp(yhat, a_disc) - direct))
         if all(yhat[(a_disc == 0) & (y == yv)].mean() > 0 for yv in (0, 1)):
             direct = sum(
                 abs(
@@ -248,12 +246,12 @@ def test_criterion_07_metric_brute_force_equivalence():
                 )
                 for yv in (0, 1)
             )
-            worst = max(worst, abs(eo_discrete(yhat, a_disc, y) - direct))
+            worst = max(worst, abs(eo(yhat, a_disc, y) - direct))
         if yhat.mean() > 0:
             direct = np.mean(
                 [abs(yhat[a_cont <= q].mean() / yhat.mean() - 1.0) for q in grid.values]
             )
-            worst = max(worst, abs(sp_continuous(yhat, a_cont, grid) - direct))
+            worst = max(worst, abs(sp(yhat, a_cont, "continuous", grid) - direct))
         cells_ok = all(
             ((a_cont <= q) & (y == yv)).any() for yv in (0, 1) for q in grid.values
         )
@@ -268,7 +266,7 @@ def test_criterion_07_metric_brute_force_equivalence():
                 )
                 / len(grid.values)
             )
-            worst = max(worst, abs(eo_continuous(yhat, a_cont, y, grid) - direct))
+            worst = max(worst, abs(eo(yhat, a_cont, y, "continuous", grid) - direct))
     _report("7 metric oracles", worst < 1e-12, f"max deviation {worst:.2e} over 1000 instances")
 
 

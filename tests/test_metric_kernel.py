@@ -16,7 +16,7 @@ def _outcome(fn, *args):
     """The value of fn(*args), or the type of the error it raised."""
     try:
         return fn(*args)
-    except DegenerateMetricError as exc:
+    except (DegenerateMetricError, UndefinedMetricError) as exc:
         return type(exc)
 
 
@@ -31,16 +31,11 @@ def test_unconditional_forms_equal_conditional_with_one_outcome_level(data):
     yhat = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
     zeros = np.zeros(n)
     grid = metrics.quantile_grid(a_cont)
-    for a, kind in ((a_disc, "discrete"), (a_cont, "continuous")):
-        assert _outcome(metrics.ks_gsp, s, a, kind, grid) == _outcome(
-            metrics.ks_geo, s, a, zeros, kind, grid
-        )
-    assert _outcome(metrics.sp_continuous, yhat, a_cont, grid) == _outcome(
-        metrics.eo_continuous, yhat, a_cont, zeros, grid
-    )
-    assert _outcome(metrics.sp_discrete, yhat, a_bin) == _outcome(
-        metrics.eo_discrete, yhat, a_bin, zeros
-    )
+    for unconditional, conditional, values in ((metrics.ks_gsp, metrics.ks_geo, s), (metrics.sp, metrics.eo, yhat)):
+        for a, kind in ((a_disc, "discrete"), (a_bin, "discrete"), (a_cont, "continuous")):
+            assert _outcome(unconditional, values, a, kind, grid) == _outcome(
+                conditional, values, a, zeros, kind, grid
+            )
 
 
 def test_nan_score_is_undefined_for_auc_and_threshold():

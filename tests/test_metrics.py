@@ -9,16 +9,14 @@ from fairpen.metrics import (
     TopkSummary,
     auc,
     choose_threshold,
-    eo_continuous,
-    eo_discrete,
+    eo,
     frontier_flags,
     ks_geo,
     ks_gsp,
     mae,
     pareto_frontier,
     quantile_grid,
-    sp_continuous,
-    sp_discrete,
+    sp,
     topk_fair_summary,
 )
 from fairpen.oracles import brute_force_ks
@@ -121,18 +119,18 @@ def test_choose_threshold_single_class():
 
 def test_sp_discrete_example():
     # [DERIVED] rates 1.0 vs 0.5 -> |1/0.5 - 1| = 1
-    assert sp_discrete(np.array([1, 0, 1, 1]), np.array([0, 0, 1, 1])) == pytest.approx(1.0)
+    assert sp(np.array([1, 0, 1, 1]), np.array([0, 0, 1, 1])) == pytest.approx(1.0)
 
 
 def test_sp_discrete_equal_rates_zero():
-    assert sp_discrete(np.array([1, 0, 1, 0]), np.array([0, 0, 1, 1])) == 0.0
+    assert sp(np.array([1, 0, 1, 0]), np.array([0, 0, 1, 1])) == 0.0
 
 
 def test_sp_discrete_degenerate():
     with pytest.raises(DegenerateMetricError):
-        sp_discrete(np.array([1, 1]), np.array([1, 1]))  # empty A=0 group
+        sp(np.array([1, 1]), np.array([1, 1]))  # empty A=0 group
     with pytest.raises(DegenerateMetricError):
-        sp_discrete(np.array([0, 1]), np.array([0, 1]))  # zero denominator rate
+        sp(np.array([0, 1]), np.array([0, 1]))  # zero denominator rate
 
 
 def test_eo_discrete_hand_example():
@@ -140,7 +138,7 @@ def test_eo_discrete_hand_example():
     a = np.array([0, 0, 1, 1, 0, 0, 1, 1])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     # [DERIVED] y=0: r1=1, r0=.5 -> 1; y=1: r1=.5, r0=.5 -> 0
-    assert eo_discrete(yhat, a, y) == pytest.approx(1.0)
+    assert eo(yhat, a, y) == pytest.approx(1.0)
 
 
 def test_sp_continuous_matches_direct_recomputation():
@@ -151,7 +149,7 @@ def test_sp_continuous_matches_direct_recomputation():
     expected = np.mean(
         [abs(yhat[a <= q].mean() / yhat.mean() - 1.0) for q in grid.values]
     )
-    assert sp_continuous(yhat, a, grid) == pytest.approx(expected, abs=1e-12)
+    assert sp(yhat, a, "continuous", grid) == pytest.approx(expected, abs=1e-12)
 
 
 def test_eo_continuous_matches_direct_recomputation():
@@ -166,7 +164,23 @@ def test_eo_continuous_matches_direct_recomputation():
         for q in grid.values:
             expected += abs(yhat[(a <= q) & (y == yv)].mean() / ref - 1.0)
     expected /= len(grid.values)
-    assert eo_continuous(yhat, a, y, grid) == pytest.approx(expected, abs=1e-12)
+    assert eo(yhat, a, y, "continuous", grid) == pytest.approx(expected, abs=1e-12)
+
+
+def test_rate_gaps_undefined_where_the_binary_ratio_does_not_apply():
+    yhat = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=float)
+    y = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
+    binary = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
+    for a in (binary * 2, binary + 1, binary / 2, np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=float)):
+        with pytest.raises(UndefinedMetricError, match="every value is 0 or 1"):
+            sp(yhat, a)
+        with pytest.raises(UndefinedMetricError, match="every value is 0 or 1"):
+            eo(yhat, a, y)
+    with pytest.raises(UndefinedMetricError, match="discrete outcome"):
+        eo(yhat, binary, y, y_grid=quantile_grid(y))
+    # the binary ratio reads the observed levels: all rows at A = 0 is a degenerate group, not a blank
+    with pytest.raises(DegenerateMetricError, match="empty group"):
+        sp(yhat, np.zeros(8))
 
 
 # ------------------------------------------------------------------- quantile

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import sys
 import tempfile
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gradients, parameters, rewrite_checkpoint_layer, set_checkpoint_layer_value
-from gradcheck import check_network_gradients, random_config
+from conftest import gradients, parameters, rewrite_checkpoint_layer, set_checkpoint_layer_value, trained_state
+from gradcheck import bce_loss, check_network_gradients, mae_loss, random_config
 from fairpen.errors import CheckpointError, DimensionError, DivergenceError, FairpenError, StateError
 from fairpen.nn import (
     INFER_BLOCK,
@@ -19,9 +21,7 @@ from fairpen.nn import (
     BatchNormLayer,
     DenseLayer,
     Mlp,
-    bce_loss,
     clamp_prob,
-    mae_loss,
     mlp,
     sigmoid,
 )
@@ -467,6 +467,58 @@ def test_checkpoint_round_trip_bit_exact_property(data):
     assert [type(layer) for layer in loaded.layers] == [type(layer) for layer in net.layers]
     for a, b in zip(_layer_arrays(net), _layer_arrays(loaded)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()  # bit for bit, -0.0 included
+
+
+def _saved_and_loaded(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        net.save(Path(tmp) / "net.ckpt")
+        return Mlp.load(Path(tmp) / "net.ckpt")
+
+
+def _all_arrays(net):
+    """The flat buffers of ``net`` and every layer array that views them."""
+    views = [getattr(layer, name) for layer in net.layers for name in layer.PARAMS + layer.BUFFERS]
+    views += gradients(net) + [getattr(layer, name) for layer in net.layers for name in ("batch_mean", "batch_var")
+                               if hasattr(layer, name)]
+    return [net._params, net._grads, net._running, net._batch] + views
+
+
+def _train_steps(net, batches):
+    """The bytes of the train-mode output, every trained array and the
+    inference output after each of the train steps on ``batches``."""
+    states = []
+    for x, grad_out in batches:
+        out = net.forward(x, train=True)
+        net.backward(grad_out)
+        net.sgd_step(0.1)
+        states.append([out.tobytes(), *(a.tobytes() for a in trained_state(net)), net.forward(x).tobytes()])
+    return states
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_every_copy_of_a_network_trains(data):
+    """deepcopy, pickle and a checkpoint's save and load each give a net
+    whose next train steps have the bits of the original's on the same
+    batches; the copy shares no buffer with the original, and stepping one
+    leaves the other unchanged."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    in_dim = data.draw(st.integers(1, 4))
+    net = mlp(in_dim, data.draw(st.lists(st.integers(1, 6), max_size=3)), rng=rng,
+              batch_norm=data.draw(st.booleans()), output_activation=data.draw(st.sampled_from(["sigmoid", "identity"])))
+    n = data.draw(st.integers(2, 8))
+    batches = [(rng.standard_normal((n, in_dim)), rng.standard_normal((n, 1))) for _ in range(4)]
+    _train_steps(net, batches[:1])  # move the parameters and the running statistics off their start
+    copies = [copy.deepcopy(net), pickle.loads(pickle.dumps(net)), _saved_and_loaded(net)]
+    for other in copies:
+        assert not any(np.shares_memory(a, b) for a in _all_arrays(net) for b in _all_arrays(other))
+    start = [a.tobytes() for a in _all_arrays(net)]
+    stepped = [_train_steps(other, batches[1:]) for other in copies]
+    assert [a.tobytes() for a in _all_arrays(net)] == start
+    expected = _train_steps(net, batches[1:])
+    for other, states in zip(copies, stepped):
+        assert states == expected
+        assert [a.tobytes() for a in trained_state(other)] == expected[-1][1:-1]
 
 
 def test_checkpoint_bad_magic(tmp_path):

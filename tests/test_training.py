@@ -5,10 +5,11 @@ from conftest import (
     binary_toy_dataset, conditional_independent_toy, huge_weights, parameters, regression_toy_dataset,
     trained_state,
 )
+from gradcheck import bce_loss, mae_loss
 from reference_kernels import contrast_reference
-from fairpen.data import minibatch_construct, split_train_val
+from fairpen.data import ColumnSchema, TabularDataset, minibatch_construct, split_train_val
 from fairpen.errors import ConfigError, DivergenceError
-from fairpen.nn import Mlp, bce_loss, mae_loss, mlp
+from fairpen.nn import Mlp, mlp
 from fairpen.penalties import empirical_pmf_ratio, pretrain_density_ratio
 from fairpen.training import (
     Snapshot,
@@ -206,6 +207,46 @@ def test_evaluate_constant_scorer_is_fair():
     assert attr.sp == 0.0 or np.isnan(attr.sp)
     assert attr.ks_gsp == 0.0
     assert attr.ks_geo == 0.0
+
+
+@pytest.mark.parametrize("outcome", ["binary", "continuous"])
+def test_evaluate_leaves_inapplicable_rate_gaps_blank_and_degenerate_ones_nan(outcome):
+    """The rate gaps of a three-level attribute, and EO of a binary one
+    under a continuous outcome, are blank cells; an attribute whose rows
+    hold only its first two categories takes the binary ratio; a binary
+    attribute with no row at A = 1 is a degenerate group, NaN."""
+    rng = np.random.default_rng(4)
+    n = 120
+    x = rng.standard_normal((n, 1))
+    a_raw = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n), np.zeros(n)]).astype(np.float64)
+    y = (rng.random(n) < 0.5).astype(np.float64) if outcome == "binary" else rng.random(n)
+    regions = ("north", "south", "east")
+    schema = [
+        ColumnSchema("x", "feature", "continuous"),
+        ColumnSchema("region", "sensitive", "categorical", regions),
+        ColumnSchema("pair", "sensitive", "categorical", regions),
+        ColumnSchema("none", "sensitive", "binary"),
+        ColumnSchema("y", "outcome", outcome),
+    ]
+    ds = TabularDataset(x, a_raw, a_raw, y, schema, ["x"])
+    h = mlp(1, [4], rng=rng, batch_norm=False)
+    report = evaluate_snapshot(h, ds)
+    region, pair, none = (report.attributes[name] for name in ("region", "pair", "none"))
+    assert region.sp is None and region.eo is None
+    assert none.eo is None if outcome == "continuous" else np.isnan(none.eo)
+    assert np.isnan(none.sp)
+    scores = h.forward(ds.X)[:, 0]
+    values = scores if outcome == "continuous" else (scores > report.threshold).astype(np.float64)
+    a = a_raw[:, 1]
+    assert pair.sp == pytest.approx(abs(values[a == 1].mean() / values[a == 0].mean() - 1.0), abs=1e-12)
+    if outcome == "binary":
+        assert pair.eo == pytest.approx(sum(
+            abs(values[(a == 1) & (y == c)].mean() / values[(a == 0) & (y == c)].mean() - 1.0) for c in (0, 1)
+        ), abs=1e-12)
+    else:
+        assert pair.eo is None
+    for attr in (region, pair, none):
+        assert np.isfinite(attr.ks_gsp) and np.isfinite(attr.ks_geo)
 
 
 def test_evaluate_snapshot_deterministic():
