@@ -305,10 +305,8 @@ def cmd_pareto(args) -> int:
     )))
     print(f"wrote {args.out}")
     if args.utility_threshold is not None:
-        # Equal points share a flag, so this is metrics.pareto_frontier(points).
-        frontier = sorted(set(map(tuple, points[flags].tolist())))
         threshold = -args.utility_threshold if first_utility == "mae" else args.utility_threshold
-        summary = metrics.topk_fair_summary(frontier, threshold, k=args.k)
+        summary = metrics.topk_fair_summary(metrics.pareto_frontier(points[flags]), threshold, k=args.k)
         print(f"top-{args.k} fairness: mean={summary.mean!r} std={summary.std!r} count={summary.count}")
     return 0
 

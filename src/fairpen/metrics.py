@@ -85,6 +85,22 @@ def _columns(*arrays) -> list[np.ndarray]:
     return columns
 
 
+def _classes(scores: np.ndarray, labels: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scores, the sorted scores of label 1 and the sorted scores of
+    every other label, the negatives; ``name`` heads the UndefinedMetricError
+    raised for a single class or a NaN score."""
+    s, y = _columns(scores, labels)
+    pos = y == 1
+    if not 0 < np.count_nonzero(pos) < len(y):
+        raise UndefinedMetricError(f"{name} undefined with a single class")
+    if np.isnan(s).any():
+        raise UndefinedMetricError(f"{name} undefined with NaN scores")
+    positives, negatives = s[pos], s[~pos]
+    positives.sort()
+    negatives.sort()
+    return s, positives, negatives
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC; ties between a positive and a negative count 1/2.
 
@@ -94,25 +110,16 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     is sorted once, and two binary searches of the sorted negatives count
     the negatives below, and not above, the sorted positives.
     """
-    s, y = _columns(scores, labels)
-    pos = y == 1
-    n1 = int(pos.sum())
-    n0 = len(y) - n1
-    if n1 == 0 or n0 == 0:
-        raise UndefinedMetricError("AUC undefined with a single class")
-    if np.isnan(s).any():
-        raise UndefinedMetricError("AUC undefined with NaN scores")
-    positives, negatives = s[pos], s[~pos]
-    positives.sort()
-    negatives.sort()
+    _, positives, negatives = _classes(scores, labels, "AUC")
     below = np.searchsorted(negatives, positives, side="left").sum()
     not_above = np.searchsorted(negatives, positives, side="right").sum()
-    return float((below + not_above) / 2.0 / (n1 * n0))
+    return float((below + not_above) / 2.0 / (len(positives) * len(negatives)))
 
 
 def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """tau maximizing Youden's J = TPR - FPR for yhat = 1(score > tau).
 
+    Label 1 is positive and every other label negative, as in ``auc``.
     Candidates are midpoints of consecutive distinct sorted scores plus
     +/-inf sentinels; ties break toward the smallest tau. Where (a + b) / 2
     is not finite (a sum past the largest float, or an infinite score), the
@@ -124,26 +131,26 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     distinct scores, keeps the count exact when a midpoint rounds onto one
     of its two neighbours.
     """
-    s, y = _columns(scores, labels)
-    n1 = int((y == 1).sum())
-    n0 = len(y) - n1
-    if n1 == 0 or n0 == 0:
-        raise UndefinedMetricError("threshold undefined with a single class")
-    if np.isnan(s).any():
-        raise UndefinedMetricError("threshold undefined with NaN scores")
+    s, positives, negatives = _classes(scores, labels, "threshold")
     distinct = np.unique(s)
-    lo, hi = distinct[:-1], distinct[1:]
+    candidates = np.empty(len(distinct) + 1)
+    candidates[0], candidates[-1] = -np.inf, np.inf
+    mid, lo, hi = candidates[1:-1], distinct[:-1], distinct[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        mid = (lo + hi) / 2.0
-    finite = np.isfinite(mid)
-    if not finite.all():
-        wide = ~finite
+        mid[:] = (lo + hi) / 2.0
+    wide = ~np.isfinite(mid)
+    if wide.any():
         mid[wide] = lo[wide] / 2.0 + np.minimum(hi[wide], sys.float_info.max) / 2.0
-    candidates = np.concatenate(([-np.inf], mid, [np.inf]))
-    tp = n1 - np.searchsorted(np.sort(s[y == 1]), candidates, side="right")
-    fp = n0 - np.searchsorted(np.sort(s[y == 0]), candidates, side="right")
+    del distinct, lo, hi, wide
+    # the scores above each candidate in each class, then J = TPR - FPR
+    j = np.searchsorted(positives, candidates, side="right")
+    np.subtract(len(positives), j, out=j)
+    j = np.divide(j, len(positives))
+    fp = np.searchsorted(negatives, candidates, side="right")
+    np.subtract(len(negatives), fp, out=fp)
+    j -= np.divide(fp, len(negatives))
     # argmax returns the first maximum, i.e. the smallest tau
-    return float(candidates[np.argmax(tp / n1 - fp / n0)])
+    return float(candidates[np.argmax(j)])
 
 
 def _conditions(column: np.ndarray, kind: str, grid: QuantileGrid | None = None):
@@ -161,21 +168,27 @@ def _conditions(column: np.ndarray, kind: str, grid: QuantileGrid | None = None)
     return [(f"<={q:g}", column <= q) for q in grid.values], len(grid.values)
 
 
-def _sweep(prepare, score, data, a_conds, y=None, y_grid=None, ref_where=None) -> float:
+def _outcome_conditions(y=None, y_grid=None):
+    """The outcome conditions of ``y``; without ``y``, one that holds every
+    row (mask None)."""
+    return ([(" any", None)], 1) if y is None else _conditions(
+        y, "discrete" if y_grid is None else "continuous", y_grid)
+
+
+def _sweep(prepare, score, data, a_conds, y_conds, ref_where=None) -> float:
     """Sum score(data, reference, cell, size) over the (outcome condition x
     attribute condition) cells in that order, then divide by both divisors.
 
-    Every mask is a row mask over ``data``, what the gap reads. Without
-    ``y`` one outcome condition holds every row (mask None). A cell's
+    Every mask is a row mask over ``data``, what the gap reads; ``a_conds``
+    and ``y_conds`` are the (masks, divisor) of ``_conditions`` and
+    ``_outcome_conditions``, built before the call. A cell's
     reference is its outcome condition's rows, narrowed to ``ref_where`` if
     given (A = 0 for the binary rate ratio); ``prepare(data, mask)`` prepares
     it once per outcome condition. ``size`` is the cell's row count. An
     empty reference, other than the all-rows one, or an empty cell raises
     DegenerateMetricError before its gap is taken.
     """
-    a_masks, a_div = a_conds
-    y_masks, y_div = ([(" any", None)], 1) if y is None else _conditions(
-        y, "discrete" if y_grid is None else "continuous", y_grid)
+    (a_masks, a_div), (y_masks, y_div) = a_conds, y_conds
     total = 0.0
     for y_name, y_mask in y_masks:
         ref = y_mask if ref_where is None else ref_where if y_mask is None else ref_where & y_mask
@@ -206,12 +219,12 @@ def _rate_sweep(values, a, kind, grid, y=None, y_grid=None) -> float:
     which applies only if every value of A is 0 or 1 (and, with ``y``, to
     a discrete outcome): UndefinedMetricError otherwise."""
     if kind != "discrete":
-        return _sweep(_rate_reference, _rate_gap, values, _conditions(a, kind, grid), y, y_grid)
+        return _sweep(_rate_reference, _rate_gap, values, _conditions(a, kind, grid), _outcome_conditions(y, y_grid))
     if not ((a == 0) | (a == 1)).all():
         raise UndefinedMetricError("the rate ratio needs an attribute whose every value is 0 or 1")
     if y_grid is not None:
         raise UndefinedMetricError("the rate ratio needs a discrete outcome")
-    return _sweep(_rate_reference, _rate_gap, values, ([("=1", a == 1)], 1), y, ref_where=a == 0)
+    return _sweep(_rate_reference, _rate_gap, values, ([("=1", a == 1)], 1), _outcome_conditions(y), a == 0)
 
 
 def sp(
@@ -283,9 +296,9 @@ def _ks_sweep(s, a, kind, grid, y=None, y_grid=None) -> float:
     # copies as soon as each is read
     del ranked, run_end
     a_conds = _conditions(a[order], kind, grid)
-    y = None if y is None else y[order]
+    y_conds = _outcome_conditions(None if y is None else y[order], y_grid)
     del order
-    return _sweep(_ks_reference, _ks_gap, (ends, finite, len(s)), a_conds, y, y_grid)
+    return _sweep(_ks_reference, _ks_gap, (ends, finite, len(s)), a_conds, y_conds)
 
 
 def ks_gsp(

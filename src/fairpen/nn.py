@@ -32,8 +32,9 @@ inference, so the pair's kernels live on the batch-norm layer. Every other
 layer, a dense layer with no batch-norm after it among them, runs on its
 own; a dense layer is x W + b in both modes. So every activation's input
 is a new array from the stage before it, and a relu writes max(x, 0) into
-it; its incoming gradient is a new array too, and it masks that in place,
-unless it is the last layer, whose incoming gradient is the caller's.
+it. One rule covers the gradients: ``backward`` copies the caller's
+gradient once, so every stage owns the gradient it is handed and may
+overwrite it; a relu masks it in place.
 Relu, sigmoid, identity and a dense layer with no batch-norm after it give
 bit for bit the textbook forms.
 
@@ -347,9 +348,6 @@ class ActivationLayer(_Layer):
     AFTER = ("dense", "batch_norm")
     SETTINGS = ("fn",)
     FUNCTIONS = ("relu", "sigmoid", "identity")
-    # cleared by Mlp on the last layer, whose incoming gradient is the
-    # caller's array; every other activation's is a new one
-    backward_in_place = True
 
     def __init__(self, fn: str):
         self.fn = fn
@@ -376,7 +374,7 @@ class ActivationLayer(_Layer):
 
     def backward(self, grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         if self.fn == "relu":
-            return np.multiply(grad_out, self._cache > 0, out=grad_out if self.backward_in_place else None)
+            return np.multiply(grad_out, self._cache > 0, out=grad_out)
         if self.fn == "sigmoid":
             s = self._cache
             return grad_out * s * (1.0 - s)
@@ -448,8 +446,6 @@ class Mlp:
                 layer.dense, layer.narrow = prev, 2 * prev.in_dim <= width
                 self._stages[-1] = layer
         self._stages[0].input_grad_unread = True
-        if isinstance(layers[-1], ActivationLayer):  # its incoming gradient is the caller's
-            layers[-1].backward_in_place = False
         self.in_dim, self.out_dim = layers[0].in_dim, width
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -496,7 +492,7 @@ class Mlp:
         gradient buffer as is."""
         if not self._train_cache_ready:
             raise StateError("backward called without a prior train-mode forward")
-        grad = np.asarray(grad_out, dtype=np.float64)
+        grad = np.array(grad_out, dtype=np.float64)  # a copy: every stage may write into its gradient
         for stage in reversed(self._stages):
             grad = stage.backward(grad, params)
             if grad is None:  # the first stage, in a parameter pass

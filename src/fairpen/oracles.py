@@ -146,3 +146,37 @@ def exact_geo_discriminator_oracle(joint_pmf: np.ndarray, beta_table: np.ndarray
     ratio = p_a[:, None] * p_y[None, :] / p_ay  # p(a)p(y)/p(a,y)
     denom = p_s_given_ay + beta[None, :, :] * p_s_given_y[:, None, :] * ratio[None, :, :]
     return p_s_given_ay / denom
+
+
+def optimal_contrast_value(joint_pmf: np.ndarray, beta_table: np.ndarray | None = None) -> float:
+    """The contrast objective's value at its optimal discriminator, the
+    value the scorer descends when D is optimal.
+
+    Without ``beta_table``, on a finite (s, a) joint (GSP): the value of
+    sum p(s,a) log D + sum p(s)p(a) log(1 - D) at
+    ``optimal_gsp_discriminator_oracle``, which is
+    -log 4 + 2 JS(p(s,a) || p(s)p(a)). With it, on a finite (s, a, y) joint
+    (GEO): the value of sum p(s,a,y) log D + sum beta(a,y) p(s,y)p(a) log(1 - D)
+    at ``exact_geo_discriminator_oracle``. Both are
+    sum p log(p / (p + q)) + q log(q / (p + q)) over the cells, q the
+    resampled term's weighted law and 0 log 0 = 0.
+
+    The GEO value weights each resampled cell by beta at its own attribute
+    a', as the oracle table does; the trainer weights a resampled row by
+    beta(a, y) of its real row. The two objectives share their optimum only
+    where beta does not vary with a (A independent of Y, as in acceptance
+    criterion 3), so elsewhere this is not the optimum of what the trainer
+    ascends.
+    """
+    p = np.asarray(joint_pmf, dtype=np.float64)
+    if beta_table is None:
+        optimal_gsp_discriminator_oracle(p)  # checks the table
+        q = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
+    else:
+        exact_geo_discriminator_oracle(p, beta_table)  # checks both tables
+        p_a = p.sum(axis=(0, 2))[:, None]
+        q = np.asarray(beta_table, dtype=np.float64)[None] * p.sum(axis=1, keepdims=True) * p_a  # beta(a,y) p(s,y) p(a)
+    m = p + q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p / m), 0.0) + np.where(q > 0, q * np.log(q / m), 0.0)
+    return float(terms.sum())

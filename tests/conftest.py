@@ -8,7 +8,8 @@ import pytest
 from hypothesis import settings
 
 from fairpen.data import ColumnSchema, TabularDataset
-from fairpen.nn import sigmoid
+from fairpen.nn import mlp, sigmoid
+from fairpen.penalties import contrast
 
 # CI (GitHub Actions sets CI) draws the same examples on every run, so a
 # red run can be rerun as it was; a local run keeps exploring new ones.
@@ -93,6 +94,25 @@ def conditional_independent_toy(n: int, seed: int = 0) -> TabularDataset:
         ColumnSchema("y", "outcome", "binary"),
     ]
     return TabularDataset(x.reshape(-1, 1), a.reshape(-1, 1), a.reshape(-1, 1), y, schema, ["x"])
+
+
+def trained_gsp_discriminator(pmf: np.ndarray, iterations: int, seed: int = 0):
+    """Criterion 2's GSP discriminator: n = 10 000 (s, a) rows drawn from the
+    2 x 2 ``pmf``, and ``iterations`` ascent steps of ``contrast`` on batches
+    of 100 real rows and 100 rows with A permuted within the batch."""
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    flat = rng.choice(4, size=n, p=pmf.ravel())
+    s = (flat // 2).astype(np.float64)
+    a = (flat % 2).astype(np.float64).reshape(-1, 1)
+    D = mlp(1 + 1, [64, 64], rng=np.random.default_rng(seed + 1), batch_norm=True)
+    loop_rng = np.random.default_rng(seed + 2)
+    for _ in range(iterations):
+        idx = loop_rng.choice(n, 100, replace=False)
+        a_prime = a[idx][loop_rng.permutation(100)]
+        contrast(D, np.vstack([np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime])]))
+        D.sgd_step(0.005, maximize=True)
+    return D
 
 
 def destandardized_features(dataset: TabularDataset) -> np.ndarray:

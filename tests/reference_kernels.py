@@ -113,7 +113,7 @@ def choose_threshold_loop(scores, labels):
     best_tau, best_j = None, -np.inf
     for tau in candidates:
         yhat = s > tau
-        j = (yhat[y == 1].sum() / n1) - (yhat[y == 0].sum() / n0)
+        j = (yhat[y == 1].sum() / n1) - (yhat[y != 1].sum() / n0)
         if j > best_j:
             best_tau, best_j = float(tau), j
     return best_tau

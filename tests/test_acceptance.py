@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     binary_toy_dataset, conditional_independent_toy, destandardized_features, map_in_workers, parameters,
+    trained_gsp_discriminator,
 )
 from gradcheck import bce_loss, check_network_gradients, random_config
 from fairpen.cli import main
@@ -60,18 +61,7 @@ def test_criterion_01_density_ratio_toy_reproduction():
 def test_criterion_02_gsp_discriminator_matches_oracle():
     pmf = np.array([[0.4, 0.1], [0.1, 0.4]])
     target = optimal_gsp_discriminator_oracle(pmf)
-    rng = np.random.default_rng(0)
-    n = 10_000
-    flat = rng.choice(4, size=n, p=pmf.ravel())
-    s = (flat // 2).astype(np.float64)
-    a = (flat % 2).astype(np.float64).reshape(-1, 1)
-    D = mlp(1 + 1, [64, 64], rng=np.random.default_rng(1), batch_norm=True)
-    loop_rng = np.random.default_rng(2)
-    for _ in range(10_000):
-        idx = loop_rng.choice(n, 100, replace=False)
-        a_prime = a[idx][loop_rng.permutation(100)]
-        contrast(D, np.vstack([np.column_stack([s[idx], a[idx]]), np.column_stack([s[idx], a_prime])]))
-        D.sgd_step(0.005, maximize=True)
+    D = trained_gsp_discriminator(pmf, 10_000)
     worst = max(
         abs(float(D.forward(np.array([[float(sv), float(av)]]))[0, 0]) - target[sv, av])
         for sv in (0, 1)

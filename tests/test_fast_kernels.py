@@ -80,7 +80,11 @@ def _score_sets(seed):
 
 
 def _labels(rng, n):
+    """0/1 labels with both present; in one set of four some 0s become 2, a
+    third label that the rank metrics count as a negative."""
     y = rng.integers(0, 2, n)
+    if rng.random() < 0.25:
+        y[(y == 0) & (rng.random(n) < 0.5)] = 2
     y[0], y[-1] = 0, 1  # both classes present
     return y
 

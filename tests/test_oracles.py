@@ -1,12 +1,16 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import destandardized_features
+from conftest import destandardized_features, trained_gsp_discriminator
+from fairpen.nn import clamp_prob
 from fairpen.oracles import (
     brute_force_ks,
     exact_geo_discriminator_oracle,
+    optimal_contrast_value,
+    optimal_gsp_discriminator_oracle,
     synth_bias,
     synth_bias_fair_floor,
     table5_toy,
@@ -107,3 +111,48 @@ def test_synth_bias_fair_floor_matches_monte_carlo():
     assert peak < 100e6
     assert 3 * se < 1e-3  # the sample resolves the tolerance
     assert abs(auc - synth_bias_fair_floor(1.0)) < 1e-3, (auc, se)
+
+
+def _objective(pmf, q, d):
+    """contrast_value's sum p log D + q log(1 - D), over the cells of the
+    exact law instead of the rows of a batch."""
+    return float((pmf * np.log(d)).sum() + (q * np.log(1.0 - d)).sum())
+
+
+def test_optimal_contrast_value_is_the_objective_at_each_oracle():
+    rng = np.random.default_rng(0)
+    pmf = rng.random((3, 2)) + 0.05
+    pmf /= pmf.sum()
+    p_s, p_a = pmf.sum(axis=1, keepdims=True), pmf.sum(axis=0, keepdims=True)
+    mix = (pmf + p_s * p_a) / 2.0
+    js = 0.5 * (pmf * np.log(pmf / mix)).sum() + 0.5 * (p_s * p_a * np.log(p_s * p_a / mix)).sum()
+    value = optimal_contrast_value(pmf)
+    assert value == pytest.approx(-np.log(4.0) + 2.0 * js, abs=1e-14)
+    assert value == pytest.approx(_objective(pmf, p_s * p_a, optimal_gsp_discriminator_oracle(pmf)), abs=1e-14)
+    assert optimal_contrast_value(p_s * p_a) == pytest.approx(-np.log(4.0), abs=1e-14)  # independence: chance
+
+    # GEO: the weighted objective at exact_geo_discriminator_oracle, summed cell by cell
+    joint = rng.random((2, 3, 2)) + 0.05
+    joint /= joint.sum()
+    beta = rng.random((3, 2)) + 0.5
+    table = exact_geo_discriminator_oracle(joint, beta)
+    p_a, p_sy = joint.sum(axis=(0, 2)), joint.sum(axis=1)
+    direct = 0.0
+    for i, j, k in itertools.product(range(2), range(3), range(2)):
+        q = beta[j, k] * p_sy[i, k] * p_a[j]
+        direct += joint[i, j, k] * np.log(table[i, j, k]) + q * np.log(1.0 - table[i, j, k])
+    assert optimal_contrast_value(joint, beta) == pytest.approx(direct, abs=1e-14)
+    with pytest.raises(ValueError):
+        optimal_contrast_value(joint, np.ones((2, 2)))
+
+
+def test_trained_gsp_discriminator_reaches_the_optimal_contrast_value():
+    # criterion 2's law and training, for 3 000 iterations; D's value on the
+    # exact law is at most the optimum, and within 2e-3 of it
+    pmf = np.array([[0.4, 0.1], [0.1, 0.4]])
+    D = trained_gsp_discriminator(pmf, 3_000)
+    cells = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])  # (s, a), pmf's row order
+    d = clamp_prob(D.forward(cells)).reshape(2, 2)
+    q = pmf.sum(axis=1, keepdims=True) * pmf.sum(axis=0, keepdims=True)
+    gap = optimal_contrast_value(pmf) - _objective(pmf, q, d)
+    assert 0.0 <= gap < 2e-3, gap
